@@ -1,5 +1,6 @@
 #include "dataloop/cache.hpp"
 
+#include <charconv>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -9,8 +10,10 @@ namespace netddt::dataloop {
 namespace {
 
 void append_i64(std::string& out, std::int64_t v) {
-  out += std::to_string(v);
-  out += ',';
+  char buf[24];  // 20 chars cover any int64, plus the delimiter
+  char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  *end++ = ',';
+  out.append(buf, end);
 }
 
 // Serialize every structural field that influences compilation.

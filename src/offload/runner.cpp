@@ -34,9 +34,17 @@ std::string_view strategy_name(StrategyKind kind) {
 
 std::vector<std::byte> packed_message_pattern(std::uint64_t bytes,
                                               std::uint64_t seed) {
+  // Byte i depends on i mod 256 only: build one period, then tile it.
+  constexpr std::uint64_t kPeriod = 256;
   std::vector<std::byte> v(bytes);
-  for (std::uint64_t i = 0; i < bytes; ++i) {
+  const std::uint64_t head = std::min(bytes, kPeriod);
+  for (std::uint64_t i = 0; i < head; ++i) {
     v[i] = static_cast<std::byte>((i * 167 + seed * 13 + 5) & 0xFF);
+  }
+  for (std::uint64_t done = head; done < bytes;) {
+    const std::uint64_t n = std::min(done, bytes - done);
+    std::memcpy(v.data() + done, v.data(), n);
+    done += n;
   }
   return v;
 }

@@ -303,8 +303,7 @@ ServiceRun run_service(const ServiceConfig& config) {
              static_cast<double>(hpus);
     });
     sampler->probe("nic.dma.queue_depth", [n = &nic] {
-      return static_cast<double>(
-          n->metrics().gauge("nic.dma.queue_depth").value());
+      return static_cast<double>(n->dma().queue_depth());
     });
     sampler->probe("link.port_backlog_us", [l = &link, e = &engine] {
       const sim::Time backlog =

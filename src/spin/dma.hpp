@@ -2,18 +2,37 @@
 // NIC-to-host DMA engine over the PCIe model.
 //
 // Handlers push fire-and-forget DMA write requests (paper Sec 2.1.4);
-// the engine services them in order: each request costs a fixed per-
-// request overhead plus payload / PCIe bandwidth, and lands in host
-// memory one PCIe write latency after service. Queue occupancy is
-// tracked over time — that is the data behind Fig 14 and Fig 15 — and
-// published into the metrics registry under the "nic.dma" scope.
+// the engine services them in arrival order: each request costs a fixed
+// per-request overhead plus payload / PCIe bandwidth, and lands in host
+// memory one PCIe write latency after service (RMW requests add the read
+// turnaround). Queue occupancy — requests arrived but not yet landed —
+// is the data behind Fig 14 and Fig 15 and is published into the metrics
+// registry under the "nic.dma" scope.
+//
+// Analytic FIFO: the engine is a single server with deterministic
+// service, so a request's whole schedule is known the moment it arrives:
+//   begin   = max(arrival, free_at)     free_at = begin + service
+//   landing = free_at + pcie_write_latency (+ pcie_rmw_turnaround)
+// The arrival is the only engine event a write costs. It retires the
+// landings due by now, counts the request, records its stage latencies,
+// blame intervals and "dma write" span at those explicit times, applies
+// the memcpy or RMW combine (in arrival order), and parks (landing, msg)
+// in an in-flight FIFO — one for plain writes, one for RMW writes, each
+// already sorted by landing time. Landings retire lazily, stamped with
+// their own landing times, whenever the engine next looks: at an arrival,
+// in queue_depth()/drained(), at a signalled write's landing event (which
+// then fires the completion callback), and at one self-re-arming sweep
+// event parked on the latest pending landing — the sweep drains the
+// depth back to 0, closes the Fig 15 series, and keeps Engine::run()
+// ending at the last landing. Tie rule: landings at time t retire before
+// an arrival at t is counted.
 //
 // Tracing: with a Tracer attached (and events on) every occupancy
 // change is sampled into the "nic.dma.queue_depth.trace" Series and a
 // counter track, each service window becomes a span on the "dma" track,
-// and the queue-wait / PCIe-transfer latencies feed the corresponding
-// stage histograms. Without a tracer nothing is recorded — the single
-// null check replaces the old bespoke enable_trace flag.
+// each landing an instant carrying its msg id, and the queue-wait /
+// PCIe-transfer latencies feed the corresponding stage histograms.
+// Without a tracer nothing is recorded.
 
 #include <cstddef>
 #include <cstdint>
@@ -64,7 +83,7 @@ class DmaEngine {
                 std::span<const std::byte> src, bool signal_event,
                 std::uint64_t msg_id);
 
-  /// Read-modify-write request (compute handler families): at landing the
+  /// Read-modify-write request (compute handler families): the
   /// destination becomes dst[i] = dst[i] (op) src[i] instead of a copy.
   /// Costs dma_rmw_service occupancy plus a pcie_rmw_turnaround on top of
   /// the posted-write latency. Never signals completion (the zero-byte
@@ -75,20 +94,22 @@ class DmaEngine {
 
   std::uint64_t total_writes() const { return writes_->value(); }
   std::uint64_t total_bytes() const { return bytes_->value(); }
-  std::size_t queue_depth() const {
+  /// Requests arrived but not yet landed as of now(); retires the
+  /// landings due by now() first.
+  std::size_t queue_depth() {
+    retire(engine_->now());
     return static_cast<std::size_t>(depth_->value());
   }
   std::size_t max_queue_depth() const {
     return static_cast<std::size_t>(depth_->peak());
   }
-  /// (time, depth) samples taken at every enqueue/dequeue: Fig 15. Only
-  /// recorded while a tracer with events is attached.
+  /// (time, depth) samples taken at every arrival and landing: Fig 15.
+  /// Only recorded while a tracer with events is attached.
   const std::vector<std::pair<sim::Time, double>>& depth_trace() const {
     return trace_->points();
   }
-  sim::Time last_completion() const { return last_completion_; }
-  /// True once every enqueued request has landed in host memory.
-  bool drained() const { return depth_->value() == 0; }
+  /// True once every arrived request has landed in host memory.
+  bool drained() { return queue_depth() == 0; }
 
  private:
   struct Request {
@@ -96,33 +117,41 @@ class DmaEngine {
     std::span<const std::byte> src;
     bool signal_event;
     // The compute-family fields live in the padding after signal_event:
-    // Request stays 48 bytes, so [this, req] captures keep fitting the
-    // engine's 64-byte inline callback storage (heap_allocs stays 0).
+    // [this, req] fits the engine's 48-byte inline callback bucket.
     bool rmw = false;  // apply `op` over `elem` lanes instead of memcpy
     ReduceOp op = ReduceOp::kSum;
     ElemType elem = ElemType::kInt8;
     std::uint64_t msg_id;
-    sim::Time enqueued;
   };
-  static_assert(sizeof(Request) == 48, "keep DMA callbacks heap-free");
+  static_assert(sizeof(Request) == 40, "keep DMA callbacks heap-free");
 
-  void enqueue_at(sim::Time when, Request req);
+  struct Landing {
+    sim::Time at;
+    std::uint64_t msg_id;
+  };
 
-  void start_next();
-  void sample();
+  void enqueue_at(sim::Time when, const Request& req);
+  void arrive(const Request& req);
+  /// Retire every in-flight landing due by `now`, in landing order.
+  void retire(sim::Time now);
+  void arm_sweep();
+  void sample(sim::Time at);
 
   sim::Engine* engine_;
   const CostModel* cost_;
   std::span<std::byte> host_;
   CompletionFn on_complete_;
-  std::deque<Request> queue_;
-  bool busy_ = false;
-  sim::Time last_completion_ = 0;
+
+  sim::Time free_at_ = 0;       // when the server finishes its backlog
+  sim::Time last_landing_ = 0;  // latest landing ever scheduled
+  std::deque<Landing> plain_landings_;  // sorted: landing = free_at + c
+  std::deque<Landing> rmw_landings_;    // sorted likewise (larger c)
+  bool sweep_armed_ = false;
 
   std::unique_ptr<sim::MetricsRegistry> local_metrics_;
   sim::Counter* writes_;   // nic.dma.writes
   sim::Counter* bytes_;    // nic.dma.bytes
-  sim::Gauge* depth_;      // nic.dma.queue_depth (issued, not yet landed)
+  sim::Gauge* depth_;      // nic.dma.queue_depth (arrived, not yet landed)
   sim::Series* trace_;     // nic.dma.queue_depth.trace
 
   sim::trace::Tracer* tracer_ = nullptr;

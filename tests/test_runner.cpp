@@ -88,6 +88,26 @@ TEST(Runner, NoCallbackHeapAllocationsOnAnyStrategy) {
   }
 }
 
+TEST(Runner, EngineEventsScaleWithDmaWritesNotThreeTimesThem) {
+  // A DMA write costs the engine one event (its arrival); the rest of the
+  // pipeline costs a handful per packet. 16 B blocks give 128 writes per
+  // packet, so three events per write would blow this budget.
+  for (auto kind : {StrategyKind::kSpecialized, StrategyKind::kRwCp}) {
+    auto cfg = vec_cfg(4096, 16, kind);
+    const auto run = run_receive(cfg);
+    ASSERT_TRUE(run.result.verified) << strategy_name(kind);
+    std::uint64_t callbacks = 0;
+    for (const auto& [name, value] : run.metrics.counters) {
+      if (name.rfind("sim.engine.callbacks_", 0) == 0) callbacks += value;
+    }
+    const std::uint64_t writes = run.metrics.counter("nic.dma.writes");
+    ASSERT_GT(writes, 0u) << strategy_name(kind);
+    EXPECT_LE(callbacks, writes + 8 * run.result.packets)
+        << strategy_name(kind) << ": " << writes << " DMA writes, "
+        << run.result.packets << " packets";
+  }
+}
+
 TEST(Runner, GammaMatchesRegionsPerPacket) {
   auto cfg = vec_cfg(2048, 128, StrategyKind::kSpecialized);  // 256 KiB
   const auto r = run_receive(cfg).result;

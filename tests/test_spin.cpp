@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -226,6 +227,149 @@ TEST(Dma, ServiceRateMatchesPcieBandwidth) {
   const sim::Time min_expected =
       n * (cost.dma_req_service + cost.pcie_transfer(1 << 16));
   EXPECT_GE(end, min_expected);
+}
+
+// (time, msg) of every traced "landed" instant, in landing order.
+std::vector<std::pair<sim::Time, std::int64_t>> landings(
+    const sim::trace::Tracer& tracer) {
+  std::vector<std::pair<sim::Time, std::int64_t>> out;
+  for (const auto& ev : tracer.events()) {
+    if (ev.ph == 'i' && std::strcmp(ev.name, "landed") == 0) {
+      out.emplace_back(ev.ts, ev.msg);
+    }
+  }
+  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  return out;
+}
+
+TEST(DmaFifo, ServesByArrivalNotIssueOrder) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(256);
+  DmaEngine dma(eng, cost, host);
+  std::vector<std::pair<std::uint64_t, sim::Time>> done;
+  dma.set_completion_callback(
+      [&](std::uint64_t id, sim::Time when) { done.emplace_back(id, when); });
+  const auto src = pattern(64);
+  const sim::Time early = sim::ns(10);
+  // Issuer A posts first for a later instant; issuer B posts second for
+  // an earlier one. B arrives first, so B is served first and A queues
+  // behind B's service window.
+  dma.write_at(early + 1, 0, src, true, /*msg_id=*/1);
+  dma.write_at(early, 64, src, true, /*msg_id=*/2);
+  eng.run();
+  const sim::Time s = cost.dma_service(64);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0], std::make_pair(std::uint64_t{2},
+                                    early + s + cost.pcie_write_latency));
+  EXPECT_EQ(done[1], std::make_pair(std::uint64_t{1},
+                                    early + 2 * s + cost.pcie_write_latency));
+}
+
+TEST(DmaFifo, PlainWriteAfterRmwLandsFirstWithBothEffects) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(128, std::byte{3});
+  DmaEngine dma(eng, cost, host);
+  sim::trace::TraceConfig tc;
+  tc.events = true;
+  sim::trace::Tracer tracer(tc);
+  dma.set_tracer(&tracer);
+  const auto rmw_src = pattern(64);
+  const auto plain_src = pattern(128);
+  dma.write_rmw_at(0, 0, rmw_src, ReduceOp::kSum, ElemType::kInt8, 1);
+  dma.write_at(0, 64, std::span(plain_src).subspan(64), false, 2);
+  const sim::Time end = eng.run();
+
+  // The plain write is served second but skips the RMW read turnaround.
+  const sim::Time rmw_done = cost.dma_rmw_service(64);
+  const sim::Time rmw_land =
+      rmw_done + cost.pcie_write_latency + cost.pcie_rmw_turnaround;
+  const sim::Time plain_land =
+      rmw_done + cost.dma_service(64) + cost.pcie_write_latency;
+  ASSERT_LT(plain_land, rmw_land);
+  const auto landed = landings(tracer);
+  ASSERT_EQ(landed.size(), 2u);
+  EXPECT_EQ(landed[0], std::make_pair(plain_land, std::int64_t{2}));
+  EXPECT_EQ(landed[1], std::make_pair(rmw_land, std::int64_t{1}));
+  EXPECT_EQ(end, rmw_land);
+
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(host[i], static_cast<std::byte>(
+                           3 + static_cast<unsigned>(rmw_src[i])))
+        << i;
+  }
+  EXPECT_EQ(std::memcmp(host.data() + 64, plain_src.data() + 64, 64), 0);
+}
+
+TEST(DmaFifo, SimultaneousArrivalsPeakAtN) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(1 << 12);
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(128);
+  constexpr int kN = 7;
+  const sim::Time at = sim::ns(50);
+  for (int i = 0; i < kN; ++i) dma.write_at(at, i * 128, src, false, 1);
+  eng.run_until(at + 1);
+  EXPECT_EQ(dma.queue_depth(), static_cast<std::size_t>(kN));
+  eng.run();
+  EXPECT_EQ(dma.max_queue_depth(), static_cast<std::size_t>(kN));
+  EXPECT_EQ(dma.queue_depth(), 0u);
+}
+
+TEST(DmaFifo, SignalFiresAtBeginPlusServicePlusLatency) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(1 << 13);
+  DmaEngine dma(eng, cost, host);
+  sim::Time done = -1;
+  dma.set_completion_callback(
+      [&](std::uint64_t, sim::Time when) { done = when; });
+  const auto big = pattern(4096);
+  const auto small = pattern(64);
+  dma.write(0, big, false, 1);
+  // Arrives while the 4 KiB write is in service, so it begins when that
+  // service ends.
+  dma.write_at(sim::ns(1), 4096, small, true, 2);
+  eng.run();
+  const sim::Time begin = cost.dma_service(4096);
+  ASSERT_GT(begin, sim::ns(1));
+  EXPECT_EQ(done, begin + cost.dma_service(64) + cost.pcie_write_latency);
+}
+
+TEST(DmaFifo, RunEndsAtLastUnsignalledLanding) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(1 << 12);
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(512);
+  dma.write_at(sim::ns(5), 0, src, false, 1);
+  dma.write_at(sim::ns(5), 512, src, false, 1);
+  const sim::Time end = eng.run();
+  EXPECT_EQ(end, sim::ns(5) + 2 * cost.dma_service(512) +
+                     cost.pcie_write_latency);
+  EXPECT_EQ(eng.now(), end);
+}
+
+TEST(DmaFifo, DrainedOnlyOnceEverythingLanded) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(1 << 12);
+  DmaEngine dma(eng, cost, host);
+  EXPECT_TRUE(dma.drained());
+  const auto src = pattern(256);
+  dma.write(0, src, false, 1);
+  const sim::Time land = cost.dma_service(256) + cost.pcie_write_latency;
+  eng.run_until(land - 1);
+  EXPECT_FALSE(dma.drained());
+  eng.run_until(land);
+  EXPECT_TRUE(dma.drained());
+  eng.run();
+  EXPECT_TRUE(dma.drained());
+  EXPECT_EQ(eng.now(), land);
 }
 
 TEST(Scheduler, DefaultPolicyUsesAllHpus) {
