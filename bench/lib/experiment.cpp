@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 
@@ -301,7 +302,15 @@ int bench_main(int argc, char** argv) {
       return out;
     });
   }
-  std::vector<ExperimentResult> results = sweep.collect();
+  std::vector<ExperimentResult> results;
+  try {
+    results = sweep.collect();
+  } catch (const std::exception& e) {
+    // A run that cannot produce its numbers (a reliable put that
+    // exhausted its retries, a violated invariant) fails the binary.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   std::vector<Json> reports;
   for (ExperimentResult& r : results) {

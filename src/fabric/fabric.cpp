@@ -1,9 +1,33 @@
 #include "fabric/fabric.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::fabric {
+
+namespace {
+
+/// "src S -> dst D, msg M": the context every precondition names.
+std::string route_context(std::uint32_t src, std::uint32_t dst,
+                          const std::vector<p4::Packet>& packets) {
+  return "src " + std::to_string(src) + " -> dst " + std::to_string(dst) +
+         (packets.empty() ? ", no packets"
+                          : ", msg " + std::to_string(packets[0].msg_id));
+}
+
+/// Preconditions of send / send_reliable.
+void check_send(const std::vector<spin::NicModel*>& nics, std::uint32_t src,
+                std::uint32_t dst, const std::vector<p4::Packet>& packets) {
+  NETDDT_CHECK(src < nics.size() && dst < nics.size() && src != dst,
+               route_context(src, dst, packets) + " on a " +
+                   std::to_string(nics.size()) + "-node fabric");
+  NETDDT_CHECK(nics[dst] != nullptr, route_context(src, dst, packets) +
+                                         ": destination NIC not attached");
+}
+
+}  // namespace
 
 Fabric::Fabric(sim::Engine& engine, const FabricConfig& config)
     : engine_(&engine),
@@ -24,7 +48,9 @@ Fabric::Fabric(sim::Engine& engine, const FabricConfig& config)
 }
 
 void Fabric::attach(std::uint32_t node, spin::NicModel& nic) {
-  assert(node < nics_.size());
+  NETDDT_CHECK(node < nics_.size(),
+               "attach: node " + std::to_string(node) + " of a " +
+                   std::to_string(nics_.size()) + "-node fabric");
   nics_[node] = &nic;
 }
 
@@ -98,41 +124,95 @@ void Fabric::forward(const p4::Packet* pkt,
 void Fabric::send(std::uint32_t src, std::uint32_t dst,
                   const std::vector<p4::Packet>& packets,
                   sim::Time earliest) {
-  assert(src != dst);
-  assert(nics_[dst] != nullptr && "destination NIC not attached");
+  check_send(nics_, src, dst, packets);
   const std::vector<std::uint32_t>& route = route_for(src, dst);
   for (const p4::Packet& p : packets) {
     forward(&p, &route, 0, earliest, nics_[dst]);
   }
 }
 
-// --- Reliable transport across the fabric ---------------------------------
-//
-// The sender-side state machine of one multi-hop put: the fabric
-// analogue of spin::Link's ReliableTransfer (PR 4), reusing
-// p4::ReliablePutState / RetransmitConfig / sim::faults::FaultPlan.
-// In-flight packet copies live in `copies` (a deque, so addresses stay
-// stable) because retransmitted/duplicated deliveries need their own
-// flag bits while the caller's packets stay untouched.
+// --- Reliable transport: the fabric's path of spin::ReliablePut -----------
 
-struct Fabric::Transfer {
+struct Fabric::Put final : spin::ReliablePut {
   Fabric* fab;
-  const std::vector<p4::Packet>* packets;
   const std::vector<std::uint32_t>* route;
   spin::NicModel* dst;
-  sim::faults::FaultPlan plan;
-  p4::RetransmitConfig rc;
-  sim::Time base_timeout = 0;
-  sim::Time ack_latency = 0;  // lossless return channel, no serialization
-  p4::ReliablePutState state;
-  bool completion_sent = false;
-  bool done = false;
-  PutCompleteFn on_complete;
-  std::deque<p4::Packet> copies;
 
-  Transfer(Fabric* f, const std::vector<p4::Packet>& pkts,
-           const sim::faults::FaultPlan& p, const p4::RetransmitConfig& cfg)
-      : fab(f), packets(&pkts), plan(p), rc(cfg), state(pkts.size()) {}
+  Put(Fabric* f, const std::vector<std::uint32_t>& r, spin::NicModel* d,
+      const std::vector<p4::Packet>& packets,
+      const sim::faults::FaultPlan& plan, const p4::RetransmitConfig& rc,
+      spin::PutCompleteFn on_complete)
+      : ReliablePut(*f->engine_, packets, plan, rc, std::move(on_complete),
+                    {f->retransmits_, f->acks_, f->put_failures_}),
+        fab(f),
+        route(&r),
+        dst(d) {}
+
+  sim::Time hops() const { return static_cast<sim::Time>(route->size()); }
+
+  // Derived timeout, measured from the attempt's injection departure:
+  // forward propagation, a full output FIFO of queueing at every
+  // downstream hop, the worst-case fault skew, and the ack's return. An
+  // undropped attempt on a congested fabric is then normally acked
+  // before its timer fires; a spurious retransmit remains safe — the NIC
+  // gates duplicates.
+  sim::Time derived_timeout() const override {
+    const sim::Time slot = fab->cost().pkt_interval();
+    return hops() * (fab->config_.hop_latency + slot) +
+           hops() * fab->config_.port_buffer_pkts * slot +
+           (plan().config().reorder_window + 2) * slot + ack_latency();
+  }
+
+  // Acks return over the route's hop latencies, without serialization.
+  sim::Time ack_latency() const override {
+    return hops() * fab->config_.hop_latency;
+  }
+
+  // The timer anchor is the end of serialization at the injection port,
+  // so injection-queue wait (unbounded under open-loop load) never eats
+  // the timeout budget.
+  sim::Time send_attempt(std::uint64_t idx, std::uint32_t attempt,
+                         sim::Time at, const sim::faults::FaultDecision& d,
+                         sim::Time /*timeout*/) override {
+    const sim::Time slot = fab->cost().pkt_interval();
+    const sim::Time departed = forward(idx, attempt, /*is_dup=*/false, 0, at,
+                                       d.drop, d.delay_slots * slot);
+    if (!d.drop && d.duplicate) {
+      forward(idx, attempt, /*is_dup=*/true, 0, at, /*drop=*/false,
+              (d.delay_slots + d.dup_delay_slots) * slot);
+    }
+    return departed;
+  }
+
+  /// Move one copy through hop `hop` at `now`; `skew` is the fault
+  /// plan's reorder/duplicate delay, applied at ejection, where a
+  /// dropped copy vanishes after consuming every hop's bandwidth (like a
+  /// corrupted packet the receiver discards). Returns the time the
+  /// copy's last byte leaves the `hop` port.
+  sim::Time forward(std::uint64_t idx, std::uint32_t attempt, bool is_dup,
+                    std::uint32_t hop, sim::Time now, bool drop,
+                    sim::Time skew) {
+    const sim::Time serialized =
+        fab->pass_port((*route)[hop], now, packet(idx).payload_bytes);
+    const sim::Time arrival = serialized + fab->config_.hop_latency;
+    if (hop + 1 < route->size()) {
+      fab->engine_->schedule_at(
+          arrival, [self = std::static_pointer_cast<Put>(shared_from_this()),
+                    idx, attempt, is_dup, hop, drop, skew] {
+            self->forward(idx, attempt, is_dup, hop + 1,
+                          self->engine().now(), drop, skew);
+          });
+    } else if (drop) {
+      fab->drops_->add(1);
+    } else {
+      arrive_at(arrival + skew, idx, attempt, is_dup);
+    }
+    return serialized;
+  }
+
+  void deliver(const p4::Packet& pkt, std::uint64_t /*idx*/) override {
+    dst->deliver(pkt);
+  }
 };
 
 void Fabric::send_reliable(std::uint32_t src, std::uint32_t dst,
@@ -140,132 +220,15 @@ void Fabric::send_reliable(std::uint32_t src, std::uint32_t dst,
                            sim::Time earliest,
                            const sim::faults::FaultPlan& plan,
                            const p4::RetransmitConfig& rc,
-                           PutCompleteFn on_complete) {
-  assert(!packets.empty());
-  assert(src != dst);
-  assert(nics_[dst] != nullptr && "destination NIC not attached");
-  assert(plan.active() && "inert plans should use the lossless send()");
-  auto self = std::make_shared<Transfer>(this, packets, plan, rc);
-  self->route = &route_for(src, dst);
-  self->dst = nics_[dst];
-  self->on_complete = std::move(on_complete);
-  const auto hops = static_cast<sim::Time>(self->route->size());
-  self->ack_latency = hops * config_.hop_latency;
-  // Derived timeout, measured from the packet's injection departure
-  // (see forward_reliable): forward propagation, a full output FIFO of
-  // queueing at every downstream hop, the worst-case fault skew, and
-  // the ack's return. An undropped attempt on a congested fabric is
-  // then normally acked before its timer fires; a spurious retransmit
-  // remains safe — the NIC gates duplicates.
-  self->base_timeout =
-      rc.timeout > 0
-          ? rc.timeout
-          : hops * (config_.hop_latency + cost().pkt_interval()) +
-                hops * config_.port_buffer_pkts * cost().pkt_interval() +
-                (plan.config().reorder_window + 2) * cost().pkt_interval() +
-                self->ack_latency;
-  const std::size_t n = packets.size();
-  if (n == 1) {
-    // Single-packet put: the lone packet is both data and completion.
-    self->completion_sent = true;
-    transmit(self, 0, 0, earliest);
-    return;
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    transmit(self, i, 0, earliest);
-  }
-}
-
-void Fabric::transmit(const std::shared_ptr<Transfer>& self,
-                      std::uint64_t idx, std::uint32_t attempt,
-                      sim::Time at) {
-  Transfer& t = *self;
-  Fabric& f = *t.fab;
-  t.state.record_attempt(static_cast<std::size_t>(idx));
-  const sim::faults::FaultDecision d = t.plan.decide(idx, attempt);
-  const sim::Time slot = f.cost().pkt_interval();
-
-  t.copies.push_back((*t.packets)[idx]);
-  p4::Packet* copy = &t.copies.back();
-  copy->retransmit = attempt > 0;
-  const sim::Time departed = f.forward_reliable(self, copy, idx, 0, at,
-                                                d.drop, d.delay_slots * slot);
-  if (!d.drop && d.duplicate) {
-    t.copies.push_back((*t.packets)[idx]);
-    p4::Packet* dup = &t.copies.back();
-    dup->retransmit = attempt > 0;
-    dup->dup = true;
-    f.forward_reliable(self, dup, idx, 0, at, /*drop=*/false,
-                       (d.delay_slots + d.dup_delay_slots) * slot);
-  }
-
-  const sim::Time timeout = t.rc.timeout_for(attempt, t.base_timeout);
-  f.engine_->schedule_at(departed + timeout, [self, idx, attempt] {
-    Transfer& tr = *self;
-    if (tr.done || tr.state.acked(static_cast<std::size_t>(idx))) return;
-    if (attempt + 1 > tr.rc.max_retries) {
-      fail(self);
-      return;
-    }
-    tr.fab->retransmits_->add(1);
-    transmit(self, idx, attempt + 1, tr.fab->engine_->now());
-  });
-}
-
-sim::Time Fabric::forward_reliable(const std::shared_ptr<Transfer>& xfer,
-                                   const p4::Packet* copy, std::uint64_t idx,
-                                   std::uint32_t hop, sim::Time now,
-                                   bool drop, sim::Time skew) {
-  const sim::Time serialized =
-      pass_port((*xfer->route)[hop], now, copy->payload_bytes);
-  const sim::Time arrival = serialized + config_.hop_latency;
-  if (hop + 1 < xfer->route->size()) {
-    engine_->schedule_at(arrival, [xfer, copy, idx, hop, drop, skew] {
-      xfer->fab->forward_reliable(xfer, copy, idx, hop + 1,
-                                  xfer->fab->engine_->now(), drop, skew);
-    });
-    return serialized;
-  }
-  if (drop) {
-    // Applied at ejection: the doomed attempt consumed every hop's
-    // bandwidth, like a corrupted packet discarded by the receiver.
-    drops_->add(1);
-    return serialized;
-  }
-  engine_->schedule_at(arrival + skew, [xfer, copy, idx] {
-    Transfer& t = *xfer;
-    t.dst->deliver(*copy);
-    t.fab->engine_->schedule(t.ack_latency,
-                             [xfer, idx] { on_ack(xfer, idx); });
-  });
-  return serialized;
-}
-
-void Fabric::on_ack(const std::shared_ptr<Transfer>& self,
-                    std::uint64_t idx) {
-  Transfer& t = *self;
-  t.fab->acks_->add(1);
-  if (t.done || !t.state.mark_acked(static_cast<std::size_t>(idx))) return;
-  const std::uint64_t last = t.packets->size() - 1;
-  if (idx == last) {
-    // Completion packet acked: the put is complete.
-    t.done = true;
-    if (t.on_complete) t.on_complete(t.fab->engine_->now(), true);
-    return;
-  }
-  if (!t.completion_sent && t.state.data_acked()) {
-    // Every data packet acked: release the held-back completion packet.
-    t.completion_sent = true;
-    transmit(self, last, 0, t.fab->engine_->now());
-  }
-}
-
-void Fabric::fail(const std::shared_ptr<Transfer>& self) {
-  Transfer& t = *self;
-  t.done = true;
-  t.state.mark_failed();
-  t.fab->put_failures_->add(1);
-  if (t.on_complete) t.on_complete(t.fab->engine_->now(), false);
+                           spin::PutCompleteFn on_complete) {
+  check_send(nics_, src, dst, packets);
+  NETDDT_CHECK(!packets.empty(), route_context(src, dst, packets));
+  NETDDT_CHECK(plan.active(), route_context(src, dst, packets) +
+                                  ": inert plans should use the lossless "
+                                  "send()");
+  auto put = std::make_shared<Put>(this, route_for(src, dst), nics_[dst],
+                                   packets, plan, rc, std::move(on_complete));
+  put->start(earliest);
 }
 
 }  // namespace netddt::fabric

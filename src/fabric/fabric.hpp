@@ -15,14 +15,19 @@
 // attached NIC via NicModel::deliver — every receiver runs the full
 // matching/HPU/DMA pipeline.
 //
-// Reliability: send_reliable mirrors spin::Link's lossy-path contract
-// (PR 4) end-to-end across the fabric — per-packet acks on a lossless
-// return channel, exponential backoff (p4::RetransmitConfig), the
-// completion packet held until all data packets are acked, and fault
-// decisions drawn per (msg, pkt, attempt) from sim::faults::FaultPlan so
-// the schedule is independent of delivery order. A dropped attempt
-// traverses the full route and vanishes at ejection (a corrupted packet
-// consumes fabric bandwidth until the receiver discards it).
+// Reliability: send_reliable runs the same sender-side state machine as
+// spin::Link::send_reliable (spin::ReliablePut) end-to-end across the
+// fabric — per-packet acks on a lossless return channel (the route's hop
+// latencies, no serialization), exponential backoff
+// (p4::RetransmitConfig), the completion packet held until all data
+// packets are acked, and fault decisions drawn per (msg, pkt, attempt)
+// from sim::faults::FaultPlan so the schedule is independent of delivery
+// order. The fabric supplies only the route: an attempt crosses every
+// hop through pass_port, its retransmit timer starts when its last byte
+// leaves the injection port, and a dropped attempt vanishes at ejection
+// (a corrupted packet consumes fabric bandwidth until the receiver
+// discards it).
+// Preconditions are NETDDT_CHECKs naming the route and msg id.
 //
 // Metrics live in the Fabric's own registry ("fabric.*"), separate from
 // the per-NIC registries, so single-link experiments publish none of
@@ -34,7 +39,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,6 +50,7 @@
 #include "sim/metrics.hpp"
 #include "spin/cost_model.hpp"
 #include "spin/nic.hpp"
+#include "spin/reliable.hpp"
 
 namespace netddt::fabric {
 
@@ -83,24 +88,22 @@ class Fabric {
 
   /// Inject `packets` (wire order) at `src` for `dst`'s NIC, departing
   /// no earlier than `earliest`; lossless and exactly-once, the
-  /// fabric-wide analogue of Link::send_queued (injection serializes
-  /// behind src's port, FIFO ports keep the header-first /
-  /// completion-last order along the route). The caller keeps the
-  /// packets and their data alive until the simulation drains; arrival
-  /// times are observed through the destination NIC.
+  /// fabric-wide analogue of Link::send (injection serializes behind
+  /// src's port, FIFO ports keep the header-first / completion-last
+  /// order along the route). The caller keeps the packets and their
+  /// data alive until the simulation drains; arrival times are observed
+  /// through the destination NIC.
   void send(std::uint32_t src, std::uint32_t dst,
             const std::vector<p4::Packet>& packets, sim::Time earliest);
 
-  using PutCompleteFn = std::function<void(sim::Time when, bool ok)>;
-
   /// Reliable put across the fabric (see the lossy-path contract in the
   /// header comment). `plan` must be active(); inert plans should use
-  /// send().
+  /// send(). `on_complete` fires once with the put's outcome.
   void send_reliable(std::uint32_t src, std::uint32_t dst,
                      const std::vector<p4::Packet>& packets,
                      sim::Time earliest, const sim::faults::FaultPlan& plan,
                      const p4::RetransmitConfig& rc = {},
-                     PutCompleteFn on_complete = {});
+                     spin::PutCompleteFn on_complete = {});
 
  private:
   struct Port {
@@ -112,7 +115,7 @@ class Fabric {
     std::deque<sim::Time> occupants;
   };
 
-  struct Transfer;  // reliable-put state machine (fabric.cpp)
+  struct Put;  // the fabric's path of the reliable-put machine (fabric.cpp)
 
   /// Serialize one packet through port `p` no earlier than `at`,
   /// honoring the finite FIFO; returns the time its last byte left the
@@ -123,29 +126,10 @@ class Fabric {
   void forward(const p4::Packet* pkt, const std::vector<std::uint32_t>* route,
                std::uint32_t hop, sim::Time now, spin::NicModel* dst);
 
-  /// Reliable-path forwarding of one in-flight copy: a dropped attempt
-  /// vanishes at ejection (after consuming every hop's bandwidth);
-  /// `skew` is the fault plan's reorder/duplicate delay, applied at
-  /// ejection. Delivery schedules the ack. Returns the time the copy's
-  /// last byte leaves the `hop` port — the retransmit timer of the
-  /// initial hop starts there, so injection-queue wait (unbounded under
-  /// open-loop load) never eats the timeout budget.
-  sim::Time forward_reliable(const std::shared_ptr<Transfer>& xfer,
-                             const p4::Packet* copy, std::uint64_t idx,
-                             std::uint32_t hop, sim::Time now, bool drop,
-                             sim::Time skew);
-
   /// Cached oblivious route (stable storage — forwarding events hold
   /// pointers into the cache).
   const std::vector<std::uint32_t>& route_for(std::uint32_t src,
                                               std::uint32_t dst);
-
-  static void transmit(const std::shared_ptr<Transfer>& self,
-                       std::uint64_t idx, std::uint32_t attempt,
-                       sim::Time at);
-  static void on_ack(const std::shared_ptr<Transfer>& self,
-                     std::uint64_t idx);
-  static void fail(const std::shared_ptr<Transfer>& self);
 
   sim::Engine* engine_;
   FabricConfig config_;

@@ -1,10 +1,21 @@
 #include "fabric/topology.hpp"
 
-#include <cassert>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::fabric {
 
 namespace {
+
+/// Route preconditions shared by every topology: both endpoints exist
+/// and differ.
+void check_route(std::uint32_t src, std::uint32_t dst, std::uint32_t nodes) {
+  NETDDT_CHECK(src < nodes && dst < nodes && src != dst,
+               "route src " + std::to_string(src) + " -> dst " +
+                   std::to_string(dst) + " on a " + std::to_string(nodes) +
+                   "-node topology");
+}
 
 /// SplitMix64 finalizer (same mixer as sim::Rng seeding): decorrelates
 /// the oblivious path choice across (src, dst) pairs.
@@ -26,7 +37,7 @@ class FatTree final : public Topology {
         radix_(c.leaf_radix > 0 ? c.leaf_radix : 1),
         leaves_((nodes_ + radix_ - 1) / radix_),
         spines_(c.spines > 0 ? c.spines : 1) {
-    assert(nodes_ >= 2);
+    NETDDT_CHECK(nodes_ >= 2, "topology needs at least two nodes");
   }
 
   TopologyKind kind() const override { return TopologyKind::kFatTree; }
@@ -37,7 +48,7 @@ class FatTree final : public Topology {
 
   void route(std::uint32_t src, std::uint32_t dst,
              std::vector<std::uint32_t>& out) const override {
-    assert(src < nodes_ && dst < nodes_ && src != dst);
+    check_route(src, dst, nodes_);
     out.clear();
     out.push_back(src);  // injection
     const std::uint32_t ls = src / radix_, ld = dst / radix_;
@@ -74,7 +85,7 @@ class Dragonfly final : public Topology {
         per_router_(c.router_nodes > 0 ? c.router_nodes : 1) {
     const std::uint32_t per_group = routers_ * per_router_;
     groups_ = (nodes_ + per_group - 1) / per_group;
-    assert(nodes_ >= 2);
+    NETDDT_CHECK(nodes_ >= 2, "topology needs at least two nodes");
   }
 
   TopologyKind kind() const override { return TopologyKind::kDragonfly; }
@@ -86,7 +97,7 @@ class Dragonfly final : public Topology {
 
   void route(std::uint32_t src, std::uint32_t dst,
              std::vector<std::uint32_t>& out) const override {
-    assert(src < nodes_ && dst < nodes_ && src != dst);
+    check_route(src, dst, nodes_);
     out.clear();
     const std::uint32_t per_group = routers_ * per_router_;
     const std::uint32_t gs = src / per_group, gd = dst / per_group;

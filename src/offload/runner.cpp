@@ -5,6 +5,8 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "dataloop/cache.hpp"
 #include "ddt/pack.hpp"
@@ -250,9 +252,13 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   engine.run();
 
   const auto* info = nic.info(msg_id);
-  assert(put_ok && "reliable put exhausted its retries");
-  assert(info != nullptr && info->done && "message did not complete");
-  (void)put_ok;
+  if (!put_ok || info == nullptr || !info->done) {
+    throw std::runtime_error(
+        "msg " + std::to_string(msg_id) +
+        (put_ok ? " did not complete"
+                : ": reliable put failed, a packet exhausted max_retries=" +
+                      std::to_string(config.retransmit.max_retries)));
+  }
 
   if (run.tracer != nullptr && run.tracer->events_on()) {
     // One span covering the whole message (first byte -> unpack done).

@@ -47,7 +47,8 @@ struct ReceiveConfig {
   std::uint64_t seed = 1;
   /// Wire fault injection (drop/dup/reorder rates + fault seed). When
   /// active() the message goes through the reliable transport
-  /// (spin::Link::send_reliable) and `ooo_window` is ignored; when inert
+  /// (spin::Link::send_reliable) and `ooo_window` is ignored — a put
+  /// that exhausts its retries makes run_receive throw; when inert
   /// (all rates zero, the default) the run is byte-identical to a build
   /// without the fault layer.
   sim::faults::FaultConfig faults{};
@@ -103,6 +104,9 @@ struct ReceiveRun {
   std::int64_t buffer_shift = 0;
 };
 
+/// Run one receive. Throws std::runtime_error naming the msg id when the
+/// message never completes — under faults, when a packet of the put
+/// exhausts `retransmit.max_retries`.
 ReceiveRun run_receive(const ReceiveConfig& config);
 
 /// The deterministic packed stream run_receive sends (a pure function of

@@ -181,7 +181,7 @@ SendResult run_send(const SendConfig& config) {
   if (config.strategy != SendStrategy::kOutboundSpin) {
     assert(packets.size() == ready.size());
     res.first_departure = ready.empty() ? 0 : ready.front();
-    link.send_paced(packets, ready, 0);
+    link.send(packets, 0, ready);
   }
   engine.run();
 

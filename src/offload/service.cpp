@@ -149,15 +149,14 @@ void ServiceState::admit(std::uint64_t key) {
   if (plan.active()) {
     rec.packets = std::make_unique<std::vector<p4::Packet>>(
         p4::packetize(key, key, rec.packed, config->cost.pkt_payload));
-    link->send_reliable_queued(
-        *rec.packets, engine->now(), plan, config->retransmit,
-        [this, key](sim::Time, bool ok) {
-          if (!ok) on_put_failed(key);
-        });
+    link->send_reliable(*rec.packets, engine->now(), plan, config->retransmit,
+                        [this, key](sim::Time, bool ok) {
+                          if (!ok) on_put_failed(key);
+                        });
   } else {
     const auto packets =
         p4::packetize(key, key, rec.packed, config->cost.pkt_payload);
-    link->send_queued(packets, engine->now());
+    link->send(packets, engine->now());
   }
 
   inflight += 1;

@@ -10,11 +10,14 @@
 //    with transmission;
 //  - the per-packet acknowledgement / retransmission bookkeeping
 //    (RetransmitConfig, ReliablePutState) a lossy wire needs. The
-//    protocol machine itself lives in spin::Link::send_reliable; this
-//    layer owns the pure state so it is testable without a simulator.
+//    protocol machine itself is spin::ReliablePut (spin/reliable.hpp),
+//    shared by spin::Link::send_reliable and fabric::Fabric::
+//    send_reliable; this layer owns the pure state so it is testable
+//    without a simulator.
 //
 // Ordering contract: packetize() emits packets in stream order (header
-// first, completion last) and the lossless link preserves it. Under
+// first, completion last) and the lossless routes (Link::send, Fabric::
+// send) preserve it. Under
 // fault injection the transport keeps only two invariants: the
 // completion packet is transmitted after every other packet is acked,
 // and a put completes (all-acked) only after the completion packet is
@@ -74,10 +77,12 @@ class StreamingPut {
 /// Retransmission policy of a reliable put: per-packet timeout with
 /// exponential backoff and capped retries.
 struct RetransmitConfig {
-  /// Base retransmit timeout (ps), measured from the instant a packet
-  /// departs onto the wire. 0 means "derive from the link": the
-  /// transport substitutes a timeout safely above one round trip plus
-  /// the worst-case reorder skew, so in-flight packets are never
+  /// Base retransmit timeout (ps), measured from the attempt's timer
+  /// anchor (its departure onto the link, or the end of its
+  /// serialization at the fabric's injection port). 0 means "derive
+  /// from the route": the transport substitutes a timeout safely above
+  /// one round trip plus the worst-case reorder skew (the fabric also
+  /// budgets a full output FIFO per hop), so in-flight packets are not
   /// retransmitted spuriously.
   sim::Time timeout = 0;
   /// Timeout multiplier per failed attempt (attempt n waits

@@ -1,40 +1,54 @@
 #include "spin/link.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::spin {
 
-sim::Time Link::deliver_in_order(const std::vector<const p4::Packet*>& order,
-                                 const std::vector<sim::Time>& ready,
-                                 sim::Time start) {
+namespace {
+
+std::string msg_context(const std::vector<p4::Packet>& packets) {
+  return packets.empty() ? "empty packet list"
+                         : "msg " + std::to_string(packets.front().msg_id);
+}
+
+}  // namespace
+
+sim::Time Link::occupy_port(sim::Time at, std::uint32_t bytes) {
+  const sim::Time depart = std::max(at, port_free_);
+  port_free_ = depart + port_clock_.advance(
+                            std::max<std::uint64_t>(bytes, 1),  // header flit
+                            cost_->line_rate_gbps);
+  return depart;
+}
+
+sim::Time Link::send_in_order(const std::vector<const p4::Packet*>& order,
+                              sim::Time start,
+                              const std::vector<sim::Time>& ready) {
   sim::trace::Tracer* tracer = target_->tracer();
   const bool trace = tracer != nullptr && tracer->events_on();
   const std::uint32_t link_track = trace ? tracer->track("link") : 0;
   sim::trace::BlameLedger* blame =
       tracer != nullptr ? tracer->blame() : nullptr;
-  sim::Time link_free = start;
-  sim::SerializationClock wire_clock;  // carries fractional-ps remainder
   sim::Time last_arrival = start;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const p4::Packet& pkt = *order[i];
     const sim::Time depart =
-        std::max(link_free, ready.empty() ? start : ready[i]);
-    const sim::Time on_wire = wire_clock.advance(
-        std::max<std::uint64_t>(pkt.payload_bytes, 1),  // header flit
-        cost_->line_rate_gbps);
-    link_free = depart + on_wire;
-    const sim::Time arrival = link_free + cost_->net_latency;
+        occupy_port(ready.empty() ? start : ready[i], pkt.payload_bytes);
+    const sim::Time arrival = port_free_ + cost_->net_latency;
     last_arrival = std::max(last_arrival, arrival);
     if (trace) {
       // Serialization window of this packet on the wire.
       tracer->complete(
-          link_track, "wire", depart, link_free,
+          link_track, "wire", depart, port_free_,
           static_cast<std::int64_t>(pkt.msg_id),
           static_cast<std::int64_t>(pkt.offset / cost_->pkt_payload));
     }
     if (blame != nullptr) {
-      // Pacing waits (sender-side production) count as sender queue.
+      // Port queueing and pacing waits (sender-side production) count
+      // as sender queue.
       blame->interval(pkt.msg_id, sim::trace::BlameStage::kSenderQueue,
                       start, depart);
       blame->interval(pkt.msg_id, sim::trace::BlameStage::kWire, depart,
@@ -45,309 +59,16 @@ sim::Time Link::deliver_in_order(const std::vector<const p4::Packet*>& order,
   return last_arrival;
 }
 
-sim::Time Link::send(const std::vector<p4::Packet>& packets,
-                     sim::Time start) {
+sim::Time Link::send(const std::vector<p4::Packet>& packets, sim::Time start,
+                     const std::vector<sim::Time>& ready) {
+  NETDDT_CHECK(ready.empty() || ready.size() == packets.size(),
+               msg_context(packets) + ": " + std::to_string(ready.size()) +
+                   " ready times for " + std::to_string(packets.size()) +
+                   " packets");
   std::vector<const p4::Packet*> order;
   order.reserve(packets.size());
   for (const auto& p : packets) order.push_back(&p);
-  return deliver_in_order(order, {}, start);
-}
-
-sim::Time Link::send_paced(const std::vector<p4::Packet>& packets,
-                           const std::vector<sim::Time>& ready,
-                           sim::Time start) {
-  assert(ready.size() == packets.size());
-  std::vector<const p4::Packet*> order;
-  order.reserve(packets.size());
-  for (const auto& p : packets) order.push_back(&p);
-  return deliver_in_order(order, ready, start);
-}
-
-sim::Time Link::send_queued(const std::vector<p4::Packet>& packets,
-                            sim::Time earliest) {
-  sim::trace::Tracer* tracer = target_->tracer();
-  const bool trace = tracer != nullptr && tracer->events_on();
-  const std::uint32_t link_track = trace ? tracer->track("link") : 0;
-  sim::trace::BlameLedger* blame =
-      tracer != nullptr ? tracer->blame() : nullptr;
-  sim::Time last_arrival = std::max(port_free_, earliest);
-  for (const p4::Packet& pkt : packets) {
-    const sim::Time depart = std::max(port_free_, earliest);
-    const sim::Time on_wire = port_clock_.advance(
-        std::max<std::uint64_t>(pkt.payload_bytes, 1),  // header flit
-        cost_->line_rate_gbps);
-    port_free_ = depart + on_wire;
-    const sim::Time arrival = port_free_ + cost_->net_latency;
-    last_arrival = std::max(last_arrival, arrival);
-    if (trace) {
-      tracer->complete(
-          link_track, "wire", depart, port_free_,
-          static_cast<std::int64_t>(pkt.msg_id),
-          static_cast<std::int64_t>(pkt.offset / cost_->pkt_payload));
-    }
-    if (blame != nullptr) {
-      blame->interval(pkt.msg_id, sim::trace::BlameStage::kSenderQueue,
-                      earliest, depart);
-      blame->interval(pkt.msg_id, sim::trace::BlameStage::kWire, depart,
-                      arrival);
-    }
-    engine_->schedule_at(arrival, [nic = target_, pkt] { nic->deliver(pkt); });
-  }
-  return last_arrival;
-}
-
-// --- Reliable transport over a faulty wire --------------------------------
-//
-// One ReliableTransfer is the sender-side state machine of a single put:
-// ack bitmap + attempt counts (p4::ReliablePutState), the transfer's own
-// wire-occupancy clock, and the lazily registered reliability metrics.
-// Engine callbacks keep the transfer alive through a shared_ptr; every
-// capture below stays within InlineCallback's 64-byte inline storage.
-
-struct Link::ReliableTransfer {
-  Link* link;
-  const std::vector<p4::Packet>* packets;
-  sim::faults::FaultPlan plan;
-  p4::RetransmitConfig rc;
-  sim::Time base_timeout = 0;
-  p4::ReliablePutState state;
-  sim::Time link_free = 0;
-  sim::SerializationClock link_clock;  // fractional-ps carry (own port)
-  // Serialize through Link::port_free_ (the shared injection port) so
-  // reliable transfers of concurrent messages queue behind one wire —
-  // the open-loop service model under faults (send_reliable_queued).
-  bool shared_port = false;
-  bool completion_sent = false;
-  bool done = false;
-  // Receiver-side reorder observation: distance of each arrival behind
-  // the highest packet index seen so far.
-  std::uint64_t max_seen_idx = 0;
-  bool any_seen = false;
-  PutCompleteFn on_complete;
-
-  sim::Counter* retransmits;
-  sim::Counter* dropped;
-  sim::Counter* acks;
-  sim::Counter* dups;
-  sim::Counter* failures;
-  sim::Counter* wire_bytes;
-  sim::Gauge* reorder_depth;
-
-  sim::trace::Tracer* tracer = nullptr;
-  std::uint32_t link_track = 0;
-  sim::trace::BlameLedger* blame = nullptr;
-
-  ReliableTransfer(Link* l, const std::vector<p4::Packet>& pkts,
-                   const sim::faults::FaultPlan& p,
-                   const p4::RetransmitConfig& cfg)
-      : link(l), packets(&pkts), plan(p), rc(cfg), state(pkts.size()) {
-    sim::MetricsRegistry& m = l->target_->metrics();
-    retransmits = &m.counter("p4.retransmits");
-    dropped = &m.counter("p4.pkts_dropped");
-    acks = &m.counter("p4.acks");
-    dups = &m.counter("p4.dup_deliveries");
-    failures = &m.counter("p4.put_failures");
-    wire_bytes = &m.counter("link.wire_bytes");
-    reorder_depth = &m.gauge("link.reorder_depth");
-    sim::trace::Tracer* t = l->target_->tracer();
-    if (t != nullptr && t->events_on()) {
-      tracer = t;
-      link_track = t->track("link");
-    }
-    if (t != nullptr) blame = t->blame();
-  }
-};
-
-void Link::send_reliable(const std::vector<p4::Packet>& packets,
-                         sim::Time start,
-                         const sim::faults::FaultPlan& plan,
-                         const p4::RetransmitConfig& rc,
-                         PutCompleteFn on_complete) {
-  start_reliable(packets, start, plan, rc, std::move(on_complete),
-                 /*shared_port=*/false);
-}
-
-void Link::send_reliable_queued(const std::vector<p4::Packet>& packets,
-                                sim::Time earliest,
-                                const sim::faults::FaultPlan& plan,
-                                const p4::RetransmitConfig& rc,
-                                PutCompleteFn on_complete) {
-  start_reliable(packets, earliest, plan, rc, std::move(on_complete),
-                 /*shared_port=*/true);
-}
-
-void Link::start_reliable(const std::vector<p4::Packet>& packets,
-                          sim::Time start,
-                          const sim::faults::FaultPlan& plan,
-                          const p4::RetransmitConfig& rc,
-                          PutCompleteFn on_complete, bool shared_port) {
-  assert(!packets.empty());
-  assert(plan.active() && "inert plans should use the lossless send()");
-  auto self = std::make_shared<ReliableTransfer>(this, packets, plan, rc);
-  self->on_complete = std::move(on_complete);
-  self->link_free = start;
-  self->shared_port = shared_port;
-  // Derived timeout: one full round trip (serialization + two network
-  // latencies) plus the worst-case reorder skew of the packet and of its
-  // ack, so an undropped attempt is always acked before its timer fires.
-  self->base_timeout =
-      rc.timeout > 0
-          ? rc.timeout
-          : 2 * cost_->net_latency +
-                (plan.config().reorder_window + 2) * cost_->pkt_interval() +
-                cost_->wire_time(cost_->pkt_payload);
-  const std::size_t n = packets.size();
-  if (n == 1) {
-    // Single-packet put: the lone packet is both data and completion.
-    self->completion_sent = true;
-    transmit(self, 0, 0, start);
-    return;
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    transmit(self, i, 0, start);
-  }
-}
-
-void Link::transmit(const std::shared_ptr<ReliableTransfer>& self,
-                    std::uint64_t idx, std::uint32_t attempt, sim::Time at) {
-  ReliableTransfer& t = *self;
-  const p4::Packet& src = (*t.packets)[idx];
-  t.state.record_attempt(static_cast<std::size_t>(idx));
-  sim::Time& clock = t.shared_port ? t.link->port_free_ : t.link_free;
-  sim::SerializationClock& sclock =
-      t.shared_port ? t.link->port_clock_ : t.link_clock;
-  const sim::Time depart = std::max(at, clock);
-  const sim::Time on_wire = sclock.advance(
-      std::max<std::uint64_t>(src.payload_bytes, 1),  // header flit
-      t.link->cost_->line_rate_gbps);
-  const sim::Time serialized = depart + on_wire;
-  clock = serialized;
-  t.wire_bytes->add(src.payload_bytes);
-  if (t.tracer != nullptr) {
-    t.tracer->complete(t.link_track, attempt == 0 ? "wire" : "retransmit",
-                       depart, serialized,
-                       static_cast<std::int64_t>(src.msg_id),
-                       static_cast<std::int64_t>(idx));
-  }
-  if (t.blame != nullptr) {
-    t.blame->interval(src.msg_id, sim::trace::BlameStage::kSenderQueue, at,
-                      depart);
-  }
-
-  const sim::faults::FaultDecision d = t.plan.decide(idx, attempt);
-  const sim::Time slot = t.link->cost_->pkt_interval();
-  if (d.drop) {
-    t.dropped->add(1);
-    if (t.tracer != nullptr) {
-      t.tracer->instant(t.link_track, "pkt.drop", serialized,
-                        static_cast<std::int64_t>(src.msg_id),
-                        static_cast<std::int64_t>(idx));
-    }
-    if (t.blame != nullptr) {
-      // Only the serialization window is wire time; the wait for the
-      // retransmit timer is covered by the kRetransmit guard below.
-      t.blame->interval(src.msg_id, sim::trace::BlameStage::kWire, depart,
-                        serialized);
-    }
-  } else {
-    const sim::Time arrival =
-        serialized + t.link->cost_->net_latency + d.delay_slots * slot;
-    schedule_delivery(self, idx, attempt, arrival, /*is_dup=*/false);
-    if (t.blame != nullptr) {
-      t.blame->interval(src.msg_id, sim::trace::BlameStage::kWire, depart,
-                        arrival);
-    }
-    if (d.duplicate) {
-      t.dups->add(1);
-      schedule_delivery(self, idx, attempt,
-                        arrival + d.dup_delay_slots * slot, /*is_dup=*/true);
-    }
-  }
-
-  const sim::Time timeout = t.rc.timeout_for(attempt, t.base_timeout);
-  if (t.blame != nullptr) {
-    // The attempt's unacked window: whenever nothing deeper is active
-    // (every copy dropped, backoff running), the message is waiting on
-    // the reliable transport.
-    t.blame->interval(src.msg_id, sim::trace::BlameStage::kRetransmit,
-                      depart, depart + timeout);
-  }
-  t.link->engine_->schedule_at(depart + timeout, [self, idx, attempt] {
-    ReliableTransfer& tr = *self;
-    if (tr.done || tr.state.acked(static_cast<std::size_t>(idx))) return;
-    if (attempt + 1 > tr.rc.max_retries) {
-      fail(self);
-      return;
-    }
-    tr.retransmits->add(1);
-    transmit(self, idx, attempt + 1, tr.link->engine_->now());
-  });
-}
-
-void Link::schedule_delivery(const std::shared_ptr<ReliableTransfer>& self,
-                             std::uint64_t idx, std::uint32_t attempt,
-                             sim::Time arrival, bool is_dup) {
-  self->link->engine_->schedule_at(
-      arrival, [self, idx, attempt, is_dup] {
-        ReliableTransfer& t = *self;
-        p4::Packet pkt = (*t.packets)[idx];
-        pkt.retransmit = attempt > 0;
-        pkt.dup = is_dup;
-        if (t.any_seen && idx < t.max_seen_idx) {
-          t.reorder_depth->set(
-              static_cast<std::int64_t>(t.max_seen_idx - idx));
-        } else {
-          t.max_seen_idx = idx;
-          t.any_seen = true;
-          t.reorder_depth->set(0);
-        }
-        t.link->target_->deliver(pkt);
-        // Ack on the lossless return channel.
-        if (t.blame != nullptr) {
-          // The ack's flight time: the sender holds the completion
-          // packet back until it lands, so when no receiver-side stage
-          // is active the message is waiting on the transport.
-          t.blame->interval(pkt.msg_id,
-                            sim::trace::BlameStage::kRetransmit,
-                            t.link->engine_->now(),
-                            t.link->engine_->now() +
-                                t.link->cost_->net_latency);
-        }
-        t.link->engine_->schedule(t.link->cost_->net_latency,
-                                  [self, idx] { on_ack(self, idx); });
-      });
-}
-
-void Link::on_ack(const std::shared_ptr<ReliableTransfer>& self,
-                  std::uint64_t idx) {
-  ReliableTransfer& t = *self;
-  t.acks->add(1);
-  if (t.done || !t.state.mark_acked(static_cast<std::size_t>(idx))) return;
-  const std::uint64_t last = t.packets->size() - 1;
-  if (idx == last) {
-    // Completion packet acked: the put is complete.
-    t.done = true;
-    if (t.tracer != nullptr) {
-      t.tracer->instant(t.link_track, "put.complete",
-                        t.link->engine_->now(),
-                        static_cast<std::int64_t>((*t.packets)[0].msg_id));
-    }
-    if (t.on_complete) t.on_complete(t.link->engine_->now(), true);
-    return;
-  }
-  if (!t.completion_sent && t.state.data_acked()) {
-    // Every data packet acked: release the held-back completion packet.
-    t.completion_sent = true;
-    transmit(self, last, 0, t.link->engine_->now());
-  }
-}
-
-void Link::fail(const std::shared_ptr<ReliableTransfer>& self) {
-  ReliableTransfer& t = *self;
-  t.done = true;
-  t.state.mark_failed();
-  t.failures->add(1);
-  if (t.on_complete) t.on_complete(t.link->engine_->now(), false);
+  return send_in_order(order, start, ready);
 }
 
 sim::Time Link::send_shuffled(const std::vector<p4::Packet>& packets,
@@ -369,7 +90,158 @@ sim::Time Link::send_shuffled(const std::vector<p4::Packet>& packets,
       }
     }
   }
-  return deliver_in_order(order, {}, start);
+  return send_in_order(order, start, {});
+}
+
+// --- Reliable transport: the link's path of ReliablePut --------------------
+// One wire plus net_latency, feeding the tracer, the blame ledger and the
+// lazily registered p4.* / link.* metrics.
+
+struct Link::Put final : ReliablePut {
+  Link* link;
+  sim::Counter* dropped;
+  sim::Counter* dups;
+  sim::Counter* wire_bytes;
+  sim::Gauge* reorder_depth;
+  sim::trace::Tracer* tracer = nullptr;  // set when events are on
+  std::uint32_t link_track = 0;
+  sim::trace::BlameLedger* blame = nullptr;
+  // Receiver-side reorder observation: distance of each arrival behind
+  // the highest packet index seen so far.
+  std::uint64_t max_seen_idx = 0;
+  bool any_seen = false;
+
+  Put(Link* l, const std::vector<p4::Packet>& packets,
+      const sim::faults::FaultPlan& plan, const p4::RetransmitConfig& rc,
+      PutCompleteFn on_complete)
+      : ReliablePut(*l->engine_, packets, plan, rc, std::move(on_complete),
+                    counters(l->target_->metrics())),
+        link(l) {
+    sim::MetricsRegistry& m = l->target_->metrics();
+    dropped = &m.counter("p4.pkts_dropped");
+    dups = &m.counter("p4.dup_deliveries");
+    wire_bytes = &m.counter("link.wire_bytes");
+    reorder_depth = &m.gauge("link.reorder_depth");
+    sim::trace::Tracer* t = l->target_->tracer();
+    if (t != nullptr && t->events_on()) {
+      tracer = t;
+      link_track = t->track("link");
+    }
+    if (t != nullptr) blame = t->blame();
+  }
+
+  static Counters counters(sim::MetricsRegistry& m) {
+    return {&m.counter("p4.retransmits"), &m.counter("p4.acks"),
+            &m.counter("p4.put_failures")};
+  }
+
+  // Derived timeout: one full round trip (serialization + two network
+  // latencies) plus the worst-case reorder skew of the packet and of its
+  // ack, so an undropped attempt is always acked before its timer fires.
+  sim::Time derived_timeout() const override {
+    const CostModel& c = *link->cost_;
+    return 2 * c.net_latency +
+           (plan().config().reorder_window + 2) * c.pkt_interval() +
+           c.wire_time(c.pkt_payload);
+  }
+
+  sim::Time ack_latency() const override { return link->cost_->net_latency; }
+
+  // The timer anchor is the attempt's departure from the port.
+  sim::Time send_attempt(std::uint64_t idx, std::uint32_t attempt,
+                         sim::Time at, const sim::faults::FaultDecision& d,
+                         sim::Time timeout) override {
+    const p4::Packet& src = packet(idx);
+    const CostModel& c = *link->cost_;
+    const sim::Time depart = link->occupy_port(at, src.payload_bytes);
+    const sim::Time serialized = link->port_free_;
+    wire_bytes->add(src.payload_bytes);
+    const auto msg = static_cast<std::int64_t>(src.msg_id);
+    const auto pkt = static_cast<std::int64_t>(idx);
+    if (tracer != nullptr) {
+      tracer->complete(link_track, attempt == 0 ? "wire" : "retransmit",
+                       depart, serialized, msg, pkt);
+    }
+    if (blame != nullptr) {
+      blame->interval(src.msg_id, sim::trace::BlameStage::kSenderQueue, at,
+                      depart);
+    }
+
+    const sim::Time slot = c.pkt_interval();
+    if (d.drop) {
+      dropped->add(1);
+      if (tracer != nullptr) {
+        tracer->instant(link_track, "pkt.drop", serialized, msg, pkt);
+      }
+      if (blame != nullptr) {
+        // Only the serialization window is wire time; the wait for the
+        // retransmit timer is covered by the kRetransmit guard below.
+        blame->interval(src.msg_id, sim::trace::BlameStage::kWire, depart,
+                        serialized);
+      }
+    } else {
+      const sim::Time arrival =
+          serialized + c.net_latency + d.delay_slots * slot;
+      arrive_at(arrival, idx, attempt, /*is_dup=*/false);
+      if (blame != nullptr) {
+        blame->interval(src.msg_id, sim::trace::BlameStage::kWire, depart,
+                        arrival);
+      }
+      if (d.duplicate) {
+        dups->add(1);
+        arrive_at(arrival + d.dup_delay_slots * slot, idx, attempt,
+                  /*is_dup=*/true);
+      }
+    }
+    if (blame != nullptr) {
+      // The attempt's unacked window: whenever nothing deeper is active
+      // (every copy dropped, backoff running), the message is waiting on
+      // the reliable transport.
+      blame->interval(src.msg_id, sim::trace::BlameStage::kRetransmit,
+                      depart, depart + timeout);
+    }
+    return depart;
+  }
+
+  void deliver(const p4::Packet& pkt, std::uint64_t idx) override {
+    if (any_seen && idx < max_seen_idx) {
+      reorder_depth->set(static_cast<std::int64_t>(max_seen_idx - idx));
+    } else {
+      max_seen_idx = idx;
+      any_seen = true;
+      reorder_depth->set(0);
+    }
+    link->target_->deliver(pkt);
+    if (blame != nullptr) {
+      // The ack's flight time: the sender holds the completion packet
+      // back until it lands, so when no receiver-side stage is active
+      // the message is waiting on the transport.
+      const sim::Time now = engine().now();
+      blame->interval(pkt.msg_id, sim::trace::BlameStage::kRetransmit, now,
+                      now + link->cost_->net_latency);
+    }
+  }
+
+  void completed() override {
+    if (tracer != nullptr) {
+      tracer->instant(link_track, "put.complete", engine().now(),
+                      static_cast<std::int64_t>(packet(0).msg_id));
+    }
+  }
+};
+
+void Link::send_reliable(const std::vector<p4::Packet>& packets,
+                         sim::Time start,
+                         const sim::faults::FaultPlan& plan,
+                         const p4::RetransmitConfig& rc,
+                         PutCompleteFn on_complete) {
+  NETDDT_CHECK(!packets.empty(), "send_reliable: " + msg_context(packets));
+  NETDDT_CHECK(plan.active(),
+               "send_reliable: " + msg_context(packets) +
+                   ": inert plans should use the lossless send()");
+  auto put = std::make_shared<Put>(this, packets, plan, rc,
+                                   std::move(on_complete));
+  put->start(start);
 }
 
 }  // namespace netddt::spin

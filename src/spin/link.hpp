@@ -1,34 +1,33 @@
 #pragma once
-// Network link: serializes a message's packets onto the wire at line
-// rate and delivers them to the target NIC after the network latency.
+// Network link: one sender port that serializes packets onto the wire at
+// line rate and delivers them to the target NIC after the network
+// latency. Every send on a Link queues behind that port, whichever call
+// made it; concurrent senders on separate ports use one Link each. An
+// open-loop driver sending as messages arrive thus models a shared
+// injection port where the wire becomes the bottleneck.
 //
-// Contract (lossless paths — send / send_paced / send_shuffled): the
-// header packet arrives first and the completion packet last; payload
-// packets in between may be reordered (send_shuffled) to exercise the
-// out-of-order paths of the offload strategies (segment resets, RW-CP
-// checkpoint rollback). Exactly-once delivery; the caller must keep the
-// packet data alive until the simulation drains.
+// Three calls. send and send_shuffled are lossless and exactly-once; the
+// header arrives first and the completion packet last, and send_shuffled
+// permutes the payload packets in between to exercise the out-of-order
+// paths of the offload strategies (segment resets, RW-CP checkpoint
+// rollback). send_reliable passes each attempt through a seeded
+// sim::faults::FaultPlan (drop, duplicate, reorder skew) and runs the
+// shared sender-side machine spin::ReliablePut (spin/reliable.hpp): the
+// completion packet is held until every other packet is acked, and
+// delivery becomes at-least-once (copies carry Packet::retransmit /
+// Packet::dup). Acks return on a lossless channel in one net_latency;
+// the derived timeout exceeds a round trip plus the worst-case reorder
+// skew, so an attempt in flight is never retransmitted spuriously. The
+// caller keeps the packets and their data alive until the simulation
+// drains.
 //
-// Contract (lossy path — send_reliable): transmissions pass through a
-// seeded sim::faults::FaultPlan that can drop, duplicate or skew each
-// attempt. The sender runs a per-packet ack/retransmit protocol
-// (exponential backoff, capped retries; see p4::RetransmitConfig) and
-// holds the completion packet back until every other packet is acked,
-// so the NIC's completion-last invariant survives any fault schedule.
-// Delivery becomes at-least-once: retransmitted and duplicated copies
-// reach NicModel::deliver with Packet::retransmit / Packet::dup set.
-// Acks travel on a lossless return channel (one net_latency); a packet
-// in flight is never retransmitted spuriously because the derived
-// default timeout exceeds one round trip plus the worst-case reorder
-// skew. Reliability metrics ("p4.retransmits", "p4.pkts_dropped",
-// "p4.acks", "p4.dup_deliveries", "p4.put_failures", "link.wire_bytes",
+// Reliability metrics ("p4.retransmits", "p4.pkts_dropped", "p4.acks",
+// "p4.dup_deliveries", "p4.put_failures", "link.wire_bytes",
 // "link.reorder_depth") are registered in the target NIC's registry
 // lazily — a binary that never sends reliably publishes none of them.
 // All times are sim::Time picoseconds.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "p4/packet.hpp"
@@ -38,6 +37,7 @@
 #include "sim/rng.hpp"
 #include "spin/cost_model.hpp"
 #include "spin/nic.hpp"
+#include "spin/reliable.hpp"
 
 namespace netddt::spin {
 
@@ -46,96 +46,46 @@ class Link {
   Link(sim::Engine& engine, NicModel& target, const CostModel& cost)
       : engine_(&engine), target_(&target), cost_(&cost) {}
 
-  /// Inject `packets` (wire order) starting at absolute time `start`.
-  /// Packet i departs when the link is free and arrives one network
-  /// latency after its last byte is on the wire. The caller must keep
-  /// the packet data alive until the simulation drains. Returns the
-  /// arrival time of the last packet.
-  sim::Time send(const std::vector<p4::Packet>& packets, sim::Time start);
+  /// Inject `packets` (wire order). Packet i departs when the port is
+  /// free, no earlier than `start` or, if given, `ready[i]` (streaming
+  /// puts / outbound-sPIN pacing), and arrives one network latency after
+  /// its last byte. Returns the arrival time of the last packet.
+  sim::Time send(const std::vector<p4::Packet>& packets, sim::Time start,
+                 const std::vector<sim::Time>& ready = {});
 
-  /// Same, but packet i additionally waits for `ready[i]` before
-  /// departing (models streaming puts / outbound-sPIN pacing, where the
-  /// sender produces packets as regions are discovered).
-  sim::Time send_paced(const std::vector<p4::Packet>& packets,
-                       const std::vector<sim::Time>& ready,
-                       sim::Time start);
-
-  /// Deliver with payload packets shuffled within a reordering window of
-  /// `window` slots (header stays first, completion stays last).
+  /// Same as send(), with payload packets shuffled within a reordering
+  /// window of `window` slots (header stays first, completion stays
+  /// last).
   sim::Time send_shuffled(const std::vector<p4::Packet>& packets,
                           sim::Time start, std::uint32_t window,
                           std::uint64_t seed);
 
-  /// Inject `packets` through the link's *shared* injection port: unlike
-  /// send(), whose per-call wire clock models concurrent senders on
-  /// separate ports, send_queued serializes all queued sends behind one
-  /// persistent clock — a message departs no earlier than `earliest` and
-  /// no earlier than the last byte of every previously queued message.
-  /// This is the open-loop service model: arrivals that outpace the line
-  /// rate queue at the sender and the wire becomes the bottleneck.
-  /// Returns the arrival time of the last packet.
-  sim::Time send_queued(const std::vector<p4::Packet>& packets,
-                        sim::Time earliest);
-
-  /// The shared injection port's busy-until time (send_queued only).
-  sim::Time port_free() const { return port_free_; }
-
-  /// Completion notification of a reliable put: fires once, either when
-  /// the completion packet is acked (`ok`) or when a packet exhausts its
-  /// retries (`!ok`; the message will never complete at the receiver).
-  using PutCompleteFn = std::function<void(sim::Time when, bool ok)>;
-
-  /// Send `packets` through the fault plan with sender-side reliability
-  /// (see the lossy-path contract above). `plan` must be active();
-  /// callers with an inert plan should use send() — the lossless path is
-  /// cheaper and byte-identical to pre-fault-layer behavior. As with
-  /// send(), the caller keeps `packets` and their data alive until the
-  /// simulation drains.
+  /// Send `packets` reliably through `plan`, no earlier than `start`.
+  /// `plan` must be active(); inert plans use the cheaper send().
   void send_reliable(const std::vector<p4::Packet>& packets, sim::Time start,
                      const sim::faults::FaultPlan& plan,
                      const p4::RetransmitConfig& rc = {},
                      PutCompleteFn on_complete = {});
 
-  /// send_reliable through the *shared* injection port (see send_queued):
-  /// transmissions and retransmissions of every queued reliable transfer
-  /// serialize behind one persistent wire clock, so the open-loop
-  /// service model composes with fault injection. Departure is no
-  /// earlier than `earliest`.
-  void send_reliable_queued(const std::vector<p4::Packet>& packets,
-                            sim::Time earliest,
-                            const sim::faults::FaultPlan& plan,
-                            const p4::RetransmitConfig& rc = {},
-                            PutCompleteFn on_complete = {});
+  /// Busy-until time of the sender port.
+  sim::Time port_free() const { return port_free_; }
 
  private:
-  struct ReliableTransfer;
+  struct Put;  // the link's path of the reliable-put machine (link.cpp)
 
-  void start_reliable(const std::vector<p4::Packet>& packets, sim::Time start,
-                      const sim::faults::FaultPlan& plan,
-                      const p4::RetransmitConfig& rc,
-                      PutCompleteFn on_complete, bool shared_port);
-
-  static void transmit(const std::shared_ptr<ReliableTransfer>& self,
-                       std::uint64_t idx, std::uint32_t attempt,
-                       sim::Time at);
-  static void schedule_delivery(const std::shared_ptr<ReliableTransfer>& self,
-                                std::uint64_t idx, std::uint32_t attempt,
-                                sim::Time arrival, bool is_dup);
-  static void on_ack(const std::shared_ptr<ReliableTransfer>& self,
-                     std::uint64_t idx);
-  static void fail(const std::shared_ptr<ReliableTransfer>& self);
-
-  sim::Time deliver_in_order(const std::vector<const p4::Packet*>& order,
-                             const std::vector<sim::Time>& ready,
-                             sim::Time start);
+  sim::Time send_in_order(const std::vector<const p4::Packet*>& order,
+                          sim::Time start,
+                          const std::vector<sim::Time>& ready);
+  /// Serialize one packet through the port no earlier than `at`; returns
+  /// its departure (port_free_ is then its last byte on the wire).
+  sim::Time occupy_port(sim::Time at, std::uint32_t bytes);
 
   sim::Engine* engine_;
   NicModel* target_;
   const CostModel* cost_;
-  sim::Time port_free_ = 0;  // shared injection-port clock (send_queued)
-  // Fractional-ps serialization carry of the shared port, so N queued
-  // packets occupy exactly the whole-message wire time (sim::
-  // SerializationClock); per-call paths carry their own clock.
+  sim::Time port_free_ = 0;  // the sender port's busy-until clock
+  // Fractional-ps serialization carry of the port, so N packets occupy
+  // exactly the whole-message wire time (sim::SerializationClock).
   sim::SerializationClock port_clock_;
 };
 

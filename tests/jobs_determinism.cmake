@@ -4,9 +4,10 @@
 # echoed in the output match too.
 #
 # A second pair repeats the comparison over a lossy wire (nonzero
-# --drop-rate plus dup/reorder): the fault schedule is a pure function of
-# (fault seed, msg, packet, attempt), so parallelism must not move a
-# single drop.
+# --drop-rate plus dup/reorder) for the single-message ablation and the
+# open-loop service (reliable puts sharing one sender port): the fault
+# schedule is a pure function of (fault seed, msg, packet, attempt), so
+# parallelism must not move a single drop.
 #
 # Invoked as:
 #   cmake -DRUN_ALL=<path-to-run_all> -DWORK_DIR=<scratch> -P jobs_determinism.cmake
@@ -51,8 +52,8 @@ endforeach()
 message(STATUS "jobs determinism: stdout and JSON byte-identical")
 
 file(MAKE_DIRECTORY "${WORK_DIR}/f1" "${WORK_DIR}/f4")
-set(FAULT_FLAGS --only ablation_faults --drop-rate 0.05 --dup-rate 0.02
-    --reorder-rate 0.05 --fault-seed 31)
+set(FAULT_FLAGS --only ablation_faults,svc_load --drop-rate 0.05
+    --dup-rate 0.02 --reorder-rate 0.05 --fault-seed 31)
 
 execute_process(
   COMMAND "${RUN_ALL}" --smoke --jobs 1 ${FAULT_FLAGS} --json report.json

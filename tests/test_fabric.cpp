@@ -13,6 +13,8 @@
 #include "fabric/fabric.hpp"
 #include "fabric/topology.hpp"
 #include "goal/fft2d.hpp"
+#include "p4/put.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::fabric {
 namespace {
@@ -95,6 +97,31 @@ CollectiveConfig base_config(CollectiveKind kind) {
   cc.arrivals.rate = 1e8;  // 10 us mean round gap
   cc.seed = 7;
   return cc;
+}
+
+TEST(Fabric, SendToUnattachedNodeIsAViolation) {
+  // Preconditions are NETDDT_CHECKs, live in every build type once the
+  // checker is on, and name the route and message.
+  sim::check::ScopedEnable checks;
+  sim::Engine engine;
+  FabricConfig fc;
+  fc.topology = small_fat_tree(4);
+  Fabric fab(engine, fc);
+  std::vector<std::byte> data(64, std::byte{1});
+  const auto packets = p4::packetize(7, 1, data);
+  try {
+    fab.send(0, 2, packets, 0);
+    FAIL() << "send to an unattached node was accepted";
+  } catch (const sim::check::Violation& v) {
+    const std::string what = v.what();
+    EXPECT_NE(what.find("src 0 -> dst 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("msg 7"), std::string::npos) << what;
+  }
+  spin::Host host(1 << 16);
+  spin::NicModel nic(engine, host);
+  EXPECT_THROW(fab.attach(4, nic), sim::check::Violation);
+  fab.attach(2, nic);
+  EXPECT_THROW(fab.send(2, 2, packets, 0), sim::check::Violation);
 }
 
 TEST(Collectives, AlltoallDeliversAndVerifies) {

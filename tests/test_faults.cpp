@@ -1,14 +1,20 @@
 // Fault-injection layer tests: determinism of the fault schedule,
-// sender-side reliability bookkeeping, and the end-to-end guarantee that
-// every unpack strategy reconstructs a byte-identical receive buffer
-// under drops, duplicates and reorder.
+// sender-side reliability bookkeeping, the reliable-put protocol on both
+// routes (Link and Fabric), and the end-to-end guarantee that every
+// unpack strategy reconstructs a byte-identical receive buffer under
+// drops, duplicates and reorder.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ddt/datatype.hpp"
+#include "fabric/fabric.hpp"
 #include "offload/runner.hpp"
 #include "p4/put.hpp"
 #include "sim/faults/faults.hpp"
@@ -140,14 +146,69 @@ TEST(RetransmitConfig, ExponentialBackoff) {
   EXPECT_GT(rc.timeout_for(100, 1000), 0);
 }
 
-// --- Reliable transport over a direct Link ------------------------------
+// --- Reliable transport: one suite over both routes ---------------------
+//
+// Link and Fabric share the sender-side machine (spin::ReliablePut) and
+// differ only in the path, so every protocol property is checked on a
+// direct Link and on a 2-node fat-tree Fabric (node 0 -> node 1).
 
-TEST(ReliableLink, RetryExhaustionFailsThePut) {
+enum class Route { kLink, kFabric };
+
+void PrintTo(Route r, std::ostream* os) {
+  *os << (r == Route::kLink ? "Link" : "Fabric");
+}
+
+/// A sender -> NIC world whose reliable puts take the given route, with
+/// the route's names for the machine's counters.
+struct ReliableWorld {
+  explicit ReliableWorld(Route r) : host(1 << 20), nic(engine, host) {
+    if (r == Route::kLink) {
+      link.emplace(engine, nic, nic.cost());
+    } else {
+      fabric::FabricConfig fc;
+      fc.topology.nodes = 2;
+      fc.cost = nic.cost();
+      fab.emplace(engine, fc);
+      fab->attach(1, nic);
+    }
+  }
+
+  void send_reliable(const std::vector<p4::Packet>& packets,
+                     const FaultPlan& plan, const p4::RetransmitConfig& rc,
+                     spin::PutCompleteFn on_complete) {
+    if (link) {
+      link->send_reliable(packets, 0, plan, rc, std::move(on_complete));
+    } else {
+      fab->send_reliable(0, 1, packets, 0, plan, rc, std::move(on_complete));
+    }
+  }
+
+  /// Value of the machine counter `what` ("retransmits", "drops", "acks",
+  /// "put_failures") under the route's metric name.
+  std::uint64_t counter(const std::string& what) const {
+    if (link) {
+      const std::string name = what == "drops" ? "p4.pkts_dropped"
+                                               : "p4." + what;
+      return nic.metrics().snapshot().counter(name);
+    }
+    return fab->metrics().snapshot().counter("fabric." + what);
+  }
+
+  std::uint64_t nic_deliveries() const {
+    return nic.metrics().snapshot().counter("nic.pkts.delivered");
+  }
+
   sim::Engine engine;
-  spin::Host host(1 << 20);
-  spin::NicModel nic(engine, host);
-  spin::Link link(engine, nic, nic.cost());
+  spin::Host host;
+  spin::NicModel nic;
+  std::optional<spin::Link> link;
+  std::optional<fabric::Fabric> fab;
+};
 
+class ReliableLink : public ::testing::TestWithParam<Route> {};
+
+TEST_P(ReliableLink, RetryExhaustionFailsThePut) {
+  ReliableWorld w(GetParam());
   std::vector<std::byte> data(8192, std::byte{0x5a});
   const auto packets = p4::packetize(1, 0x5197, data);
 
@@ -157,69 +218,135 @@ TEST(ReliableLink, RetryExhaustionFailsThePut) {
   p4::RetransmitConfig rc;
   rc.max_retries = 2;
 
-  bool completed = false, ok = true;
-  link.send_reliable(packets, 0, FaultPlan(fc, 1), rc,
-                     [&](sim::Time, bool o) {
-                       completed = true;
-                       ok = o;
-                     });
-  engine.run();
+  int calls = 0;
+  bool ok = true;
+  w.send_reliable(packets, FaultPlan(fc, 1), rc, [&](sim::Time, bool o) {
+    ++calls;
+    ok = o;
+  });
+  w.engine.run();
 
-  EXPECT_TRUE(completed);
+  EXPECT_EQ(calls, 1);  // the put fails exactly once
   EXPECT_FALSE(ok);
-  const auto snap = nic.metrics().snapshot();
-  EXPECT_EQ(snap.counter("p4.put_failures"), 1u);
-  EXPECT_EQ(snap.counter("p4.acks"), 0u);
+  EXPECT_EQ(w.counter("put_failures"), 1u);
+  EXPECT_EQ(w.counter("acks"), 0u);
   // Every attempt of every data packet was dropped; the completion
   // packet was never released.
-  EXPECT_EQ(snap.counter("p4.pkts_dropped"),
-            (packets.size() - 1) * (rc.max_retries + 1));
-  EXPECT_EQ(snap.counter("nic.pkts.delivered"), 0u);
+  EXPECT_EQ(w.counter("drops"), (packets.size() - 1) * (rc.max_retries + 1));
+  EXPECT_EQ(w.counter("retransmits"), (packets.size() - 1) * rc.max_retries);
+  EXPECT_EQ(w.nic_deliveries(), 0u);
 }
 
-TEST(ReliableLink, CompletesAndReportsRetransmits) {
-  sim::Engine engine;
-  spin::Host host(1 << 20);
-  spin::NicModel nic(engine, host);
-  spin::Link link(engine, nic, nic.cost());
-
+TEST_P(ReliableLink, CompletesAndReportsRetransmits) {
+  ReliableWorld w(GetParam());
   p4::MatchEntry me;
   me.match_bits = 0x5197;
   me.buffer_offset = 0;
   me.length = 1 << 20;
-  nic.match_list().append(p4::ListKind::kPriority, me);
+  w.nic.match_list().append(p4::ListKind::kPriority, me);
 
   std::vector<std::byte> data(512 * 1024);  // 256 packets: drops certain
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::byte>(i * 31 + 7);
   }
   const auto packets = p4::packetize(1, me.match_bits, data);
+  ASSERT_EQ(packets.size(), 256u);
 
-  bool completed = false, ok = false;
+  int calls = 0;
+  bool ok = false;
   sim::Time when = 0;
-  link.send_reliable(packets, 0, FaultPlan(lossy_config(11), 1), {},
-                     [&](sim::Time t, bool o) {
-                       completed = true;
-                       ok = o;
-                       when = t;
-                     });
-  engine.run();
+  w.send_reliable(packets, FaultPlan(lossy_config(11), 1), {},
+                  [&](sim::Time t, bool o) {
+                    ++calls;
+                    ok = o;
+                    when = t;
+                  });
+  w.engine.run();
 
-  ASSERT_TRUE(completed);
+  ASSERT_EQ(calls, 1);
   EXPECT_TRUE(ok);
   EXPECT_GT(when, 0);
-  const auto* info = nic.info(1);
+  const auto* info = w.nic.info(1);
   ASSERT_NE(info, nullptr);
   EXPECT_TRUE(info->done);
   // Unique-packet accounting survives duplicates and retransmits.
   EXPECT_EQ(info->bytes, data.size());
   EXPECT_EQ(info->packets, packets.size());
   // The RDMA path landed the exact bytes despite the faults.
-  EXPECT_EQ(std::memcmp(host.memory().data(), data.data(), data.size()), 0);
-  const auto snap = nic.metrics().snapshot();
-  EXPECT_GT(snap.counter("p4.pkts_dropped"), 0u);
-  EXPECT_EQ(snap.counter("p4.pkts_dropped"), snap.counter("p4.retransmits"));
-  EXPECT_EQ(snap.counter("p4.put_failures"), 0u);
+  EXPECT_EQ(std::memcmp(w.host.memory().data(), data.data(), data.size()),
+            0);
+  // The derived timeout never fires on an attempt still in flight: every
+  // retransmit answers a drop. Every copy the NIC saw was acked.
+  EXPECT_GT(w.counter("drops"), 0u);
+  EXPECT_EQ(w.counter("drops"), w.counter("retransmits"));
+  EXPECT_EQ(w.counter("acks"), w.nic_deliveries());
+  EXPECT_GT(w.nic_deliveries(), packets.size());  // duplicates arrived
+  EXPECT_EQ(w.counter("put_failures"), 0u);
+}
+
+TEST_P(ReliableLink, SinglePacketPutCompletes) {
+  // The lone packet is header, data and completion at once: it goes out
+  // immediately instead of waiting for data acks.
+  ReliableWorld w(GetParam());
+  p4::MatchEntry me;
+  me.match_bits = 0x51;
+  me.buffer_offset = 0;
+  me.length = 1 << 16;
+  w.nic.match_list().append(p4::ListKind::kPriority, me);
+
+  std::vector<std::byte> data(512);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i * 7 + 3);
+  }
+  const auto packets = p4::packetize(4, me.match_bits, data);
+  ASSERT_EQ(packets.size(), 1u);
+
+  FaultConfig fc;
+  fc.drop_rate = 0.5;
+  fc.dup_rate = 0.5;
+  fc.seed = 13;
+  int calls = 0;
+  bool ok = false;
+  w.send_reliable(packets, FaultPlan(fc, 4), {}, [&](sim::Time, bool o) {
+    ++calls;
+    ok = o;
+  });
+  w.engine.run();
+
+  ASSERT_EQ(calls, 1);
+  EXPECT_TRUE(ok);
+  const auto* info = w.nic.info(4);
+  ASSERT_NE(info, nullptr);
+  EXPECT_TRUE(info->done);
+  EXPECT_EQ(std::memcmp(w.host.memory().data(), data.data(), data.size()),
+            0);
+  EXPECT_EQ(w.counter("drops"), w.counter("retransmits"));
+  EXPECT_EQ(w.counter("acks"), w.nic_deliveries());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Routes, ReliableLink, ::testing::Values(Route::kLink, Route::kFabric),
+    [](const ::testing::TestParamInfo<Route>& info) {
+      return info.param == Route::kLink ? "Link" : "Fabric";
+    });
+
+TEST(FaultRunner, ExhaustedRetriesRaiseAnError) {
+  // A black-hole wire: the put fails and run_receive reports it instead
+  // of reading the never-completed message.
+  offload::ReceiveConfig cfg;
+  cfg.type = Datatype::hvector(64, 128, 256, Datatype::int8());
+  cfg.strategy = StrategyKind::kRwCp;
+  cfg.faults.drop_rate = 1.0;
+  cfg.faults.seed = 3;
+  cfg.retransmit.max_retries = 2;
+  try {
+    offload::run_receive(cfg);
+    FAIL() << "run_receive returned for a failed put";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("msg 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_retries=2"), std::string::npos) << what;
+  }
 }
 
 // --- End-to-end: lossy receives must equal lossless ---------------------

@@ -1,6 +1,7 @@
 // Tests for the network link: line-rate pacing, paced (ready-gated)
-// sends, and the shuffle invariants (header first, completion last,
-// permutation only within windows).
+// sends, one sender port shared by every send, and the shuffle
+// invariants (header first, completion last, permutation only within
+// windows).
 
 #include <gtest/gtest.h>
 
@@ -85,12 +86,28 @@ TEST_F(LinkFixture, PacedSendWaitsForReadyTimes) {
   auto pkts = p4::packetize(1, 1, data);
   std::vector<sim::Time> ready(pkts.size(), 0);
   ready[3] = sim::us(50);  // packet 3 held back; later ones queue behind
-  link.send_paced(pkts, ready, 0);
+  link.send(pkts, 0, ready);
   eng.run();
   ASSERT_EQ(arrivals.size(), 8u);
   EXPECT_LT(arrivals[2].first, sim::us(10));
   EXPECT_GE(arrivals[3].first, sim::us(50));
   EXPECT_GE(arrivals[4].first, arrivals[3].first);
+}
+
+TEST(Link, SendsShareOnePort) {
+  // Two sends at t=0 on one Link queue behind one port: message B's
+  // first packet reaches the NIC only after message A's last one.
+  World w;
+  const auto a = p4::packetize(1, 1, w.data);
+  const auto b = p4::packetize(2, 1, w.data);
+  const sim::Time a_last = w.link.send(a, 0);
+  w.link.send(b, 0);
+  w.eng.run();
+  const auto* info_b = w.nic.info(2);
+  ASSERT_NE(info_b, nullptr);
+  EXPECT_GT(info_b->first_byte, a_last);
+  EXPECT_LE(info_b->first_byte, a_last + w.nic.cost().pkt_interval() + 1);
+  EXPECT_GE(w.link.port_free(), 2 * 8 * w.nic.cost().pkt_interval() - 2);
 }
 
 TEST_F(LinkFixture, ShuffleKeepsEndpointsAndPermutesMiddle) {

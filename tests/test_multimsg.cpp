@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
 #include <vector>
 
 #include "dataloop/segment.hpp"
@@ -66,6 +67,10 @@ class MultiMsgFixture : public ::testing::Test {
     return s;
   }
 
+  /// A sender on its own port (a Link serializes every send it makes,
+  /// so concurrent senders each need one).
+  spin::Link& sender() { return senders_.emplace_back(eng, nic, nic.cost()); }
+
   void verify(const Stream& s) {
     std::vector<std::byte> expected(4 << 20, std::byte{0});
     ddt::unpack(s.packed.data(), *s.type, 1, expected.data());
@@ -81,6 +86,7 @@ class MultiMsgFixture : public ::testing::Test {
   spin::Host host;
   spin::NicModel nic;
   spin::Link link;
+  std::deque<spin::Link> senders_;
   std::vector<std::unique_ptr<GeneralPlan>> plans_;
   std::vector<std::unique_ptr<SpecializedPlan>> spec_plans_;
 };
@@ -90,12 +96,12 @@ TEST_F(MultiMsgFixture, TwoGeneralMessagesInterleaved) {
                       1, 0, true);
   auto b = add_stream(Datatype::hvector(1024, 128, 512, Datatype::int8()),
                       2, 1 << 20, true);
-  // Interleave: both messages start at t=0 on separate "ports" (the
-  // link serializes, but packets of a and b alternate in arrival).
+  // Interleave: the messages go out on separate senders, so packets
+  // of a and b alternate in arrival.
   auto pa = p4::packetize(101, 1, a.packed);
   auto pb = p4::packetize(102, 2, b.packed);
-  link.send(pa, 0);
-  link.send(pb, sim::ns(40));  // offset start: packets interleave
+  sender().send(pa, 0);
+  sender().send(pb, sim::ns(40));  // offset start: packets interleave
   eng.run();
 
   verify(a);
@@ -111,9 +117,9 @@ TEST_F(MultiMsgFixture, MixedStrategiesShareTheHpuPool) {
                       2, 1 << 20, false);
   auto c = add_stream(Datatype::hvector(512, 256, 512, Datatype::int8()),
                       3, 2 << 20, true);
-  link.send(p4::packetize(201, 1, a.packed), 0);
-  link.send(p4::packetize(202, 2, b.packed), sim::ns(100));
-  link.send(p4::packetize(203, 3, c.packed), sim::ns(200));
+  sender().send(p4::packetize(201, 1, a.packed), 0);
+  sender().send(p4::packetize(202, 2, b.packed), sim::ns(100));
+  sender().send(p4::packetize(203, 3, c.packed), sim::ns(200));
   eng.run();
   verify(a);
   verify(b);
@@ -126,8 +132,8 @@ TEST_F(MultiMsgFixture, SameTypeTwoMessagesIndependentState) {
   auto type = Datatype::hvector(2048, 64, 128, Datatype::int8());
   auto a = add_stream(type, 1, 0, true);
   auto b = add_stream(type, 2, 1 << 20, true);
-  link.send(p4::packetize(301, 1, a.packed), 0);
-  link.send(p4::packetize(302, 2, b.packed), sim::ns(10));
+  sender().send(p4::packetize(301, 1, a.packed), 0);
+  sender().send(p4::packetize(302, 2, b.packed), sim::ns(10));
   eng.run();
   verify(a);
   verify(b);
