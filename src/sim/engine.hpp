@@ -54,10 +54,24 @@ class Engine {
     place(when, std::move(fn));
   }
 
+  /// Draw the next sequence number without scheduling anything. A model
+  /// that keeps its own time-ordered work (the DMA engine's write runs)
+  /// stamps each item with a ticket, so (when, ticket) orders the item
+  /// exactly as an event scheduled at that moment would be ordered.
+  std::uint64_t ticket() { return next_seq_++; }
+
+  /// Seq of the event being dispatched: an item stamped (when, seq) was
+  /// due before it iff (when, seq) < (now(), current_seq()). Between
+  /// runs it reads 0 before the first run and, after run()/run_until()
+  /// return, the next seq as of that return — everything scheduled at
+  /// <= now() has run, anything scheduled later has not.
+  std::uint64_t current_seq() const { return current_seq_; }
+
   /// Run until the event queue drains. Returns the time of the last event.
   Time run() {
     const auto wall_start = std::chrono::steady_clock::now();
     while (!heap_.empty()) step();
+    current_seq_ = next_seq_;
     wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - wall_start)
                     .count();
@@ -72,6 +86,7 @@ class Engine {
     const auto wall_start = std::chrono::steady_clock::now();
     while (!heap_.empty() && heap_.front().when <= deadline) step();
     if (now_ < deadline) now_ = deadline;
+    current_seq_ = next_seq_;
     wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - wall_start)
                     .count();
@@ -187,6 +202,7 @@ class Engine {
     heap_.pop_back();
     assert(ev.when >= now_);
     now_ = ev.when;
+    current_seq_ = ev.seq;
     ++executed_;
     // Invoked in place: slab chunks never relocate, and the slot is only
     // released afterwards, so events the callback schedules cannot reuse
@@ -211,6 +227,7 @@ class Engine {
   std::vector<std::uint32_t> free_slots_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t current_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t callback_heap_allocs_ = 0;
   std::uint64_t wall_ns_ = 0;

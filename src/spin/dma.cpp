@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::spin {
 
@@ -76,13 +79,107 @@ void DmaEngine::write_rmw_at(sim::Time when, std::int64_t host_off,
   enqueue_at(when, req);
 }
 
-void DmaEngine::enqueue_at(sim::Time when, const Request& req) {
-  assert(when >= engine_->now());
-  engine_->schedule_at(when, [this, req] { arrive(req); });
+namespace {
+
+// (when, seq) order: the engine's dispatch order.
+bool before(sim::Time a_when, std::uint64_t a_seq, sim::Time b_when,
+            std::uint64_t b_seq) {
+  return a_when != b_when ? a_when < b_when : a_seq < b_seq;
 }
 
-void DmaEngine::arrive(const Request& req) {
+// Max-heap comparator that puts the earliest run head on top.
+constexpr auto later_head = [](const auto& a, const auto& b) {
+  return before(b.when, b.seq, a.when, a.seq);
+};
+
+}  // namespace
+
+void DmaEngine::enqueue_at(sim::Time when, const Request& req) {
+  NETDDT_CHECK(when >= engine_->now(),
+               "DMA write for msg " + std::to_string(req.msg_id) +
+                   " issued for t=" + std::to_string(when) +
+                   " ps, before now=" + std::to_string(engine_->now()) +
+                   " ps");
+  NETDDT_CHECK(req.src.empty() ||
+                   (req.host_off >= 0 &&
+                    static_cast<std::size_t>(req.host_off) + req.src.size() <=
+                        host_.size()),
+               "DMA write for msg " + std::to_string(req.msg_id) +
+                   " of " + std::to_string(req.src.size()) +
+                   " bytes at host offset " + std::to_string(req.host_off) +
+                   " overruns the " + std::to_string(host_.size()) +
+                   "-byte host buffer");
+  if (req.signal_event) {
+    // A signalled write stays an engine event: its arrival schedules the
+    // landing event, which must draw its seq in dispatch order.
+    engine_->schedule_at(when, [this, req] {
+      drain();
+      arrive(req, engine_->now());
+    });
+    return;
+  }
+
+  // A run holds one dispatching event's writes, so it empties (and its
+  // storage recycles) once that event's writes have all arrived.
+  const std::uint64_t seq = engine_->ticket();
+  if (open_run_ == kNoRun || open_owner_ != engine_->current_seq() ||
+      when < runs_[open_run_].writes.back().when) {
+    open_owner_ = engine_->current_seq();
+    if (free_runs_.empty()) {
+      open_run_ = static_cast<std::uint32_t>(runs_.size());
+      runs_.emplace_back();
+    } else {
+      open_run_ = free_runs_.back();
+      free_runs_.pop_back();
+    }
+    heads_.push_back(Head{when, seq, open_run_});
+    std::push_heap(heads_.begin(), heads_.end(), later_head);
+  }
+  runs_[open_run_].writes.push_back(Pending{when, seq, req});
+  last_arrival_ = std::max(last_arrival_, when);
+  drain();
+  arm_sweep();
+}
+
+void DmaEngine::drain() {
+  if (heads_.empty()) return;
   const sim::Time now = engine_->now();
+  const std::uint64_t cur = engine_->current_seq();
+  while (!heads_.empty() &&
+         before(heads_.front().when, heads_.front().seq, now, cur)) {
+    std::pop_heap(heads_.begin(), heads_.end(), later_head);
+    const std::uint32_t r = heads_.back().run;
+    heads_.pop_back();
+    // Serve the leading run while it stays ahead of both the runner-up
+    // and the dispatching event.
+    sim::Time until_when = now;
+    std::uint64_t until_seq = cur;
+    if (!heads_.empty() && before(heads_.front().when, heads_.front().seq,
+                                  until_when, until_seq)) {
+      until_when = heads_.front().when;
+      until_seq = heads_.front().seq;
+    }
+    Run& run = runs_[r];
+    do {
+      const Pending& p = run.writes[run.next++];
+      arrive(p.req, p.when);
+    } while (run.next < run.writes.size() &&
+             before(run.writes[run.next].when, run.writes[run.next].seq,
+                    until_when, until_seq));
+    if (run.next < run.writes.size()) {
+      heads_.push_back(
+          Head{run.writes[run.next].when, run.writes[run.next].seq, r});
+      std::push_heap(heads_.begin(), heads_.end(), later_head);
+    } else {
+      run.writes.clear();
+      run.next = 0;
+      free_runs_.push_back(r);
+      if (open_run_ == r) open_run_ = kNoRun;
+    }
+  }
+}
+
+void DmaEngine::arrive(const Request& req, sim::Time now) {
   retire(now);
   depth_->add(1);
   sample(now);
@@ -114,10 +211,6 @@ void DmaEngine::arrive(const Request& req) {
   // The bytes move at arrival, in service order; the host only reads
   // them after the signalled landing that completes the message.
   if (!req.src.empty()) {
-    assert(req.host_off >= 0 &&
-           static_cast<std::size_t>(req.host_off) + req.src.size() <=
-               host_.size() &&
-           "DMA write outside host buffer");
     if (req.rmw) {
       apply_reduce(host_.data() + req.host_off, req.src.data(),
                    req.src.size(), req.op, req.elem);
@@ -134,6 +227,7 @@ void DmaEngine::arrive(const Request& req) {
   last_landing_ = std::max(last_landing_, landing);
   if (req.signal_event) {
     engine_->schedule_at(landing, [this, msg_id = req.msg_id] {
+      drain();
       retire(engine_->now());
       if (on_complete_) on_complete_(msg_id, engine_->now());
     });
@@ -168,10 +262,15 @@ void DmaEngine::retire(sim::Time now) {
 void DmaEngine::arm_sweep() {
   if (sweep_armed_) return;
   sweep_armed_ = true;
-  engine_->schedule_at(last_landing_, [this] {
-    sweep_armed_ = false;
+  engine_->schedule_at(std::max(last_landing_, last_arrival_), [this] {
+    // Still armed while it serves: arrivals it drains must not re-arm.
+    drain();
     retire(engine_->now());
-    if (!plain_landings_.empty() || !rmw_landings_.empty()) arm_sweep();
+    sweep_armed_ = false;
+    if (!plain_landings_.empty() || !rmw_landings_.empty() ||
+        !heads_.empty()) {
+      arm_sweep();
+    }
   });
 }
 

@@ -13,19 +13,35 @@
 // service, so a request's whole schedule is known the moment it arrives:
 //   begin   = max(arrival, free_at)     free_at = begin + service
 //   landing = free_at + pcie_write_latency (+ pcie_rmw_turnaround)
-// The arrival is the only engine event a write costs. It retires the
-// landings due by now, counts the request, records its stage latencies,
-// blame intervals and "dma write" span at those explicit times, applies
-// the memcpy or RMW combine (in arrival order), and parks (landing, msg)
-// in an in-flight FIFO — one for plain writes, one for RMW writes, each
-// already sorted by landing time. Landings retire lazily, stamped with
-// their own landing times, whenever the engine next looks: at an arrival,
-// in queue_depth()/drained(), at a signalled write's landing event (which
-// then fires the completion callback), and at one self-re-arming sweep
-// event parked on the latest pending landing — the sweep drains the
-// depth back to 0, closes the Fig 15 series, and keeps Engine::run()
-// ending at the last landing. Tie rule: landings at time t retire before
-// an arrival at t is counted.
+// An arrival retires the landings due by its time, counts the request,
+// records its stage latencies, blame intervals and "dma write" span at
+// those explicit times, applies the memcpy or RMW combine (in arrival
+// order), and parks (landing, msg) in an in-flight FIFO — one for plain
+// writes, one for RMW writes, each already sorted by landing time.
+//
+// Event-free writes: a non-signalled write costs the engine no event.
+// It takes an Engine::ticket() and joins the *run* of the event that
+// issued it — a handler issues its writes at nondecreasing times with
+// increasing tickets, so they stay sorted by (when, ticket); a write
+// earlier than its run's tail opens a new one. A min-heap over run
+// heads merges the runs, and drain() serves every write ordered before
+// the dispatching event's (now, current_seq) — exactly the writes whose
+// arrival events the engine would already have dispatched, in that
+// order. drain() runs whenever the engine touches the DMA: a new write,
+// a signalled write's arrival (the one write that stays an engine
+// event, so the landing event it schedules draws its seq in dispatch
+// order), a landing event, the sweep, and queue_depth()/drained().
+// Landings retire lazily, stamped with their own landing times, at the
+// same touch points. The sweep is one self-re-arming event parked on
+// max(latest landing, latest pending arrival): it serves the
+// stragglers, drains the depth back to 0, closes the Fig 15 series, and
+// keeps Engine::run() ending at the last landing. Tie rule: landings at
+// time t retire before an arrival at t is counted.
+//
+// Because arrivals are served at the next touch point, host memory
+// shows a write once the DMA has been touched at or after its arrival:
+// always before a completion fires and before Engine::run() returns.
+// A write's source bytes must stay valid until then.
 //
 // Tracing: with a Tracer attached (and events on) every occupancy
 // change is sampled into the "nic.dma.queue_depth.trace" Series and a
@@ -78,7 +94,9 @@ class DmaEngine {
              bool signal_event, std::uint64_t msg_id);
 
   /// Same, but enqueued at a future instant (handlers issue DMA commands
-  /// part-way through their charged runtime).
+  /// part-way through their charged runtime). Preconditions, checked at
+  /// issue (NETDDT_CHECK): `when >= now()` and a non-empty `src` fits
+  /// the host buffer at `host_off`.
   void write_at(sim::Time when, std::int64_t host_off,
                 std::span<const std::byte> src, bool signal_event,
                 std::uint64_t msg_id);
@@ -87,16 +105,18 @@ class DmaEngine {
   /// destination becomes dst[i] = dst[i] (op) src[i] instead of a copy.
   /// Costs dma_rmw_service occupancy plus a pcie_rmw_turnaround on top of
   /// the posted-write latency. Never signals completion (the zero-byte
-  /// completion write stays a plain write).
+  /// completion write stays a plain write). Same preconditions.
   void write_rmw_at(sim::Time when, std::int64_t host_off,
                     std::span<const std::byte> src, ReduceOp op,
                     ElemType elem, std::uint64_t msg_id);
 
   std::uint64_t total_writes() const { return writes_->value(); }
   std::uint64_t total_bytes() const { return bytes_->value(); }
-  /// Requests arrived but not yet landed as of now(); retires the
-  /// landings due by now() first.
+  /// Requests arrived but not yet landed as of now(); serves the writes
+  /// due before the dispatching event and retires the landings due by
+  /// now() first.
   std::size_t queue_depth() {
+    drain();
     retire(engine_->now());
     return static_cast<std::size_t>(depth_->value());
   }
@@ -117,7 +137,8 @@ class DmaEngine {
     std::span<const std::byte> src;
     bool signal_event;
     // The compute-family fields live in the padding after signal_event:
-    // [this, req] fits the engine's 48-byte inline callback bucket.
+    // a signalled write's [this, req] fits the engine's 48-byte inline
+    // callback bucket.
     bool rmw = false;  // apply `op` over `elem` lanes instead of memcpy
     ReduceOp op = ReduceOp::kSum;
     ElemType elem = ElemType::kInt8;
@@ -130,8 +151,31 @@ class DmaEngine {
     std::uint64_t msg_id;
   };
 
+  /// A non-signalled write waiting for its arrival; (when, seq) is the
+  /// position its arrival event would have had in the engine queue.
+  struct Pending {
+    sim::Time when;
+    std::uint64_t seq;
+    Request req;
+  };
+  /// Writes sorted by (when, seq), served from `next` on. Storage is
+  /// recycled through free_runs_, so steady state allocates nothing.
+  struct Run {
+    std::vector<Pending> writes;
+    std::size_t next = 0;
+  };
+  /// Merge-heap entry: the (when, seq) of a run's next write.
+  struct Head {
+    sim::Time when;
+    std::uint64_t seq;
+    std::uint32_t run;
+  };
+  static constexpr std::uint32_t kNoRun = ~0u;
+
   void enqueue_at(sim::Time when, const Request& req);
-  void arrive(const Request& req);
+  /// Serve every pending write ordered before the dispatching event.
+  void drain();
+  void arrive(const Request& req, sim::Time now);
   /// Retire every in-flight landing due by `now`, in landing order.
   void retire(sim::Time now);
   void arm_sweep();
@@ -147,6 +191,13 @@ class DmaEngine {
   std::deque<Landing> plain_landings_;  // sorted: landing = free_at + c
   std::deque<Landing> rmw_landings_;    // sorted likewise (larger c)
   bool sweep_armed_ = false;
+
+  std::vector<Run> runs_;                // live and recycled write runs
+  std::vector<std::uint32_t> free_runs_;
+  std::vector<Head> heads_;              // min-heap over live runs
+  std::uint32_t open_run_ = kNoRun;      // run the next write may extend
+  std::uint64_t open_owner_ = 0;         // seq of the event that opened it
+  sim::Time last_arrival_ = 0;           // latest pending arrival queued
 
   std::unique_ptr<sim::MetricsRegistry> local_metrics_;
   sim::Counter* writes_;   // nic.dma.writes

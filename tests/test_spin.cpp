@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "p4/put.hpp"
@@ -370,6 +371,158 @@ TEST(DmaFifo, DrainedOnlyOnceEverythingLanded) {
   eng.run();
   EXPECT_TRUE(dma.drained());
   EXPECT_EQ(eng.now(), land);
+}
+
+TEST(DmaFifo, InterleavedWriteRunsServeInTimeThenIssueOrder) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(1 << 12, std::byte{3});
+  DmaEngine dma(eng, cost, host);
+  sim::trace::TraceConfig tc;
+  tc.events = true;
+  sim::trace::Tracer tracer(tc);
+  dma.set_tracer(&tracer);
+  const auto a = pattern(256);
+  const auto b = pattern(512);
+  const std::span<const std::byte> b_hi = std::span(b).subspan(256);
+  // Two handlers dispatched at t=0, each issuing its own run; the runs
+  // interleave in time and tie at 30 ns, where the earlier-issued RMW
+  // (msg 2) goes first and the plain write (msg 5) then overwrites the
+  // same bytes.
+  eng.schedule_at(0, [&] {
+    dma.write_at(sim::ns(10), 0, a, false, 1);
+    dma.write_rmw_at(sim::ns(30), 512, a, ReduceOp::kSum, ElemType::kInt8,
+                     2);
+    dma.write_at(sim::ns(50), 1024, a, false, 3);
+  });
+  eng.schedule_at(0, [&] {
+    dma.write_rmw_at(sim::ns(20), 256, a, ReduceOp::kSum, ElemType::kInt8,
+                     4);
+    dma.write_at(sim::ns(30), 512, b_hi, false, 5);
+    dma.write_at(sim::ns(40), 768, a, false, 6);
+  });
+  const sim::Time end = eng.run();
+
+  // Serve in (arrival, issue) order through the analytic FIFO by hand.
+  const sim::Time plain = cost.dma_service(256);
+  const sim::Time rmw = cost.dma_rmw_service(256);
+  const sim::Time lat = cost.pcie_write_latency;
+  const sim::Time turn = cost.pcie_rmw_turnaround;
+  const sim::Time free1 = sim::ns(10) + plain;                       // 1
+  const sim::Time free4 = std::max(sim::ns(20), free1) + rmw;        // 4
+  const sim::Time free2 = std::max(sim::ns(30), free4) + rmw;        // 2
+  const sim::Time free5 = std::max(sim::ns(30), free2) + plain;      // 5
+  const sim::Time free6 = std::max(sim::ns(40), free5) + plain;      // 6
+  const sim::Time free3 = std::max(sim::ns(50), free6) + plain;      // 3
+  std::vector<std::pair<sim::Time, std::int64_t>> expect = {
+      {free1 + lat, 1},        {free4 + lat + turn, 4},
+      {free2 + lat + turn, 2}, {free5 + lat, 5},
+      {free6 + lat, 6},        {free3 + lat, 3}};
+  auto landed = landings(tracer);
+  std::sort(expect.begin(), expect.end());
+  std::sort(landed.begin(), landed.end());
+  EXPECT_EQ(landed, expect);
+  EXPECT_EQ(end, expect.back().first);
+
+  std::vector<std::int64_t> served;
+  for (const auto& ev : tracer.events()) {
+    if (ev.ph == 'B' && std::strcmp(ev.name, "dma write") == 0) {
+      served.push_back(ev.msg);
+    }
+  }
+  EXPECT_EQ(served, (std::vector<std::int64_t>{1, 4, 2, 5, 6, 3}));
+  EXPECT_EQ(std::memcmp(host.data() + 512, b_hi.data(), 256), 0);
+  for (std::size_t i = 0; i < 256; ++i) {
+    ASSERT_EQ(host[256 + i],
+              static_cast<std::byte>(3 + static_cast<unsigned>(a[i])))
+        << i;
+  }
+  EXPECT_TRUE(dma.drained());
+}
+
+TEST(DmaFifo, WriteAtTCountsOnlyForEventsScheduledAfterIt) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(1 << 12);
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(64);
+  const sim::Time t = sim::ns(100);
+  std::size_t before = 99, issuing = 99, queued = 99, later = 99;
+  eng.schedule_at(t, [&] { before = dma.queue_depth(); });
+  dma.write_at(t, 0, src, false, 1);
+  eng.schedule_at(t, [&] {
+    // A write at t issued by the event at t arrives after it, and after
+    // every event already scheduled for t, like a scheduled event would.
+    dma.write_at(t, 64, src, false, 2);
+    issuing = dma.queue_depth();
+    eng.schedule_at(t, [&] { later = dma.queue_depth(); });
+  });
+  eng.schedule_at(t, [&] { queued = dma.queue_depth(); });
+  eng.run();
+  EXPECT_EQ(before, 0u);
+  EXPECT_EQ(issuing, 1u);
+  EXPECT_EQ(queued, 1u);
+  EXPECT_EQ(later, 2u);
+  EXPECT_EQ(dma.total_writes(), 2u);
+}
+
+TEST(DmaFifo, RunUntilCountsEveryWriteDueByTheDeadline) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(1 << 12);
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(64);
+  const sim::Time t = sim::ns(50);
+  dma.write_at(sim::ns(10), 0, src, false, 1);
+  dma.write_at(t, 64, src, false, 2);
+  dma.write_at(t + 1, 128, src, false, 3);
+  eng.schedule_at(t, [&] { dma.write_at(t, 192, src, false, 4); });
+  eng.run_until(t);
+  // Every write due by t has arrived (none has landed yet); the one at
+  // t + 1 has not.
+  EXPECT_EQ(dma.queue_depth(), 3u);
+  EXPECT_EQ(dma.total_writes(), 3u);
+  EXPECT_EQ(std::memcmp(host.data() + 192, src.data(), 64), 0);
+  // A write posted after run_until returns arrives at the next run.
+  dma.write(256, src, false, 5);
+  EXPECT_EQ(dma.queue_depth(), 3u);
+  eng.run();
+  EXPECT_EQ(dma.total_writes(), 5u);
+  EXPECT_TRUE(dma.drained());
+}
+
+TEST(DmaFifo, BadWriteIsAViolationAtTheIssuingCall) {
+  sim::check::ScopedEnable checks;
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(64);
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(8);
+  try {
+    dma.write_at(0, 60, src, false, 42);
+    FAIL() << "a write past the host buffer was accepted";
+  } catch (const sim::check::Violation& v) {
+    const std::string what = v.what();
+    EXPECT_NE(what.find("msg 42 of 8 bytes at host offset 60 overruns the "
+                        "64-byte host buffer"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(dma.write_rmw_at(0, -8, src, ReduceOp::kSum, ElemType::kInt8,
+                                43),
+               sim::check::Violation);
+  eng.run_until(sim::ns(5));
+  try {
+    dma.write_at(sim::ns(1), 0, src, false, 44);
+    FAIL() << "a write in the past was accepted";
+  } catch (const sim::check::Violation& v) {
+    const std::string what = v.what();
+    EXPECT_NE(what.find("msg 44 issued for t=1000 ps, before now=5000 ps"),
+              std::string::npos)
+        << what;
+  }
+  eng.run();
+  EXPECT_EQ(dma.total_writes(), 0u);
 }
 
 TEST(Scheduler, DefaultPolicyUsesAllHpus) {
