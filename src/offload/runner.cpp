@@ -51,6 +51,37 @@ std::vector<std::byte> packed_message_pattern(std::uint64_t bytes,
   return v;
 }
 
+bool regions_hold_stream(const std::byte* base, const ddt::TypePtr& type,
+                         std::uint64_t count,
+                         std::span<const std::byte> packed,
+                         dataloop::PackEngine engine, std::uint64_t window) {
+  assert(packed.size() == type->size() * count && "stream/type mismatch");
+  if (packed.empty()) return true;  // packed.data() may be null
+  std::shared_ptr<const dataloop::FlatProgram> prog;
+  if (engine == dataloop::PackEngine::kProgram) {
+    prog = dataloop::plan_cached(type, count).program;
+  }
+  if (prog == nullptr) {
+    const auto stream = std::make_unique_for_overwrite<std::byte[]>(
+        packed.size());
+    ddt::pack(base, *type, count, stream.get());
+    return std::memcmp(stream.get(), packed.data(), packed.size()) == 0;
+  }
+  // Program engine: gather through the compiled flat program at packet
+  // granularity (the same resumable windows the receive path saw).
+  const std::uint64_t step = std::max<std::uint64_t>(window, 1);
+  const auto stream = std::make_unique_for_overwrite<std::byte[]>(
+      std::min<std::uint64_t>(step, packed.size()));
+  for (std::uint64_t at = 0; at < packed.size(); at += step) {
+    const std::uint64_t end = std::min<std::uint64_t>(packed.size(), at + step);
+    prog->pack(base, at, end, stream.get());
+    if (std::memcmp(stream.get(), packed.data() + at, end - at) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 ReceiveRun run_receive(const ReceiveConfig& config) {
   assert(config.type && "receive needs a datatype");
   assert(config.count > 0 && "receive needs at least one instance");
@@ -404,33 +435,9 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
     // Offloaded: the only main-memory traffic is the scattered message.
     res.host_traffic_bytes = msg_bytes;
     if (config.verify) {
-      std::vector<std::byte> reference(buffer_bytes, std::byte{0});
-      std::shared_ptr<const dataloop::FlatProgram> prog;
-      if (config.pack_engine == dataloop::PackEngine::kProgram) {
-        prog = dataloop::plan_cached(config.type, config.count).program;
-      }
-      if (prog != nullptr) {
-        // Program engine: build the reference through the compiled flat
-        // program, streamed at packet granularity (the same resumable
-        // windows the receive path saw).
-        const std::uint64_t step = nic.cost().pkt_payload;
-        for (std::uint64_t at = 0; at < msg_bytes; at += step) {
-          const std::uint64_t end = std::min(msg_bytes, at + step);
-          prog->unpack(packed.data() + at, at, end, reference.data() + shift);
-        }
-      } else if (msg_bytes > 0) {
-        ddt::unpack(packed.data(), *config.type, config.count,
-                    reference.data() + shift);
-      }
-      res.verified = true;
-      for (const auto& r : regions) {
-        const auto at = static_cast<std::int64_t>(shift) + r.offset;
-        if (std::memcmp(host.memory().data() + at, reference.data() + at,
-                        r.size) != 0) {
-          res.verified = false;
-          break;
-        }
-      }
+      res.verified = regions_hold_stream(
+          host.memory().data() + shift, config.type, config.count, packed,
+          config.pack_engine, nic.cost().pkt_payload);
     }
   }
   if (config.keep_buffer) {

@@ -1,12 +1,13 @@
 #pragma once
 // Single-receive experiment driver: builds a sender/link/NIC/host world,
 // installs one offload strategy, streams one message, verifies the
-// receive buffer against the reference unpack, and reports all the
+// receive buffer against the sent stream, and reports all the
 // quantities the paper's figures plot.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,14 @@ struct ReceiveConfig {
   /// ablation_reduce baseline. Runs without `compute` are byte-identical
   /// to builds without the compute subsystem.
   std::optional<spin::ComputeConfig> compute;
+  /// Check the receive and set ReceiveResult::verified. Byte-moving
+  /// receives compare the type's regions only (regions_hold_stream:
+  /// gather them back into a stream, compare with what was sent); the
+  /// host baseline compares its bounce buffer with the stream, and
+  /// compute receives compare the whole buffer with the host reference.
+  /// Bytes in a byte-moving type's gaps are not checked here: catching
+  /// a stray write there is the differential fuzz oracle's job, which
+  /// compares whole `keep_buffer` buffers.
   bool verify = true;
   /// Force the src/sim/check invariant checker on for this run (same
   /// effect as SPIN_CHECK=1 but scoped to the calling thread, so
@@ -108,6 +117,20 @@ struct ReceiveRun {
 /// message never completes — under faults, when a packet of the put
 /// exhausts `retransmit.max_retries`.
 ReceiveRun run_receive(const ReceiveConfig& config);
+
+/// The byte-moving receive check: gather the `count` instances of `type`
+/// laid out at `base` (the address of type offset 0) back into a stream
+/// and compare it with `packed`, the count * type->size() bytes that were
+/// sent. Only the type's regions are read; gap bytes never affect the
+/// result. For a type whose regions are disjoint (receive types must
+/// be) this is the same as comparing each region with the reference
+/// unpack. kInterpreter gathers with ddt::pack, kProgram with the
+/// compiled flat program in `window`-byte stream windows (the packet
+/// payload), falling back to ddt::pack when the type has no program.
+bool regions_hold_stream(const std::byte* base, const ddt::TypePtr& type,
+                         std::uint64_t count,
+                         std::span<const std::byte> packed,
+                         dataloop::PackEngine engine, std::uint64_t window);
 
 /// The deterministic packed stream run_receive sends (a pure function of
 /// length and `ReceiveConfig::seed`). Exposed so differential oracles can

@@ -7,7 +7,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "ddt/pack.hpp"
 #include "offload/runner.hpp"
 #include "p4/put.hpp"
 #include "sim/check.hpp"
@@ -32,7 +31,6 @@ struct TenantGeometry {
   std::int64_t shift = 0;       // lift negative-lb layouts into the slot
   std::uint64_t stride = 0;     // slot size, 64-byte aligned
   std::int64_t base = 0;        // first slot's offset in host memory
-  std::vector<ddt::Region> regions;
 };
 
 TenantGeometry tenant_geometry(const ServiceTenant& t) {
@@ -51,7 +49,6 @@ TenantGeometry tenant_geometry(const ServiceTenant& t) {
   const std::uint64_t need = static_cast<std::uint64_t>(g.shift) +
                              std::max(span, g.msg_bytes) + 64;
   g.stride = (need + 63) & ~std::uint64_t{63};
-  g.regions = t.type->flatten(t.count);
   return g;
 }
 
@@ -175,16 +172,9 @@ bool ServiceState::verify(const MsgRecord& rec) const {
     return std::memcmp(mem + slot + g.shift, rec.packed.data(),
                        g.msg_bytes) == 0;
   }
-  std::vector<std::byte> ref(g.stride, std::byte{0});
-  ddt::unpack(rec.packed.data(), *tenant.type, tenant.count,
-              ref.data() + g.shift);
-  for (const auto& r : g.regions) {
-    const std::int64_t at = g.shift + r.offset;
-    if (std::memcmp(mem + slot + at, ref.data() + at, r.size) != 0) {
-      return false;
-    }
-  }
-  return true;
+  return regions_hold_stream(mem + slot + g.shift, tenant.type, tenant.count,
+                             rec.packed, dataloop::PackEngine::kInterpreter,
+                             config->cost.pkt_payload);
 }
 
 void ServiceState::on_done(std::uint64_t key, sim::Time when) {

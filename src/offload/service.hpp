@@ -60,9 +60,10 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
   /// Force the invariant checker on for this run (thread-scoped).
   bool validate = false;
-  /// Verify every Nth completed message of each tenant against the
-  /// reference unpack (0 disables). Sampled because full verification
-  /// of thousands of messages would dominate the run.
+  /// Verify every Nth completed message of each tenant (0 disables):
+  /// its regions must hold the sent stream (regions_hold_stream).
+  /// Sampled because full verification of thousands of messages would
+  /// dominate the run.
   std::uint64_t verify_every = 16;
   /// Wire fault injection. When active(), every message goes through
   /// the reliable transport on the same injection port

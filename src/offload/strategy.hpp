@@ -73,7 +73,7 @@ struct ReceiveResult {
   std::uint64_t pkts_dropped = 0;
   std::uint64_t dup_deliveries = 0;
 
-  bool verified = false;  // receive buffer matched the reference unpack
+  bool verified = false;  // receive buffer held the sent message
 
   double throughput_gbps() const {
     return sim::throughput_gbps(message_bytes, e2e_time);

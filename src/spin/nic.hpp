@@ -4,8 +4,10 @@
 // (plain RDMA) data path for match entries without an execution context.
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -25,15 +27,33 @@ namespace netddt::spin {
 
 /// Receiver host: memory the NIC DMAs into plus the Portals event queue
 /// the application polls.
+///
+/// The memory reads as all zeros. It comes from `std::calloc`, which
+/// takes a large block as fresh pages the kernel zeroes on first touch
+/// and skips its own memset, so a page is materialised on its first
+/// write and a page the DMA never writes is never touched: a sparse
+/// receive (a matrix column, an FFT transpose) costs its message, not
+/// its extent. A value-initialised vector would memset every byte up
+/// front; an `mmap` per host would fault every page of the many small
+/// buffers too, which measured slower than `calloc`'s heap reuse.
+/// Throws std::bad_alloc when the memory cannot be had.
 class Host {
  public:
-  explicit Host(std::size_t bytes) : memory_(bytes) {}
-  std::span<std::byte> memory() { return memory_; }
-  std::span<const std::byte> memory() const { return memory_; }
+  explicit Host(std::size_t bytes)
+      : memory_(static_cast<std::byte*>(std::calloc(bytes ? bytes : 1, 1))),
+        bytes_(bytes) {
+    if (memory_ == nullptr) throw std::bad_alloc();
+  }
+  std::span<std::byte> memory() { return {memory_.get(), bytes_}; }
+  std::span<const std::byte> memory() const { return {memory_.get(), bytes_}; }
   p4::EventQueue& events() { return events_; }
 
  private:
-  std::vector<std::byte> memory_;
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::byte, Free> memory_;
+  std::size_t bytes_;
   p4::EventQueue events_;
 };
 

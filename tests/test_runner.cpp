@@ -1,10 +1,16 @@
 // Edge-case and accounting tests for the receive-experiment driver:
 // single-packet and odd-sized messages, gamma reporting, packet-buffer
-// stats, HPU-count effects, and determinism.
+// stats, HPU-count effects, determinism, the byte-moving verification
+// check, and zero-on-demand host memory under sparse receives.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "dataloop/cache.hpp"
 #include "ddt/datatype.hpp"
+#include "ddt/pack.hpp"
 #include "offload/runner.hpp"
 #include "offload/specialized.hpp"
 
@@ -168,6 +174,119 @@ TEST(Runner, HostSetupReportedForCheckpointedOnly) {
   EXPECT_EQ(run_receive(vec_cfg(4096, 128, StrategyKind::kSpecialized))
                 .result.host_setup_time,
             0);
+}
+
+// Which bytes of a `size`-byte buffer belong to the regions of `count`
+// instances of `type` whose offset 0 sits at buffer byte `shift`.
+std::vector<bool> region_mask(const ddt::TypePtr& type, std::uint64_t count,
+                              std::int64_t shift, std::size_t size) {
+  std::vector<bool> mask(size, false);
+  for (const auto& r : type->flatten(count)) {
+    const auto at = static_cast<std::size_t>(shift + r.offset);
+    std::fill_n(mask.begin() + static_cast<std::ptrdiff_t>(at), r.size, true);
+  }
+  return mask;
+}
+
+TEST(RegionsHoldStream, CatchesAnyFlippedRegionByteIgnoresGaps) {
+  struct Case {
+    const char* name;
+    ddt::TypePtr type;
+    std::uint64_t count;
+  };
+  const std::vector<Case> cases = {
+      {"hvector x3", Datatype::hvector(8, 12, 40, Datatype::int8()), 3},
+      {"resized lb<0 x2",
+       Datatype::resized(Datatype::hvector(4, 16, 32, Datatype::int8()), -64,
+                         256),
+       2},
+  };
+  ASSERT_LT(cases[1].type->lb(), 0);
+  for (const auto& c : cases) {
+    // The runner's buffer geometry: shift lifts a negative lb into it.
+    const std::int64_t shift =
+        -std::min({std::int64_t{0}, c.type->lb(), c.type->true_lb()});
+    const std::int64_t hi =
+        std::max({std::int64_t{0}, c.type->ub(), c.type->true_ub()});
+    std::vector<std::byte> buffer(
+        static_cast<std::size_t>(
+            shift + c.type->extent() * static_cast<std::int64_t>(c.count - 1) +
+            hi),
+        std::byte{0xA5});  // gap bytes, never zero
+    const std::uint64_t bytes = c.type->size() * c.count;
+    const auto stream = packed_message_pattern(bytes, 3);
+    ddt::unpack(stream.data(), *c.type, c.count, buffer.data() + shift);
+    const auto in_region = region_mask(c.type, c.count, shift, buffer.size());
+    for (auto engine :
+         {dataloop::PackEngine::kInterpreter, dataloop::PackEngine::kProgram}) {
+      if (engine == dataloop::PackEngine::kProgram) {
+        ASSERT_NE(dataloop::plan_cached(c.type, c.count).program, nullptr)
+            << c.name;
+      }
+      const char* ename =
+          engine == dataloop::PackEngine::kProgram ? "program" : "interpreter";
+      const auto holds = [&] {
+        // A 7-byte window splits blocks and instances mid-run.
+        return regions_hold_stream(buffer.data() + shift, c.type, c.count,
+                                   stream, engine, 7);
+      };
+      ASSERT_TRUE(holds()) << c.name << " " << ename;
+      std::uint64_t region_bytes = 0;
+      std::uint64_t gap_bytes = 0;
+      for (std::size_t i = 0; i < buffer.size(); ++i) {
+        buffer[i] ^= std::byte{0x01};
+        if (in_region[i]) {
+          EXPECT_FALSE(holds()) << c.name << " " << ename << " byte " << i;
+          ++region_bytes;
+        } else {
+          EXPECT_TRUE(holds()) << c.name << " " << ename << " gap " << i;
+          ++gap_bytes;
+        }
+        buffer[i] ^= std::byte{0x01};
+      }
+      EXPECT_EQ(region_bytes, bytes) << c.name;
+      EXPECT_GT(gap_bytes, 0u) << c.name;
+    }
+  }
+}
+
+TEST(RegionsHoldStream, EmptyStreamHolds) {
+  auto t = Datatype::hvector(0, 4, 8, Datatype::int8());
+  EXPECT_TRUE(regions_hold_stream(nullptr, t, 1, {},
+                                  dataloop::PackEngine::kProgram, 7));
+}
+
+TEST(Runner, SparseReceiveLeavesUntouchedPagesZero) {
+  // 1 KiB blocks every 64 KiB: the receive buffer spans 1 MiB for a
+  // 16 KiB message, so most of its pages are never written. The host
+  // memory must still read as zeros everywhere outside the regions,
+  // through the real DMA path.
+  auto t = Datatype::hvector(16, 1024, 64 << 10, Datatype::int8());
+  for (auto kind : {StrategyKind::kSpecialized, StrategyKind::kRwCp,
+                    StrategyKind::kHostUnpack}) {
+    ReceiveConfig cfg;
+    cfg.type = t;
+    cfg.strategy = kind;
+    cfg.keep_buffer = true;
+    const auto run = run_receive(cfg);
+    EXPECT_TRUE(run.result.verified) << strategy_name(kind);
+    ASSERT_GE(run.buffer.size(), static_cast<std::size_t>(t->extent()))
+        << strategy_name(kind);
+    const auto in_region =
+        region_mask(t, 1, run.buffer_shift, run.buffer.size());
+    std::size_t nonzero_gaps = 0;
+    for (std::size_t i = 0; i < run.buffer.size(); ++i) {
+      if (!in_region[i] && run.buffer[i] != std::byte{0}) ++nonzero_gaps;
+    }
+    EXPECT_EQ(nonzero_gaps, 0u) << strategy_name(kind);
+    if (kind != StrategyKind::kHostUnpack) {
+      // Offloaded: the regions hold the message (the host baseline's
+      // CPU unpack is modelled, not performed).
+      EXPECT_EQ(ddt::pack_to_vector(run.buffer.data() + run.buffer_shift, *t),
+                packed_message_pattern(t->size(), cfg.seed))
+          << strategy_name(kind);
+    }
+  }
 }
 
 TEST(LeafWindow, WholeStreamMatchesFlatten) {
