@@ -1,10 +1,11 @@
 // Ablation: goodput under a lossy wire. The message goes through the
-// reliable transport (spin::Link::send_reliable): dropped attempts are
-// retransmitted after a timeout, duplicates and reordered arrivals reach
-// the NIC as-is, and the completion packet is held back until every data
-// packet is acked. Every run still verifies the receive buffer against
-// the reference unpack — the fault layer must never corrupt an unpack,
-// only slow it down.
+// reliable transport (fabric::Fabric::send_reliable on the
+// point-to-point link): dropped attempts are retransmitted after a
+// timeout, duplicates and reordered arrivals reach the NIC as-is, and
+// the completion packet is held back until every data packet is acked.
+// Every run still verifies the receive buffer against the reference
+// unpack — the fault layer must never corrupt an unpack, only slow it
+// down.
 
 #include "bench/lib/experiment.hpp"
 #include "ddt/datatype.hpp"

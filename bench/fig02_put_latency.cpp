@@ -4,9 +4,9 @@
 // the handler issuing the DMA write).
 
 #include "bench/lib/experiment.hpp"
+#include "fabric/fabric.hpp"
 #include "p4/put.hpp"
 #include "sim/engine.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 
 using namespace netddt;
@@ -19,7 +19,8 @@ sim::Time put_latency(bool use_spin, const spin::CostModel& cost) {
   sim::Engine eng;
   spin::Host host(4096);
   spin::NicModel nic(eng, host, cost);
-  spin::Link link(eng, nic, nic.cost());
+  fabric::Fabric link(eng, fabric::point_to_point(nic.cost()));
+  link.attach(1, nic);
 
   p4::MatchEntry me;
   me.match_bits = 1;
@@ -40,7 +41,7 @@ sim::Time put_latency(bool use_spin, const spin::CostModel& cost) {
 
   const std::byte one{0x42};
   std::vector<p4::Packet> pkts = p4::packetize(1, 1, {&one, 1});
-  link.send(pkts, 0);
+  link.send(0, 1, pkts, 0);
   eng.run();
   return host.events().events().front().when;
 }

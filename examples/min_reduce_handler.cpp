@@ -12,21 +12,23 @@
 #include <cstring>
 #include <vector>
 
+#include "fabric/fabric.hpp"
 #include "p4/put.hpp"
 #include "spin/compute.hpp"
 #include "spin/handler.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 
 using namespace netddt;
 
 int main() {
   // 1. A receiver world: simulated host memory, the sPIN NIC model, and
-  //    a link to stream packets through.
+  //    a point-to-point link (sender node 0 -> this NIC, node 1) to
+  //    stream packets through.
   sim::Engine engine;
   spin::Host host(1 << 20);
   spin::NicModel nic(engine, host, spin::CostModel{});
-  spin::Link link(engine, nic, nic.cost());
+  fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
+  link.attach(1, nic);
   const spin::CostModel& cost = nic.cost();
 
   // 2. The message: 16 Ki int32 elements of valid data (fill_typed
@@ -88,7 +90,8 @@ int main() {
   me.context = nic.register_context(std::move(ctx));
   nic.match_list().append(p4::ListKind::kPriority, me);
 
-  link.send(p4::packetize(/*msg_id=*/1, /*match_bits=*/0x51, stream), 0);
+  link.send(/*src=*/0, /*dst=*/1,
+            p4::packetize(/*msg_id=*/1, /*match_bits=*/0x51, stream), 0);
   engine.run();
 
   // 7. Verify bit-identical against the same kernel run on the host —

@@ -8,9 +8,9 @@
 
 #include "ddt/datatype.hpp"
 #include "ddt/pack.hpp"
+#include "fabric/fabric.hpp"
 #include "offload/facade.hpp"
 #include "p4/put.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 
 using namespace netddt;
@@ -25,11 +25,13 @@ int main() {
               static_cast<long long>(column->extent()),
               static_cast<unsigned long long>(column->flatten().size()));
 
-  // 2. Bring up a receiver: host memory, a sPIN NIC, and the link.
+  // 2. Bring up a receiver: host memory, a sPIN NIC, and a
+  //    point-to-point link from the sender (node 0) to it (node 1).
   sim::Engine engine;
   spin::Host host(1 << 20);
   spin::NicModel nic(engine, host, spin::CostModel{});
-  spin::Link link(engine, nic, nic.cost());
+  fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
+  link.attach(1, nic);
 
   // 3. Commit the type and post the receive. The engine picks the
   //    processing strategy (a vector-specialized handler here) and
@@ -50,7 +52,8 @@ int main() {
   }
   std::vector<std::byte> packed(column->size());
   std::memcpy(packed.data(), values.data(), packed.size());
-  link.send(p4::packetize(/*msg_id=*/1, /*match_bits=*/42, packed), 0);
+  link.send(/*src=*/0, /*dst=*/1,
+            p4::packetize(/*msg_id=*/1, /*match_bits=*/42, packed), 0);
   engine.run();
 
   // 5. Every element landed at its strided position without the CPU

@@ -1,7 +1,8 @@
 #pragma once
-// Multi-node packet-level fabric: hop-by-hop forwarding over a Topology
-// with per-output-port FIFO queues, finite buffering, and contention
-// accounting.
+// The one transport: packet-level forwarding over a Topology, with
+// per-output-port FIFO queues, finite buffering and contention
+// accounting. Single-link runs use the point-to-point topology (see
+// point_to_point()); multi-node runs use the fat-tree or the dragonfly.
 //
 // Model (borrowing the hop/contention accounting of NoC cost models):
 // every output port owns a serialization clock at the link rate (with
@@ -13,25 +14,32 @@
 // `hop_latency` (propagation + switch pipeline) after the packet's last
 // byte left the port, i.e. store-and-forward. Ejection delivers into the
 // attached NIC via NicModel::deliver — every receiver runs the full
-// matching/HPU/DMA pipeline.
+// matching/HPU/DMA pipeline. All times are sim::Time picoseconds.
 //
-// Reliability: send_reliable runs the same sender-side state machine as
-// spin::Link::send_reliable (spin::ReliablePut) end-to-end across the
-// fabric — per-packet acks on a lossless return channel (the route's hop
-// latencies, no serialization), exponential backoff
-// (p4::RetransmitConfig), the completion packet held until all data
-// packets are acked, and fault decisions drawn per (msg, pkt, attempt)
-// from sim::faults::FaultPlan so the schedule is independent of delivery
-// order. The fabric supplies only the route: an attempt crosses every
-// hop through pass_port, its retransmit timer starts when its last byte
-// leaves the injection port, and a dropped attempt vanishes at ejection
-// (a corrupted packet consumes fabric bandwidth until the receiver
-// discards it).
+// Reliability: send_reliable runs the sender-side ack/retransmit state
+// machine end-to-end across the route — per-packet acks on a lossless
+// return channel (the route's hop latencies, no serialization),
+// exponential backoff (p4::RetransmitConfig), the completion packet
+// held until all data packets are acked, and fault decisions drawn per
+// (msg, pkt, attempt) from sim::faults::FaultPlan so the schedule is
+// independent of delivery order. Three lossy-path semantics hold on
+// every route: an attempt's retransmit timer starts when its last byte
+// leaves the injection port, so injection-queue wait never eats the
+// budget; the derived timeout budgets a full output FIFO of queueing at
+// every hop; and a duplicate copy is serialized through every port like
+// any other copy. A dropped copy vanishes at ejection (a corrupted
+// packet consumes fabric bandwidth until the receiver discards it).
 // Preconditions are NETDDT_CHECKs naming the route and msg id.
 //
-// Metrics live in the Fabric's own registry ("fabric.*"), separate from
-// the per-NIC registries, so single-link experiments publish none of
-// them.
+// Observability: the injection port feeds the destination NIC's tracer
+// — the "link" track's wire / retransmit / pkt.drop / put.complete
+// records and the blame ledger's sender-queue, wire and retransmit
+// intervals (every later hop is wire time) — and a reliable put
+// registers "p4.retransmits", "p4.pkts_dropped", "p4.acks",
+// "p4.dup_deliveries", "p4.put_failures", "link.wire_bytes" and
+// "link.reorder_depth" in the destination NIC's registry, lazily, on the
+// node's first reliable put. The Fabric's own registry ("fabric.*")
+// counts forwarding, queueing and the protocol fabric-wide.
 //
 // Determinism: routes are oblivious (Topology), port state advances only
 // inside engine events, and fault schedules are order-independent — a
@@ -39,6 +47,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,9 +59,13 @@
 #include "sim/metrics.hpp"
 #include "spin/cost_model.hpp"
 #include "spin/nic.hpp"
-#include "spin/reliable.hpp"
 
 namespace netddt::fabric {
+
+/// Fires once per reliable put: when the completion packet is acked
+/// (`ok`), or when a packet exhausts its retries (`!ok`; the message
+/// never completes).
+using PutCompleteFn = std::function<void(sim::Time when, bool ok)>;
 
 struct FabricConfig {
   TopologyConfig topology;
@@ -66,6 +79,11 @@ struct FabricConfig {
   /// upstream hop (no contention drops).
   std::uint32_t port_buffer_pkts = 64;
 };
+
+/// The single link: node 0 sends to node 1 over one wire that
+/// serializes at the cost model's line rate and adds its network
+/// latency.
+FabricConfig point_to_point(const spin::CostModel& cost);
 
 class Fabric {
  public:
@@ -81,29 +99,32 @@ class Fabric {
   sim::MetricsRegistry& metrics() { return metrics_; }
   const sim::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// One-way latency of the route src -> dst with empty queues: per-hop
-  /// serialization of one `bytes`-byte packet plus hop_latency per hop.
-  sim::Time base_latency(std::uint32_t src, std::uint32_t dst,
-                         std::uint32_t bytes) const;
+  /// Busy-until time of node `node`'s injection port.
+  sim::Time port_free(std::uint32_t node) const {
+    return ports_[node].busy_until;
+  }
 
-  /// Inject `packets` (wire order) at `src` for `dst`'s NIC, departing
-  /// no earlier than `earliest`; lossless and exactly-once, the
-  /// fabric-wide analogue of Link::send (injection serializes behind
-  /// src's port, FIFO ports keep the header-first / completion-last
-  /// order along the route). The caller keeps the packets and their
-  /// data alive until the simulation drains; arrival times are observed
-  /// through the destination NIC.
+  /// Inject `packets` (wire order) at `src` for `dst`'s NIC; lossless
+  /// and exactly-once. Packet i departs when the injection port is free,
+  /// no earlier than `earliest` or, if given, `ready[i]` (streaming puts
+  /// / outbound pacing). Every send from `src` queues behind that one
+  /// port, and FIFO ports keep the header-first / completion-last order
+  /// along the route. On a one-hop route the packets are copied at
+  /// injection; on longer routes the caller keeps them and their data
+  /// alive until the simulation drains.
   void send(std::uint32_t src, std::uint32_t dst,
-            const std::vector<p4::Packet>& packets, sim::Time earliest);
+            const std::vector<p4::Packet>& packets, sim::Time earliest,
+            const std::vector<sim::Time>& ready = {});
 
-  /// Reliable put across the fabric (see the lossy-path contract in the
-  /// header comment). `plan` must be active(); inert plans should use
-  /// send(). `on_complete` fires once with the put's outcome.
+  /// Reliable put (see the lossy-path contract in the header comment).
+  /// `plan` must be active(); inert plans should use send().
+  /// `on_complete` fires once with the put's outcome. The caller keeps
+  /// `packets` and their data alive until the simulation drains.
   void send_reliable(std::uint32_t src, std::uint32_t dst,
                      const std::vector<p4::Packet>& packets,
                      sim::Time earliest, const sim::faults::FaultPlan& plan,
                      const p4::RetransmitConfig& rc = {},
-                     spin::PutCompleteFn on_complete = {});
+                     PutCompleteFn on_complete = {});
 
  private:
   struct Port {
@@ -115,28 +136,63 @@ class Fabric {
     std::deque<sim::Time> occupants;
   };
 
-  struct Put;  // the fabric's path of the reliable-put machine (fabric.cpp)
+  /// One packet's pass through a port: its first and last byte on the
+  /// wire.
+  struct Pass {
+    sim::Time depart;
+    sim::Time done;
+  };
+
+  /// Where the injection port reports a message to `nic`: the NIC
+  /// tracer's "link" track (when events are on) and its blame ledger.
+  struct Taps {
+    explicit Taps(const spin::NicModel& nic);
+    sim::trace::Tracer* tracer = nullptr;
+    std::uint32_t track = 0;
+    sim::trace::BlameLedger* blame = nullptr;
+  };
+
+  /// Protocol counters in a node's NIC registry (registered lazily).
+  struct NicCounters {
+    sim::Counter* retransmits = nullptr;
+    sim::Counter* acks = nullptr;
+    sim::Counter* failures = nullptr;
+    sim::Counter* dropped = nullptr;
+    sim::Counter* dups = nullptr;
+    sim::Counter* wire_bytes = nullptr;
+    sim::Gauge* reorder_depth = nullptr;
+  };
+
+  using Route = std::vector<std::uint32_t>;
+  class Put;  // the reliable-put state machine (fabric.cpp)
 
   /// Serialize one packet through port `p` no earlier than `at`,
-  /// honoring the finite FIFO; returns the time its last byte left the
-  /// port.
-  sim::Time pass_port(std::uint32_t p, sim::Time at, std::uint32_t bytes);
+  /// honoring the finite FIFO.
+  Pass pass_port(std::uint32_t p, sim::Time at, std::uint32_t bytes);
 
-  /// Lossless hop-by-hop forwarding; delivers into `dst` at ejection.
-  void forward(const p4::Packet* pkt, const std::vector<std::uint32_t>* route,
-               std::uint32_t hop, sim::Time now, spin::NicModel* dst);
+  /// pass_port through `route`'s injection port, recording the "link"
+  /// span `span` of packet `index` and sender-queue blame since
+  /// `queued`.
+  Pass inject(const Route& route, sim::Time at, sim::Time queued,
+              const p4::Packet& pkt, const Taps& taps, const char* span,
+              std::int64_t index);
+
+  /// `pkt`'s last byte left hop `hop` at `done`: charge wire blame from
+  /// `from` until it reaches the next hop, then forward or deliver it.
+  void advance(const p4::Packet* pkt, const Route* route, std::uint32_t hop,
+               sim::Time from, sim::Time done, spin::NicModel* dst);
 
   /// Cached oblivious route (stable storage — forwarding events hold
   /// pointers into the cache).
-  const std::vector<std::uint32_t>& route_for(std::uint32_t src,
-                                              std::uint32_t dst);
+  const Route& route_for(std::uint32_t src, std::uint32_t dst);
 
   sim::Engine* engine_;
   FabricConfig config_;
   std::unique_ptr<Topology> topo_;
   std::vector<Port> ports_;
   std::vector<spin::NicModel*> nics_;
-  std::vector<std::unique_ptr<std::vector<std::uint32_t>>> routes_;
+  std::vector<NicCounters> nic_counters_;
+  std::vector<std::unique_ptr<Route>> routes_;
   std::vector<std::uint32_t> route_index_;  // (src*N+dst) -> routes_ slot
   sim::MetricsRegistry metrics_;
 

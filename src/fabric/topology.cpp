@@ -131,6 +131,26 @@ class Dragonfly final : public Topology {
   std::uint32_t nodes_, routers_, per_router_, groups_ = 1;
 };
 
+/// Two nodes joined by one wire each way: port n carries node n's
+/// packets to the other node.
+class PointToPoint final : public Topology {
+ public:
+  explicit PointToPoint(const TopologyConfig& c) {
+    NETDDT_CHECK(c.nodes == 2, "point-to-point topology has two nodes, not " +
+                                   std::to_string(c.nodes));
+  }
+
+  TopologyKind kind() const override { return TopologyKind::kPointToPoint; }
+  std::uint32_t nodes() const override { return 2; }
+  std::uint32_t port_count() const override { return 2; }
+
+  void route(std::uint32_t src, std::uint32_t dst,
+             std::vector<std::uint32_t>& out) const override {
+    check_route(src, dst, 2);
+    out.assign(1, src);
+  }
+};
+
 }  // namespace
 
 std::unique_ptr<Topology> make_topology(const TopologyConfig& config) {
@@ -139,6 +159,8 @@ std::unique_ptr<Topology> make_topology(const TopologyConfig& config) {
       return std::make_unique<FatTree>(config);
     case TopologyKind::kDragonfly:
       return std::make_unique<Dragonfly>(config);
+    case TopologyKind::kPointToPoint:
+      return std::make_unique<PointToPoint>(config);
   }
   return nullptr;
 }

@@ -5,9 +5,14 @@
 // A Topology maps (src, dst) endpoint pairs to routes. A route is an
 // ordered list of *global output-port ids*: the sender NIC's injection
 // port, then one output port per switch traversed, then the ejection
-// port that delivers into the destination NIC. Ports are the unit of
-// contention — the Fabric keeps one FIFO/serialization clock per port id
-// — so two routes sharing a port id share that port's wire.
+// port that delivers into the destination NIC. Port id n (n < nodes())
+// is node n's injection port. Ports are the unit of contention — the
+// Fabric keeps one FIFO/serialization clock per port id — so two routes
+// sharing a port id share that port's wire.
+//
+// The point-to-point topology is the single link of the paper's
+// microbenchmarks: two nodes, one wire each way, so a route is the one
+// injection port that also delivers.
 //
 // Routing is deterministic and oblivious: path selection (the fat-tree
 // spine, the dragonfly gateway) is a pure function of (src, dst), so
@@ -19,12 +24,13 @@
 
 namespace netddt::fabric {
 
-enum class TopologyKind { kFatTree, kDragonfly };
+enum class TopologyKind { kFatTree, kDragonfly, kPointToPoint };
 
 inline const char* topology_name(TopologyKind kind) {
   switch (kind) {
     case TopologyKind::kFatTree: return "fat-tree";
     case TopologyKind::kDragonfly: return "dragonfly";
+    case TopologyKind::kPointToPoint: return "point-to-point";
   }
   return "?";
 }

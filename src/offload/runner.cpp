@@ -10,6 +10,7 @@
 
 #include "dataloop/cache.hpp"
 #include "ddt/pack.hpp"
+#include "fabric/fabric.hpp"
 #include "offload/compute_plan.hpp"
 #include "offload/general.hpp"
 #include "offload/host_model.hpp"
@@ -17,7 +18,6 @@
 #include "offload/specialized.hpp"
 #include "p4/put.hpp"
 #include "sim/check.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 
 namespace netddt::offload {
@@ -169,7 +169,8 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
       engine, host, config.cost,
       spin::NicConfig{config.hpus, config.nicmem_bytes,
                       config.match_engine});
-  spin::Link link(engine, nic, nic.cost());
+  fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
+  link.attach(1, nic);
   if (config.trace.any()) {
     run.tracer = std::make_unique<sim::trace::Tracer>(config.trace);
     engine.set_tracer(run.tracer.get());
@@ -273,12 +274,11 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   const sim::faults::FaultPlan fault_plan(config.faults, msg_id);
   bool put_ok = true;
   if (fault_plan.active()) {
-    link.send_reliable(packets, 0, fault_plan, config.retransmit,
+    link.send_reliable(0, 1, packets, 0, fault_plan, config.retransmit,
                        [&put_ok](sim::Time, bool ok) { put_ok = ok; });
-  } else if (config.ooo_window > 1) {
-    link.send_shuffled(packets, 0, config.ooo_window, config.seed);
   } else {
-    link.send(packets, 0);
+    p4::shuffle_payload(packets, config.ooo_window, config.seed);
+    link.send(0, 1, packets, 0);
   }
   engine.run();
 

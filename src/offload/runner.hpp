@@ -48,10 +48,10 @@ struct ReceiveConfig {
   std::uint64_t seed = 1;
   /// Wire fault injection (drop/dup/reorder rates + fault seed). When
   /// active() the message goes through the reliable transport
-  /// (spin::Link::send_reliable) and `ooo_window` is ignored — a put
-  /// that exhausts its retries makes run_receive throw; when inert
-  /// (all rates zero, the default) the run is byte-identical to a build
-  /// without the fault layer.
+  /// (fabric::Fabric::send_reliable on the point-to-point link) and
+  /// `ooo_window` is ignored — a put that exhausts its retries makes
+  /// run_receive throw; when inert (all rates zero, the default) the run
+  /// is byte-identical to a build without the fault layer.
   sim::faults::FaultConfig faults{};
   /// Retransmission policy of the reliable transport; only read when
   /// `faults` is active.

@@ -1,14 +1,15 @@
 #include "offload/sender.hpp"
 
-#include <cassert>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "dataloop/cache.hpp"
 #include "ddt/pack.hpp"
+#include "fabric/fabric.hpp"
 #include "offload/host_model.hpp"
 #include "p4/put.hpp"
-#include "spin/link.hpp"
+#include "sim/check.hpp"
 #include "spin/nic.hpp"
 #include "spin/outbound.hpp"
 
@@ -24,7 +25,8 @@ std::string_view send_strategy_name(SendStrategy s) {
 }
 
 SendResult run_send(const SendConfig& config) {
-  assert(config.type && config.count > 0);
+  NETDDT_CHECK(config.type != nullptr && config.count > 0,
+               "run_send needs a datatype and a positive count");
   const spin::CostModel& c = config.cost;
   const std::uint64_t msg = config.type->size() * config.count;
   const auto regions = config.type->flatten(config.count);
@@ -79,7 +81,8 @@ SendResult run_send(const SendConfig& config) {
   sim::Engine engine;
   spin::Host host(msg + 64);
   spin::NicModel nic(engine, host, c);
-  spin::Link link(engine, nic, c);
+  fabric::Fabric link(engine, fabric::point_to_point(c));
+  link.attach(1, nic);
   p4::MatchEntry me;
   me.match_bits = 0xABCD;
   me.length = msg;
@@ -179,14 +182,15 @@ SendResult run_send(const SendConfig& config) {
   }
 
   if (config.strategy != SendStrategy::kOutboundSpin) {
-    assert(packets.size() == ready.size());
     res.first_departure = ready.empty() ? 0 : ready.front();
-    link.send(packets, 0, ready);
+    link.send(0, 1, packets, 0, ready);
   }
   engine.run();
 
   const auto* info = nic.info(1);
-  assert(info != nullptr && info->done);
+  if (info == nullptr || !info->done) {
+    throw std::runtime_error("msg 1 did not complete");
+  }
   res.total_time = info->unpack_done;
   if (config.strategy == SendStrategy::kOutboundSpin) {
     // First departure = first byte at the target minus the flight time.

@@ -7,12 +7,12 @@
 #include <optional>
 #include <unordered_map>
 
+#include "fabric/fabric.hpp"
 #include "offload/runner.hpp"
 #include "p4/put.hpp"
 #include "sim/check.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace/sampler.hpp"
-#include "spin/link.hpp"
 
 namespace netddt::offload {
 namespace {
@@ -70,7 +70,7 @@ struct ServiceState {
   sim::Engine* engine = nullptr;
   spin::Host* host = nullptr;
   spin::NicModel* nic = nullptr;
-  spin::Link* link = nullptr;
+  fabric::Fabric* link = nullptr;  // point-to-point: node 0 -> node 1
   DdtEngine* facade = nullptr;
 
   std::vector<TenantGeometry> geometry;
@@ -146,14 +146,15 @@ void ServiceState::admit(std::uint64_t key) {
   if (plan.active()) {
     rec.packets = std::make_unique<std::vector<p4::Packet>>(
         p4::packetize(key, key, rec.packed, config->cost.pkt_payload));
-    link->send_reliable(*rec.packets, engine->now(), plan, config->retransmit,
-                        [this, key](sim::Time, bool ok) {
+    link->send_reliable(0, 1, *rec.packets, engine->now(), plan,
+                        config->retransmit, [this, key](sim::Time, bool ok) {
                           if (!ok) on_put_failed(key);
                         });
   } else {
-    const auto packets =
-        p4::packetize(key, key, rec.packed, config->cost.pkt_payload);
-    link->send(packets, engine->now());
+    // One hop: the fabric copies each packet at injection.
+    link->send(0, 1,
+               p4::packetize(key, key, rec.packed, config->cost.pkt_payload),
+               engine->now());
   }
 
   inflight += 1;
@@ -254,7 +255,8 @@ ServiceRun run_service(const ServiceConfig& config) {
   spin::NicModel nic(engine, host, config.cost,
                      spin::NicConfig{config.hpus, config.nicmem_bytes,
                                      config.match_engine});
-  spin::Link link(engine, nic, nic.cost());
+  fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
+  link.attach(1, nic);
   DdtEngine facade(nic, config.eviction);
   st.engine = &engine;
   st.host = &host;
@@ -296,7 +298,7 @@ ServiceRun run_service(const ServiceConfig& config) {
     });
     sampler->probe("link.port_backlog_us", [l = &link, e = &engine] {
       const sim::Time backlog =
-          std::max<sim::Time>(0, l->port_free() - e->now());
+          std::max<sim::Time>(0, l->port_free(0) - e->now());
       return static_cast<double>(backlog) / 1e6;
     });
     st.sampler = &*sampler;

@@ -6,10 +6,10 @@
 // Where run_receive() measures a single message in isolation, this
 // driver measures the NIC *as a service*: tenants post receives on
 // their own clocks, messages queue at the sender's one injection port
-// (every spin::Link::send on the run's one Link serializes behind the
-// previous ones), handler state competes for HPUs and
-// NIC memory, and the interesting outputs are sustained goodput,
-// per-tenant fairness (Jain's index), and completion-time tails.
+// (every send on the run's point-to-point fabric serializes behind the
+// previous ones), handler state competes for HPUs and NIC memory, and
+// the interesting outputs are sustained goodput, per-tenant fairness
+// (Jain's index), and completion-time tails.
 //
 // Backpressure: at most `max_inflight` messages are admitted (receive
 // posted + packets queued) at once — the model of a finite receive
@@ -67,7 +67,7 @@ struct ServiceConfig {
   std::uint64_t verify_every = 16;
   /// Wire fault injection. When active(), every message goes through
   /// the reliable transport on the same injection port
-  /// (spin::Link::send_reliable), so drops, duplicates and
+  /// (fabric::Fabric::send_reliable), so drops, duplicates and
   /// reorders compose with open-loop queueing; a put that exhausts its
   /// retries retires as `failed` and frees its admission slot. Inert by
   /// default — the run is byte-identical to pre-fault behavior.

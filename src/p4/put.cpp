@@ -3,6 +3,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <utility>
+
+#include "sim/rng.hpp"
 
 namespace netddt::p4 {
 
@@ -58,6 +61,20 @@ std::vector<Packet> packetize_empty(std::uint64_t msg_id,
   pkt.match_bits = match_bits;
   pkt.first = pkt.last = true;
   return {pkt};
+}
+
+void shuffle_payload(std::vector<Packet>& packets, std::uint32_t window,
+                     std::uint64_t seed) {
+  if (packets.size() <= 2 || window <= 1) return;
+  sim::Rng rng(seed);
+  const std::size_t lo = 1, hi = packets.size() - 1;
+  for (std::size_t w = lo; w < hi; w += window) {
+    const std::size_t end = std::min<std::size_t>(w + window, hi);
+    for (std::size_t i = end - 1; i > w; --i) {
+      const std::size_t j = w + rng.below(i - w + 1);
+      std::swap(packets[i], packets[j]);
+    }
+  }
 }
 
 StreamingPut::StreamingPut(std::uint64_t msg_id, std::uint64_t match_bits,

@@ -10,18 +10,18 @@
 //    with transmission;
 //  - the per-packet acknowledgement / retransmission bookkeeping
 //    (RetransmitConfig, ReliablePutState) a lossy wire needs. The
-//    protocol machine itself is spin::ReliablePut (spin/reliable.hpp),
-//    shared by spin::Link::send_reliable and fabric::Fabric::
-//    send_reliable; this layer owns the pure state so it is testable
-//    without a simulator.
+//    protocol machine itself runs in fabric::Fabric::send_reliable;
+//    this layer owns the pure state so it is testable without a
+//    simulator.
 //
 // Ordering contract: packetize() emits packets in stream order (header
-// first, completion last) and the lossless routes (Link::send, Fabric::
-// send) preserve it. Under
-// fault injection the transport keeps only two invariants: the
-// completion packet is transmitted after every other packet is acked,
-// and a put completes (all-acked) only after the completion packet is
-// acked too. All timing constants are sim::Time picoseconds.
+// first, completion last) and the lossless route (Fabric::send)
+// preserves it; shuffle_payload() permutes the payload packets in
+// between. Under fault injection the transport keeps only two
+// invariants: the completion packet is transmitted after every other
+// packet is acked, and a put completes (all-acked) only after the
+// completion packet is acked too. All timing constants are sim::Time
+// picoseconds.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,6 +41,14 @@ std::vector<Packet> packetize(std::uint64_t msg_id, std::uint64_t match_bits,
 /// Split a zero-data control message (e.g. a 1-byte or 0-byte put).
 std::vector<Packet> packetize_empty(std::uint64_t msg_id,
                                     std::uint64_t match_bits);
+
+/// Permute the payload packets (indices 1..n-2) of `packets` within
+/// consecutive windows of `window` slots, seeded: the header stays
+/// first and the completion stays last. Exercises the out-of-order paths
+/// of the offload strategies (segment resets, RW-CP checkpoint
+/// rollback). A window of 0 or 1 keeps stream order.
+void shuffle_payload(std::vector<Packet>& packets, std::uint32_t window,
+                     std::uint64_t seed);
 
 /// A streaming put in progress: chunks appended via stream() are staged
 /// into a packed buffer and emitted as packets of the SAME message the
@@ -77,13 +85,12 @@ class StreamingPut {
 /// Retransmission policy of a reliable put: per-packet timeout with
 /// exponential backoff and capped retries.
 struct RetransmitConfig {
-  /// Base retransmit timeout (ps), measured from the attempt's timer
-  /// anchor (its departure onto the link, or the end of its
-  /// serialization at the fabric's injection port). 0 means "derive
+  /// Base retransmit timeout (ps), measured from the end of the
+  /// attempt's serialization at the injection port. 0 means "derive
   /// from the route": the transport substitutes a timeout safely above
-  /// one round trip plus the worst-case reorder skew (the fabric also
-  /// budgets a full output FIFO per hop), so in-flight packets are not
-  /// retransmitted spuriously.
+  /// one round trip plus a full output FIFO per hop and the worst-case
+  /// reorder skew, so in-flight packets are not retransmitted
+  /// spuriously.
   sim::Time timeout = 0;
   /// Timeout multiplier per failed attempt (attempt n waits
   /// timeout * backoff^n).

@@ -28,7 +28,7 @@
 namespace netddt::spin {
 
 struct CostModel {
-  // --- Link / network ---------------------------------------------------
+  // --- Network (the point-to-point fabric's wire and hop latency) -------
   double line_rate_gbps = 200.0;
   sim::Time net_latency = sim::ns(266);
   std::uint32_t pkt_payload = 2048;

@@ -94,8 +94,8 @@ class NicModel {
   const sim::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Attach an event tracer (nullptr detaches) and wire it through to
-  /// the engine-facing components (scheduler, DMA engine). The link
-  /// model picks it up via tracer().
+  /// the engine-facing components (scheduler, DMA engine). The fabric
+  /// picks it up via tracer() when sending to this NIC.
   void set_tracer(sim::trace::Tracer* tracer);
   sim::trace::Tracer* tracer() const { return tracer_; }
 
@@ -103,7 +103,8 @@ class NicModel {
   /// MatchEntry::context and stays valid for the NIC's lifetime.
   ExecutionContext* register_context(ExecutionContext ctx);
 
-  /// Deliver one packet at the current simulated time (called by Link).
+  /// Deliver one packet at the current simulated time (called by the
+  /// fabric's ejection port).
   /// Any packet of an unknown message runs the matching unit (match bits
   /// ride on every packet — under MatchEngineKind::kHashed a constant-
   /// time bucket probe, same simulated cost as the linear walk), so a

@@ -15,6 +15,8 @@
 #include "goal/fft2d.hpp"
 #include "p4/put.hpp"
 #include "sim/check.hpp"
+#include "sim/trace/blame.hpp"
+#include "sim/trace/trace.hpp"
 
 namespace netddt::fabric {
 namespace {
@@ -122,6 +124,57 @@ TEST(Fabric, SendToUnattachedNodeIsAViolation) {
   EXPECT_THROW(fab.attach(4, nic), sim::check::Violation);
   fab.attach(2, nic);
   EXPECT_THROW(fab.send(2, 2, packets, 0), sim::check::Violation);
+}
+
+TEST(Fabric, MultiHopReceiveIsAttributedEndToEnd) {
+  // A cross-leaf fat-tree route (injection, leaf up, spine down,
+  // ejection) feeds the destination NIC's blame ledger: queueing behind
+  // an earlier message at the injection port is sender-queue time,
+  // every hop is wire time, and the stages tile the message's window
+  // with no gap.
+  sim::Engine engine;
+  FabricConfig fc;
+  fc.topology = small_fat_tree(16);
+  Fabric fab(engine, fc);
+  spin::Host host(1 << 20);
+  spin::NicModel nic(engine, host, fc.cost);
+  sim::trace::TraceConfig tc;
+  tc.blame = true;
+  sim::trace::Tracer tracer(tc);
+  nic.set_tracer(&tracer);
+  fab.attach(13, nic);
+  for (std::uint64_t bits : {1, 2}) {
+    p4::MatchEntry me;
+    me.match_bits = bits;
+    me.buffer_offset = static_cast<std::int64_t>(bits) << 16;
+    me.length = 1 << 16;
+    nic.match_list().append(p4::ListKind::kPriority, me);
+  }
+
+  std::vector<std::byte> data(16 * 2048, std::byte{3});
+  const auto ahead = p4::packetize(8, 2, data);  // not in the ledger
+  const auto packets = p4::packetize(9, 1, data);
+  std::vector<std::uint32_t> route;
+  fab.topology().route(1, 13, route);
+  ASSERT_GE(route.size(), 3u);
+  tracer.blame()->open(9, 0);
+  fab.send(1, 13, ahead, 0);
+  fab.send(1, 13, packets, 0);
+  engine.run();
+
+  const auto* info = nic.info(9);
+  ASSERT_NE(info, nullptr);
+  ASSERT_TRUE(info->done);
+  const auto* a = tracer.blame()->close(9, info->unpack_done);
+  ASSERT_NE(a, nullptr);
+  auto stage = [a](sim::trace::BlameStage s) {
+    return a->stage[static_cast<std::size_t>(s)];
+  };
+  EXPECT_GT(stage(sim::trace::BlameStage::kSenderQueue), 0);
+  EXPECT_GT(stage(sim::trace::BlameStage::kWire), 0);
+  EXPECT_EQ(stage(sim::trace::BlameStage::kUnattributed), 0);
+  EXPECT_EQ(a->sum(), a->total);
+  EXPECT_EQ(a->total, info->unpack_done);
 }
 
 TEST(Collectives, AlltoallDeliversAndVerifies) {

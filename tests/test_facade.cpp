@@ -7,9 +7,9 @@
 #include <cstring>
 
 #include "ddt/pack.hpp"
+#include "fabric/fabric.hpp"
 #include "offload/facade.hpp"
 #include "p4/put.hpp"
-#include "spin/link.hpp"
 
 namespace netddt::offload {
 namespace {
@@ -31,13 +31,15 @@ class FacadeFixture : public ::testing::Test {
   FacadeFixture()
       : host(1 << 22),
         nic(eng, host, spin::CostModel{}, spin::NicConfig{16, 64 << 10}),
-        link(eng, nic, nic.cost()),
-        engine(nic) {}
+        link(eng, fabric::point_to_point(nic.cost())),
+        engine(nic) {
+    link.attach(1, nic);
+  }
 
   sim::Engine eng;
   spin::Host host;
   spin::NicModel nic;
-  spin::Link link;
+  fabric::Fabric link;  // node 0 -> this NIC (node 1)
   DdtEngine engine;
 };
 
@@ -141,7 +143,7 @@ TEST_F(FacadeFixture, EndToEndReceiveThroughFacade) {
   for (std::size_t i = 0; i < packed.size(); ++i) {
     packed[i] = static_cast<std::byte>(i & 0xFF);
   }
-  link.send(p4::packetize(1, 0x77, packed), 0);
+  link.send(0, 1, p4::packetize(1, 0x77, packed), 0);
   eng.run();
 
   ASSERT_NE(host.events().find(p4::EventKind::kUnpackComplete), nullptr);
@@ -165,7 +167,7 @@ TEST_F(FacadeFixture, UnexpectedMessageLandsInOverflowBuffer) {
   for (std::size_t i = 0; i < packed.size(); ++i) {
     packed[i] = static_cast<std::byte>(i * 3 + 1);
   }
-  link.send(p4::packetize(5, /*match_bits=*/0xDEAD, packed), 0);
+  link.send(0, 1, p4::packetize(5, /*match_bits=*/0xDEAD, packed), 0);
   eng.run();
 
   const auto* ev = host.events().find(p4::EventKind::kPutOverflow);
@@ -190,7 +192,7 @@ TEST_F(FacadeFixture, OverflowBufferIgnoredWhenReceiveIsPosted) {
   EXPECT_EQ(post.strategy, StrategyKind::kSpecialized);
 
   std::vector<std::byte> packed(64 * 64);
-  link.send(p4::packetize(6, 0x77, packed), 0);
+  link.send(0, 1, p4::packetize(6, 0x77, packed), 0);
   eng.run();
   // Priority entry wins: the message was processed, not overflowed.
   EXPECT_NE(host.events().find(p4::EventKind::kUnpackComplete), nullptr);

@@ -1,13 +1,13 @@
 // Fault-injection layer tests: determinism of the fault schedule,
-// sender-side reliability bookkeeping, the reliable-put protocol on both
-// routes (Link and Fabric), and the end-to-end guarantee that every
+// sender-side reliability bookkeeping, the reliable-put protocol on the
+// single link and across switches, packet/ack conservation on every
+// topology, and the end-to-end guarantee that every
 // unpack strategy reconstructs a byte-identical receive buffer under
 // drops, duplicates and reorder.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -18,7 +18,6 @@
 #include "offload/runner.hpp"
 #include "p4/put.hpp"
 #include "sim/faults/faults.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 
 namespace netddt {
@@ -146,11 +145,12 @@ TEST(RetransmitConfig, ExponentialBackoff) {
   EXPECT_GT(rc.timeout_for(100, 1000), 0);
 }
 
-// --- Reliable transport: one suite over both routes ---------------------
+// --- Reliable transport: one suite over two routes ----------------------
 //
-// Link and Fabric share the sender-side machine (spin::ReliablePut) and
-// differ only in the path, so every protocol property is checked on a
-// direct Link and on a 2-node fat-tree Fabric (node 0 -> node 1).
+// Every reliable put runs the fabric's one state machine; the suite
+// checks each protocol property on the single link (the point-to-point
+// topology, one hop) and on a 2-node fat-tree (node 0 -> node 1 through
+// one leaf switch, two hops).
 
 enum class Route { kLink, kFabric };
 
@@ -158,40 +158,35 @@ void PrintTo(Route r, std::ostream* os) {
   *os << (r == Route::kLink ? "Link" : "Fabric");
 }
 
-/// A sender -> NIC world whose reliable puts take the given route, with
-/// the route's names for the machine's counters.
+/// A sender (node 0) -> NIC (node 1) world on the given route.
 struct ReliableWorld {
-  explicit ReliableWorld(Route r) : host(1 << 20), nic(engine, host) {
-    if (r == Route::kLink) {
-      link.emplace(engine, nic, nic.cost());
-    } else {
-      fabric::FabricConfig fc;
-      fc.topology.nodes = 2;
-      fc.cost = nic.cost();
-      fab.emplace(engine, fc);
-      fab->attach(1, nic);
-    }
+  explicit ReliableWorld(Route r)
+      : host(1 << 20), nic(engine, host), fab(engine, config(r, nic)) {
+    fab.attach(1, nic);
+  }
+
+  static fabric::FabricConfig config(Route r, const spin::NicModel& nic) {
+    if (r == Route::kLink) return fabric::point_to_point(nic.cost());
+    fabric::FabricConfig fc;
+    fc.topology.nodes = 2;
+    fc.cost = nic.cost();
+    return fc;
   }
 
   void send_reliable(const std::vector<p4::Packet>& packets,
                      const FaultPlan& plan, const p4::RetransmitConfig& rc,
-                     spin::PutCompleteFn on_complete) {
-    if (link) {
-      link->send_reliable(packets, 0, plan, rc, std::move(on_complete));
-    } else {
-      fab->send_reliable(0, 1, packets, 0, plan, rc, std::move(on_complete));
-    }
+                     fabric::PutCompleteFn on_complete) {
+    fab.send_reliable(0, 1, packets, 0, plan, rc, std::move(on_complete));
   }
 
   /// Value of the machine counter `what` ("retransmits", "drops", "acks",
-  /// "put_failures") under the route's metric name.
+  /// "put_failures"), which the fabric registry ("fabric.*") and the
+  /// destination NIC's registry ("p4.*") must agree on.
   std::uint64_t counter(const std::string& what) const {
-    if (link) {
-      const std::string name = what == "drops" ? "p4.pkts_dropped"
-                                               : "p4." + what;
-      return nic.metrics().snapshot().counter(name);
-    }
-    return fab->metrics().snapshot().counter("fabric." + what);
+    const std::uint64_t v = fab.metrics().snapshot().counter("fabric." + what);
+    const std::string name = what == "drops" ? "p4.pkts_dropped" : "p4." + what;
+    EXPECT_EQ(nic.metrics().snapshot().counter(name), v) << what;
+    return v;
   }
 
   std::uint64_t nic_deliveries() const {
@@ -201,8 +196,7 @@ struct ReliableWorld {
   sim::Engine engine;
   spin::Host host;
   spin::NicModel nic;
-  std::optional<spin::Link> link;
-  std::optional<fabric::Fabric> fab;
+  fabric::Fabric fab;
 };
 
 class ReliableLink : public ::testing::TestWithParam<Route> {};
@@ -328,6 +322,101 @@ INSTANTIATE_TEST_SUITE_P(
     Routes, ReliableLink, ::testing::Values(Route::kLink, Route::kFabric),
     [](const ::testing::TestParamInfo<Route>& info) {
       return info.param == Route::kLink ? "Link" : "Fabric";
+    });
+
+// --- Conservation on every topology ---------------------------------------
+//
+// A lossy put forwards each copy over every hop of its route — the
+// first attempts, every retransmit and every duplicate copy, dropped
+// ones included (they vanish at ejection) — and every copy the NIC
+// receives is acked exactly once.
+
+struct TopologyCase {
+  const char* name;
+  fabric::TopologyConfig topology;
+  std::uint32_t src;
+  std::uint32_t dst;
+};
+
+void PrintTo(const TopologyCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<TopologyCase> topology_cases() {
+  fabric::TopologyConfig p2p;
+  p2p.kind = fabric::TopologyKind::kPointToPoint;
+  p2p.nodes = 2;
+  fabric::TopologyConfig fat_tree;  // 4 leaves of 4 nodes, 2 spines
+  fat_tree.nodes = 16;
+  fat_tree.leaf_radix = 4;
+  fat_tree.spines = 2;
+  fabric::TopologyConfig dragonfly;  // 4 groups of 2 routers x 2 nodes
+  dragonfly.kind = fabric::TopologyKind::kDragonfly;
+  dragonfly.nodes = 16;
+  dragonfly.group_routers = 2;
+  dragonfly.router_nodes = 2;
+  // Fat-tree: src and dst on different leaves; dragonfly: different
+  // groups.
+  return {{"PointToPoint", p2p, 0, 1},
+          {"FatTree", fat_tree, 1, 14},
+          {"Dragonfly", dragonfly, 1, 14}};
+}
+
+class Conservation : public ::testing::TestWithParam<TopologyCase> {};
+
+TEST_P(Conservation, LossyPutConservesPacketsAndAcks) {
+  const TopologyCase& tc = GetParam();
+  sim::Engine engine;
+  spin::Host host(1 << 20);
+  spin::NicModel nic(engine, host);
+  fabric::FabricConfig fc;
+  fc.topology = tc.topology;
+  fc.cost = nic.cost();
+  fabric::Fabric fab(engine, fc);
+  fab.attach(tc.dst, nic);
+  p4::MatchEntry me;
+  me.match_bits = 0x5197;
+  me.length = 1 << 20;
+  nic.match_list().append(p4::ListKind::kPriority, me);
+
+  std::vector<std::byte> data(512 * 1024);  // 256 packets
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i * 13 + 1);
+  }
+  const auto packets = p4::packetize(1, me.match_bits, data);
+  FaultConfig faults = lossy_config(23);
+  faults.dup_rate = 0.1;  // enough duplicate copies to count
+  int calls = 0;
+  bool ok = false;
+  fab.send_reliable(tc.src, tc.dst, packets, 0, FaultPlan(faults, 1), {},
+                    [&](sim::Time, bool o) {
+                      ++calls;
+                      ok = o;
+                    });
+  engine.run();
+
+  EXPECT_EQ(calls, 1);  // the completion callback fires exactly once
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(std::memcmp(host.memory().data(), data.data(), data.size()), 0);
+  std::vector<std::uint32_t> route;
+  fab.topology().route(tc.src, tc.dst, route);
+  const auto fm = fab.metrics().snapshot();
+  const auto nm = nic.metrics().snapshot();
+  const std::uint64_t retransmits = fm.counter("fabric.retransmits");
+  const std::uint64_t dups = nm.counter("p4.dup_deliveries");
+  const std::uint64_t deliveries = nm.counter("nic.pkts.delivered");
+  EXPECT_GT(retransmits, 0u);
+  EXPECT_GT(dups, 0u);
+  EXPECT_EQ(fm.counter("fabric.pkts"),
+            route.size() * (packets.size() + retransmits + dups));
+  EXPECT_EQ(fm.counter("fabric.acks"), deliveries);
+  EXPECT_EQ(nm.counter("p4.acks"), deliveries);
+  EXPECT_EQ(deliveries, packets.size() + retransmits + dups -
+                            fm.counter("fabric.drops"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, Conservation, ::testing::ValuesIn(topology_cases()),
+    [](const ::testing::TestParamInfo<TopologyCase>& info) {
+      return std::string(info.param.name);
     });
 
 TEST(FaultRunner, ExhaustedRetriesRaiseAnError) {

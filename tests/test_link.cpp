@@ -1,24 +1,30 @@
-// Tests for the network link: line-rate pacing, paced (ready-gated)
-// sends, one sender port shared by every send, and the shuffle
-// invariants (header first, completion last, permutation only within
-// windows).
+// Tests for the single link — the point-to-point fabric route: line-rate
+// pacing, paced (ready-gated) sends, one injection port shared by every
+// send, and the shuffle invariants of p4::shuffle_payload (header first,
+// completion last, permutation only within windows).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "fabric/fabric.hpp"
 #include "p4/put.hpp"
+#include "sim/check.hpp"
 #include "sim/engine.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 
 namespace netddt::spin {
 namespace {
 
-/// A receiver world recording packet-handler dispatch times.
+/// A receiver world (node 1 of a point-to-point fabric) recording
+/// packet-handler dispatch times.
 struct World {
-  World() : host(1 << 20), nic(eng, host, CostModel{}),
-            link(eng, nic, nic.cost()) {
+  World()
+      : host(1 << 20),
+        nic(eng, host, CostModel{}),
+        link(eng, fabric::point_to_point(nic.cost())) {
+    link.attach(1, nic);
     ExecutionContext ctx;
     ctx.payload = [this](HandlerArgs& args) {
       arrivals.emplace_back(eng.now(), args.pkt.offset);
@@ -39,24 +45,32 @@ struct World {
   sim::Engine eng;
   Host host;
   NicModel nic;
-  Link link;
+  fabric::Fabric link;
   std::vector<std::byte> data;
   std::vector<std::pair<sim::Time, std::uint64_t>> arrivals;
 };
+
+/// Message 1 over `data`, payload packets shuffled.
+std::vector<p4::Packet> shuffled(const std::vector<std::byte>& data,
+                                 std::uint32_t window, std::uint64_t seed) {
+  auto pkts = p4::packetize(1, 1, data);
+  p4::shuffle_payload(pkts, window, seed);
+  return pkts;
+}
 
 class LinkFixture : public ::testing::Test {
  protected:
   World world;
   sim::Engine& eng = world.eng;
   NicModel& nic = world.nic;
-  Link& link = world.link;
+  fabric::Fabric& link = world.link;
   std::vector<std::byte>& data = world.data;
   std::vector<std::pair<sim::Time, std::uint64_t>>& arrivals =
       world.arrivals;
 };
 
 TEST_F(LinkFixture, PacketsPacedAtLineRate) {
-  link.send(p4::packetize(1, 1, data), 0);
+  link.send(0, 1, p4::packetize(1, 1, data), 0);
   eng.run();
   ASSERT_EQ(arrivals.size(), 8u);
   const sim::Time interval = nic.cost().pkt_interval();
@@ -68,13 +82,13 @@ TEST_F(LinkFixture, PacketsPacedAtLineRate) {
 }
 
 TEST_F(LinkFixture, StartOffsetShiftsEverything) {
-  link.send(p4::packetize(1, 1, data), 0);
+  link.send(0, 1, p4::packetize(1, 1, data), 0);
   eng.run();
   const auto baseline = arrivals;
   arrivals.clear();
 
   World shifted;
-  shifted.link.send(p4::packetize(1, 1, shifted.data), sim::us(5));
+  shifted.link.send(0, 1, p4::packetize(1, 1, shifted.data), sim::us(5));
   shifted.eng.run();
   ASSERT_EQ(shifted.arrivals.size(), baseline.size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
@@ -86,7 +100,7 @@ TEST_F(LinkFixture, PacedSendWaitsForReadyTimes) {
   auto pkts = p4::packetize(1, 1, data);
   std::vector<sim::Time> ready(pkts.size(), 0);
   ready[3] = sim::us(50);  // packet 3 held back; later ones queue behind
-  link.send(pkts, 0, ready);
+  link.send(0, 1, pkts, 0, ready);
   eng.run();
   ASSERT_EQ(arrivals.size(), 8u);
   EXPECT_LT(arrivals[2].first, sim::us(10));
@@ -94,24 +108,37 @@ TEST_F(LinkFixture, PacedSendWaitsForReadyTimes) {
   EXPECT_GE(arrivals[4].first, arrivals[3].first);
 }
 
+TEST_F(LinkFixture, ReadyTimesMustMatchPackets) {
+  // A ready vector of the wrong length is a NETDDT_CHECK violation,
+  // live in every build type once the checker is on.
+  sim::check::ScopedEnable checks;
+  const auto pkts = p4::packetize(1, 1, data);
+  const std::vector<sim::Time> ready(pkts.size() - 1, 0);
+  EXPECT_THROW(link.send(0, 1, pkts, 0, ready), sim::check::Violation);
+}
+
 TEST(Link, SendsShareOnePort) {
-  // Two sends at t=0 on one Link queue behind one port: message B's
-  // first packet reaches the NIC only after message A's last one.
+  // Two sends at t=0 from one node queue behind its injection port:
+  // message B's first packet reaches the NIC only after message A's
+  // last one.
   World w;
   const auto a = p4::packetize(1, 1, w.data);
   const auto b = p4::packetize(2, 1, w.data);
-  const sim::Time a_last = w.link.send(a, 0);
-  w.link.send(b, 0);
+  w.link.send(0, 1, a, 0);
+  w.link.send(0, 1, b, 0);
   w.eng.run();
+  const auto* info_a = w.nic.info(1);
   const auto* info_b = w.nic.info(2);
+  ASSERT_NE(info_a, nullptr);
   ASSERT_NE(info_b, nullptr);
+  const sim::Time a_last = info_a->last_packet;
   EXPECT_GT(info_b->first_byte, a_last);
   EXPECT_LE(info_b->first_byte, a_last + w.nic.cost().pkt_interval() + 1);
-  EXPECT_GE(w.link.port_free(), 2 * 8 * w.nic.cost().pkt_interval() - 2);
+  EXPECT_GE(w.link.port_free(0), 2 * 8 * w.nic.cost().pkt_interval() - 2);
 }
 
 TEST_F(LinkFixture, ShuffleKeepsEndpointsAndPermutesMiddle) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 4, /*seed=*/3);
+  link.send(0, 1, shuffled(data, 4, /*seed=*/3), 0);
   eng.run();
   ASSERT_EQ(arrivals.size(), 8u);
   EXPECT_EQ(arrivals.front().second, 0u);
@@ -124,7 +151,7 @@ TEST_F(LinkFixture, ShuffleKeepsEndpointsAndPermutesMiddle) {
 }
 
 TEST_F(LinkFixture, ShuffleWindowBoundsDisplacement) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 3, /*seed=*/9);
+  link.send(0, 1, shuffled(data, 3, /*seed=*/9), 0);
   eng.run();
   // A packet shuffled within windows of 3 slots lands at most 2 slots
   // from its in-order position.
@@ -138,13 +165,13 @@ TEST_F(LinkFixture, ShuffleWindowBoundsDisplacement) {
 }
 
 TEST_F(LinkFixture, ShuffleDeterministicPerSeed) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 4, 7);
+  link.send(0, 1, shuffled(data, 4, 7), 0);
   eng.run();
   auto first = arrivals;
   arrivals.clear();
 
   World other;
-  other.link.send_shuffled(p4::packetize(1, 1, other.data), 0, 4, 7);
+  other.link.send(0, 1, shuffled(other.data, 4, 7), 0);
   other.eng.run();
   ASSERT_EQ(first.size(), other.arrivals.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -153,7 +180,7 @@ TEST_F(LinkFixture, ShuffleDeterministicPerSeed) {
 }
 
 TEST_F(LinkFixture, WindowOfOneIsInOrder) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 1, 7);
+  link.send(0, 1, shuffled(data, 1, 7), 0);
   eng.run();
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i].second, i * 2048);

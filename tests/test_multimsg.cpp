@@ -11,10 +11,10 @@
 
 #include "dataloop/segment.hpp"
 #include "ddt/pack.hpp"
+#include "fabric/fabric.hpp"
 #include "offload/general.hpp"
 #include "offload/specialized.hpp"
 #include "p4/put.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 
 namespace netddt::offload {
@@ -34,7 +34,9 @@ class MultiMsgFixture : public ::testing::Test {
  protected:
   MultiMsgFixture()
       : host(8 << 20), nic(eng, host, spin::CostModel{}),
-        link(eng, nic, nic.cost()) {}
+        link(eng, fabric::point_to_point(nic.cost())) {
+    link.attach(1, nic);
+  }
 
   /// Register a message with its own plan and return its stream state.
   Stream add_stream(TypePtr type, std::uint64_t bits, std::int64_t offset,
@@ -67,9 +69,14 @@ class MultiMsgFixture : public ::testing::Test {
     return s;
   }
 
-  /// A sender on its own port (a Link serializes every send it makes,
-  /// so concurrent senders each need one).
-  spin::Link& sender() { return senders_.emplace_back(eng, nic, nic.cost()); }
+  /// A sender on its own link (one injection port serializes every
+  /// send it makes, so concurrent senders each need one).
+  fabric::Fabric& sender() {
+    fabric::Fabric& f =
+        senders_.emplace_back(eng, fabric::point_to_point(nic.cost()));
+    f.attach(1, nic);
+    return f;
+  }
 
   void verify(const Stream& s) {
     std::vector<std::byte> expected(4 << 20, std::byte{0});
@@ -85,8 +92,8 @@ class MultiMsgFixture : public ::testing::Test {
   sim::Engine eng;
   spin::Host host;
   spin::NicModel nic;
-  spin::Link link;
-  std::deque<spin::Link> senders_;
+  fabric::Fabric link;  // node 0 -> this NIC (node 1)
+  std::deque<fabric::Fabric> senders_;
   std::vector<std::unique_ptr<GeneralPlan>> plans_;
   std::vector<std::unique_ptr<SpecializedPlan>> spec_plans_;
 };
@@ -100,8 +107,8 @@ TEST_F(MultiMsgFixture, TwoGeneralMessagesInterleaved) {
   // of a and b alternate in arrival.
   auto pa = p4::packetize(101, 1, a.packed);
   auto pb = p4::packetize(102, 2, b.packed);
-  sender().send(pa, 0);
-  sender().send(pb, sim::ns(40));  // offset start: packets interleave
+  sender().send(0, 1, pa, 0);
+  sender().send(0, 1, pb, sim::ns(40));  // offset start: packets interleave
   eng.run();
 
   verify(a);
@@ -117,9 +124,9 @@ TEST_F(MultiMsgFixture, MixedStrategiesShareTheHpuPool) {
                       2, 1 << 20, false);
   auto c = add_stream(Datatype::hvector(512, 256, 512, Datatype::int8()),
                       3, 2 << 20, true);
-  sender().send(p4::packetize(201, 1, a.packed), 0);
-  sender().send(p4::packetize(202, 2, b.packed), sim::ns(100));
-  sender().send(p4::packetize(203, 3, c.packed), sim::ns(200));
+  sender().send(0, 1, p4::packetize(201, 1, a.packed), 0);
+  sender().send(0, 1, p4::packetize(202, 2, b.packed), sim::ns(100));
+  sender().send(0, 1, p4::packetize(203, 3, c.packed), sim::ns(200));
   eng.run();
   verify(a);
   verify(b);
@@ -132,8 +139,8 @@ TEST_F(MultiMsgFixture, SameTypeTwoMessagesIndependentState) {
   auto type = Datatype::hvector(2048, 64, 128, Datatype::int8());
   auto a = add_stream(type, 1, 0, true);
   auto b = add_stream(type, 2, 1 << 20, true);
-  sender().send(p4::packetize(301, 1, a.packed), 0);
-  sender().send(p4::packetize(302, 2, b.packed), sim::ns(10));
+  sender().send(0, 1, p4::packetize(301, 1, a.packed), 0);
+  sender().send(0, 1, p4::packetize(302, 2, b.packed), sim::ns(10));
   eng.run();
   verify(a);
   verify(b);
@@ -163,8 +170,10 @@ TEST_F(MultiMsgFixture, BackToBackMessagesReuseAPersistentEntry) {
   for (std::size_t i = 0; i < s.packed.size(); ++i) {
     s.packed[i] = static_cast<std::byte>(i & 0xFF);
   }
-  const auto t1 = link.send(p4::packetize(401, 9, s.packed), 0);
-  link.send(p4::packetize(402, 9, s.packed), t1 + sim::us(50));
+  link.send(0, 1, p4::packetize(401, 9, s.packed), 0);
+  // Last packet of 401 on the wire, plus its flight.
+  const sim::Time t1 = link.port_free(0) + nic.cost().net_latency;
+  link.send(0, 1, p4::packetize(402, 9, s.packed), t1 + sim::us(50));
   eng.run();
   EXPECT_TRUE(nic.info(401)->done);
   EXPECT_TRUE(nic.info(402)->done);

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "ddt/datatype.hpp"
 #include "offload/sender.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::offload {
 namespace {
@@ -84,6 +88,30 @@ TEST(Sender, SingleRegionMessage) {
   auto t = Datatype::contiguous(8192, Datatype::int8());
   for (auto s : kAll) {
     EXPECT_TRUE(run_send(cfg(t, s)).verified) << send_strategy_name(s);
+  }
+}
+
+TEST(Sender, MissingTypeOrCountIsAViolation) {
+  // The config precondition is a NETDDT_CHECK, live in every build type
+  // once the checker is on.
+  sim::check::ScopedEnable checks;
+  EXPECT_THROW(run_send(cfg(nullptr, SendStrategy::kPackSend)),
+               sim::check::Violation);
+  EXPECT_THROW(run_send(cfg(strided(4, 64), SendStrategy::kPackSend, 0)),
+               sim::check::Violation);
+}
+
+TEST(Sender, IncompleteMessageRaisesAnError) {
+  // An outbound engine without HPUs never emits a packet: run_send
+  // reports the message that did not complete instead of reading it.
+  SendConfig c = cfg(strided(64, 256), SendStrategy::kOutboundSpin);
+  c.hpus = 0;
+  try {
+    run_send(c);
+    FAIL() << "an incomplete message was reported as sent";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("msg 1"), std::string::npos)
+        << e.what();
   }
 }
 

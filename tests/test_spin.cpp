@@ -9,10 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "fabric/fabric.hpp"
 #include "p4/put.hpp"
 #include "sim/check.hpp"
 #include "sim/engine.hpp"
-#include "spin/link.hpp"
 #include "spin/nic.hpp"
 #include "spin/nic_memory.hpp"
 
@@ -601,12 +601,14 @@ class NicFixture : public ::testing::Test {
  protected:
   NicFixture()
       : host(1 << 20), nic(eng, host, CostModel{}, NicConfig{4, 1 << 20}),
-        link(eng, nic, nic.cost()) {}
+        link(eng, fabric::point_to_point(nic.cost())) {
+    link.attach(1, nic);
+  }
 
   sim::Engine eng;
   Host host;
   NicModel nic;
-  Link link;
+  fabric::Fabric link;  // node 0 -> this NIC (node 1)
 };
 
 TEST_F(NicFixture, RdmaPathDeliversContiguously) {
@@ -618,7 +620,7 @@ TEST_F(NicFixture, RdmaPathDeliversContiguously) {
 
   const auto data = pattern(5000);
   auto pkts = p4::packetize(1, 5, data);
-  link.send(pkts, 0);
+  link.send(0, 1, pkts, 0);
   eng.run();
 
   EXPECT_EQ(std::memcmp(host.memory().data() + 1000, data.data(), 5000), 0);
@@ -634,7 +636,7 @@ TEST_F(NicFixture, RdmaPathDeliversContiguously) {
 TEST_F(NicFixture, UnmatchedMessageIsDropped) {
   const auto data = pattern(100);
   auto pkts = p4::packetize(1, 99, data);
-  link.send(pkts, 0);
+  link.send(0, 1, pkts, 0);
   eng.run();
   EXPECT_NE(host.events().find(p4::EventKind::kDropped), nullptr);
   EXPECT_EQ(nic.dma().total_writes(), 0u);
@@ -646,7 +648,7 @@ TEST_F(NicFixture, OverflowListFallback) {
   me.buffer_offset = 0;
   nic.match_list().append(p4::ListKind::kOverflow, me);
   const auto data = pattern(64);
-  link.send(p4::packetize(1, 5, data), 0);
+  link.send(0, 1, p4::packetize(1, 5, data), 0);
   eng.run();
   EXPECT_NE(host.events().find(p4::EventKind::kPutOverflow), nullptr);
 }
@@ -681,7 +683,7 @@ TEST_F(NicFixture, HandlerPathScattersViaDma) {
   nic.match_list().append(p4::ListKind::kPriority, me);
 
   const auto data = pattern(4096);  // 2 packets
-  link.send(p4::packetize(3, 9, data), 0);
+  link.send(0, 1, p4::packetize(3, 9, data), 0);
   eng.run();
 
   // Every 64 B chunk at stream offset s lands at host offset 2 s.
@@ -716,7 +718,7 @@ TEST_F(NicFixture, CompletionHandlerRunsAfterAllPayloads) {
   nic.match_list().append(p4::ListKind::kPriority, me);
 
   const auto data = pattern(8192);  // 4 packets, handlers overlap
-  link.send(p4::packetize(4, 1, data), 0);
+  link.send(0, 1, p4::packetize(4, 1, data), 0);
   eng.run();
 
   ASSERT_EQ(order.size(), 5u);
@@ -744,7 +746,7 @@ TEST_F(NicFixture, HeaderHandlerRunsBeforeAnyPayloadHandler) {
   nic.match_list().append(p4::ListKind::kPriority, me);
 
   const auto data = pattern(2048 * 6);
-  link.send(p4::packetize(7, 3, data), 0);
+  link.send(0, 1, p4::packetize(7, 3, data), 0);
   eng.run();
 
   ASSERT_EQ(payload_starts.size(), 5u);
@@ -769,7 +771,9 @@ TEST_F(NicFixture, ShuffledDeliveryKeepsHeaderFirstCompletionLast) {
   nic.match_list().append(p4::ListKind::kPriority, me);
 
   const auto data = pattern(2048 * 8);
-  link.send_shuffled(p4::packetize(5, 2, data), 0, 4, /*seed=*/99);
+  auto pkts = p4::packetize(5, 2, data);
+  p4::shuffle_payload(pkts, 4, /*seed=*/99);
+  link.send(0, 1, pkts, 0);
   eng.run();
 
   ASSERT_EQ(arrival_offsets.size(), 8u);
@@ -787,7 +791,7 @@ TEST_F(NicFixture, LatencyMatchesCostModelForRdma) {
   me.match_bits = 4;
   nic.match_list().append(p4::ListKind::kPriority, me);
   const auto data = pattern(1);
-  link.send(p4::packetize(9, 4, data), 0);
+  link.send(0, 1, p4::packetize(9, 4, data), 0);
   eng.run();
   const CostModel& c = nic.cost();
   const sim::Time expected = c.wire_time(1) + c.net_latency +
