@@ -26,8 +26,6 @@ NETDDT_EXPERIMENT(ablation_epsilon,
                           "msgtime(us)", "pktbuf(KiB)"});
   for (double eps : sweep) {
     offload::ReceiveConfig cfg;
-    cfg.match_engine =
-        params.match_engine_or(p4::MatchEngineKind::kHashed);
     cfg.type = ddt::Datatype::hvector(
         static_cast<std::int64_t>(kMessage) / kBlock, kBlock, 2 * kBlock,
         ddt::Datatype::int8());

@@ -35,7 +35,6 @@ offload::ReceiveConfig base_config(std::uint64_t bytes,
       ddt::Datatype::elementary(4, "f32"));
   cfg.hpus = params.hpus_or(16);
   cfg.seed = params.seed_or(17);
-  cfg.match_engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
   return cfg;
 }
 

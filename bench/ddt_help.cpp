@@ -51,7 +51,6 @@ NETDDT_EXPERIMENT(ddt_help,
                   "specialized receive, interpreter vs program") {
   const std::uint32_t hpus = params.hpus_or(16);
   const std::uint64_t seed = params.seed_or(1);
-  const auto match = params.match_engine_or(p4::MatchEngineKind::kHashed);
 
   auto layouts = bench::layouts::standard_layouts();
   if (params.smoke) {
@@ -85,12 +84,11 @@ NETDDT_EXPERIMENT(ddt_help,
   const auto tc = params.trace_config();
   for (const auto& l : layouts) {
     for (auto engine : engines) {
-      sweep.submit([&l, engine, hpus, seed, match, tc] {
+      sweep.submit([&l, engine, hpus, seed, tc] {
         offload::ReceiveConfig cfg;
         cfg.type = l.type;
         cfg.count = l.count;
         cfg.strategy = offload::StrategyKind::kSpecialized;
-        cfg.match_engine = match;
         cfg.pack_engine = engine;
         cfg.hpus = hpus;
         cfg.seed = seed;

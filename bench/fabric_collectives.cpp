@@ -41,7 +41,6 @@ NETDDT_EXPERIMENT(fabric_collectives,
       params.blocks_or(params.smoke ? 2048 : 8192);
   const std::uint64_t seed = params.seed_or(42);
   const double line_rate = params.line_rate_or(200.0);
-  const auto match = params.match_engine_or(p4::MatchEngineKind::kHashed);
   const auto pack =
       params.pack_engine_or(dataloop::PackEngine::kInterpreter);
   sim::faults::FaultConfig lossy_faults;
@@ -66,7 +65,6 @@ NETDDT_EXPERIMENT(fabric_collectives,
     cc.arrivals.rate = p.load * line_rate * 1e9 /
                        (static_cast<double>(nodes - 1) *
                         static_cast<double>(block) * 8.0);
-    cc.nic.match_engine = match;
     cc.pack_engine = pack;
     cc.seed = seed;
     if (p.lossy) {

@@ -24,7 +24,6 @@ NETDDT_EXPERIMENT(fig08,
 
   const std::uint32_t hpus = params.hpus_or(16);
   const std::uint64_t seed = params.seed_or(1);
-  const auto engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
   const auto pack_engine =
       params.pack_engine_or(dataloop::PackEngine::kInterpreter);
 
@@ -44,9 +43,8 @@ NETDDT_EXPERIMENT(fig08,
   const auto tc = params.trace_config();
   for (std::int64_t block : blocks) {
     for (auto kind : kinds) {
-      sweep.submit([block, kind, hpus, seed, tc, engine, pack_engine] {
+      sweep.submit([block, kind, hpus, seed, tc, pack_engine] {
         offload::ReceiveConfig cfg;
-        cfg.match_engine = engine;
         cfg.pack_engine = pack_engine;
         cfg.type = ddt::Datatype::hvector(
             static_cast<std::int64_t>(kMessage) / block, block, 2 * block,

@@ -31,8 +31,6 @@ NETDDT_EXPERIMENT(fig12,
     for (int gamma : gammas) {
       const std::int64_t block = 2048 / gamma;
       offload::ReceiveConfig cfg;
-      cfg.match_engine =
-          params.match_engine_or(p4::MatchEngineKind::kHashed);
       cfg.type = ddt::Datatype::hvector(
           static_cast<std::int64_t>(kMessage) / block, block, 2 * block,
           ddt::Datatype::int8());

@@ -22,10 +22,8 @@ constexpr offload::StrategyKind kKinds[] = {
     StrategyKind::kHpuLocal};
 
 offload::ReceiveRun run(StrategyKind kind, std::int64_t block,
-                        std::uint32_t hpus, p4::MatchEngineKind engine,
-                        dataloop::PackEngine pack_engine) {
+                        std::uint32_t hpus, dataloop::PackEngine pack_engine) {
   offload::ReceiveConfig cfg;
-  cfg.match_engine = engine;
   cfg.pack_engine = pack_engine;
   cfg.type = ddt::Datatype::hvector(
       static_cast<std::int64_t>(kMessage) / block, block, 2 * block,
@@ -48,7 +46,6 @@ NETDDT_EXPERIMENT(fig13, "receive throughput and NIC memory scalability") {
   const std::uint32_t base_hpus = params.hpus_or(16);
   const std::int64_t base_block =
       static_cast<std::int64_t>(params.blocks_or(2048));
-  const auto engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
   const auto pe = params.pack_engine_or(dataloop::PackEngine::kInterpreter);
 
   std::vector<std::uint32_t> hpu_sweep = {2, 4, 8, 16, 32};
@@ -65,22 +62,22 @@ NETDDT_EXPERIMENT(fig13, "receive throughput and NIC memory scalability") {
   bench::Sweep<offload::ReceiveRun> sweep(params.executor);
   for (std::uint32_t hpus : hpu_sweep) {
     for (auto k : kKinds) {
-      sweep.submit([k, base_block, hpus, engine, pe] {
-        return run(k, base_block, hpus, engine, pe);
+      sweep.submit([k, base_block, hpus, pe] {
+        return run(k, base_block, hpus, pe);
       });
     }
   }
   for (std::int64_t block : block_sweep) {
     for (auto k : kKinds) {
-      sweep.submit([k, block, base_hpus, engine, pe] {
-        return run(k, block, base_hpus, engine, pe);
+      sweep.submit([k, block, base_hpus, pe] {
+        return run(k, block, base_hpus, pe);
       });
     }
   }
   for (std::uint32_t hpus : hpu_mem_sweep) {
     for (auto k : kKinds) {
-      sweep.submit([k, base_block, hpus, engine, pe] {
-        return run(k, base_block, hpus, engine, pe);
+      sweep.submit([k, base_block, hpus, pe] {
+        return run(k, base_block, hpus, pe);
       });
     }
   }

@@ -16,7 +16,6 @@ NETDDT_EXPERIMENT(fig14, "max DMA queue occupancy vs regions/packet") {
                                 StrategyKind::kRwCp, StrategyKind::kRoCp,
                                 StrategyKind::kHpuLocal};
   const std::uint32_t hpus = params.hpus_or(16);
-  const auto engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
   std::vector<int> gammas = {1, 2, 4, 8, 16};
   if (params.smoke) gammas = {1, 16};
 
@@ -31,9 +30,8 @@ NETDDT_EXPERIMENT(fig14, "max DMA queue occupancy vs regions/packet") {
   for (int gamma : gammas) {
     const std::int64_t block = 2048 / gamma;
     for (auto kind : kinds) {
-      sweep.submit([block, kind, hpus, tc, engine] {
+      sweep.submit([block, kind, hpus, tc] {
         offload::ReceiveConfig cfg;
-        cfg.match_engine = engine;
         cfg.type = ddt::Datatype::hvector(
             static_cast<std::int64_t>(kMessage) / block, block, 2 * block,
             ddt::Datatype::int8());

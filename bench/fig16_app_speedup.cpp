@@ -28,15 +28,13 @@ NETDDT_EXPERIMENT(fig16, "app-DDT speedup over host unpacking") {
   // 4 runs per workload (host baseline + 3 offload strategies), all
   // independent: fan out, then assemble rows in submission order.
   const std::uint64_t seed = params.seed_or(1);
-  const auto engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
   constexpr StrategyKind kOffloadKinds[] = {
       StrategyKind::kRwCp, StrategyKind::kSpecialized, StrategyKind::kIovec};
   bench::Sweep<offload::ReceiveRun> sweep(params.executor);
   for (const auto& w : workloads) {
     auto submit = [&](StrategyKind kind) {
-      sweep.submit([type = w.type, count = w.count, seed, kind, engine] {
+      sweep.submit([type = w.type, count = w.count, seed, kind] {
         offload::ReceiveConfig cfg;
-        cfg.match_engine = engine;
         cfg.type = type;
         cfg.count = count;
         cfg.seed = seed;

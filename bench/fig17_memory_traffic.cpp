@@ -23,13 +23,11 @@ NETDDT_EXPERIMENT(fig17, "main-memory traffic: RW-CP vs host unpacking") {
   auto& t = report.table("transfer volume per workload",
                          {"app", "ddt", "RW-CP(KiB)", "host(KiB)"});
   // Two independent runs per workload; fan out, consume in order.
-  const auto engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
   bench::Sweep<offload::ReceiveRun> sweep(params.executor);
   for (const auto& w : workloads) {
     for (auto kind : {StrategyKind::kRwCp, StrategyKind::kHostUnpack}) {
-      sweep.submit([type = w.type, count = w.count, kind, engine] {
+      sweep.submit([type = w.type, count = w.count, kind] {
         offload::ReceiveConfig cfg;
-        cfg.match_engine = engine;
         cfg.type = type;
         cfg.count = count;
         cfg.verify = false;

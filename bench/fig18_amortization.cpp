@@ -22,13 +22,11 @@ NETDDT_EXPERIMENT(fig18, "datatype reuses to amortize checkpoint creation") {
   if (params.smoke && workloads.size() > 4) workloads.resize(4);
 
   // (RW-CP, host) pair per workload, fanned out through the pool.
-  const auto engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
   bench::Sweep<offload::ReceiveRun> sweep(params.executor);
   for (const auto& w : workloads) {
     for (auto kind : {StrategyKind::kRwCp, StrategyKind::kHostUnpack}) {
-      sweep.submit([type = w.type, count = w.count, kind, engine] {
+      sweep.submit([type = w.type, count = w.count, kind] {
         offload::ReceiveConfig cfg;
-        cfg.match_engine = engine;
         cfg.type = type;
         cfg.count = count;
         cfg.verify = false;

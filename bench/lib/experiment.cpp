@@ -56,8 +56,6 @@ void usage(const char* argv0) {
       "  --blocks N      override the block size (bytes)\n"
       "  --seed N        override the experiment seed\n"
       "  --line-rate G   override the link rate (Gbit/s)\n"
-      "  --match-engine E  matching unit: linear | hashed (default\n"
-      "                  hashed; results are byte-identical either way)\n"
       "  --pack-engine E byte engine: interpreter | program (default\n"
       "                  interpreter; experiments that stream bytes\n"
       "                  honor it, others ignore it)\n"
@@ -172,12 +170,6 @@ int bench_main(int argc, char** argv) {
       double d = 0;
       ok = v != nullptr && parse_f64(v, &d);
       if (ok) params.line_rate = d;
-    } else if (std::strcmp(arg, "--match-engine") == 0) {
-      const char* v = next();
-      const auto kind =
-          v != nullptr ? p4::parse_match_engine(v) : std::nullopt;
-      ok = kind.has_value();
-      if (ok) params.match_engine = *kind;
     } else if (std::strcmp(arg, "--pack-engine") == 0) {
       const char* v = next();
       const auto kind =

@@ -29,7 +29,6 @@
 #include "bench/lib/parallel.hpp"
 #include "bench/lib/report.hpp"
 #include "dataloop/program.hpp"
-#include "p4/match.hpp"
 #include "sim/faults/faults.hpp"
 #include "sim/trace/chrome.hpp"
 #include "sim/trace/trace.hpp"
@@ -55,11 +54,6 @@ class Params {
   std::optional<std::uint64_t> blocks;  // block size (bytes)
   std::optional<std::uint64_t> seed;
   std::optional<double> line_rate;  // Gbit/s
-  /// --match-engine: matching-unit implementation override. Functional
-  /// only (both engines produce byte-identical simulation output), so
-  /// DELIBERATELY not echoed into reports — tests/engine_equality.cmake
-  /// byte-compares the JSON of both engines, which an echo would defeat.
-  std::optional<p4::MatchEngineKind> match_engine;
   /// --pack-engine: byte-moving engine for the functional pack/unpack
   /// paths (Segment interpreter vs compiled flat program). Echoed ONLY
   /// when explicitly set: program mode legitimately changes the report
@@ -103,10 +97,6 @@ class Params {
   }
   double line_rate_or(double def) const {
     return echo("line_rate_gbps", line_rate.value_or(def));
-  }
-  /// No echo — see the field comment.
-  p4::MatchEngineKind match_engine_or(p4::MatchEngineKind def) const {
-    return match_engine.value_or(def);
   }
   /// Echo-when-set — see the field comment.
   std::string net_model_or(const char* def) const {

@@ -1,5 +1,6 @@
-// Matching-unit lookup-throughput microbenchmark: linear scan vs the
-// hashed engine, as a function of how many receives are posted.
+// Matching-unit lookup-throughput microbenchmark: the linear reference
+// scan (tests/reference/linear_match.hpp) vs the hashed MatchList, as a
+// function of how many receives are posted.
 //
 // Workloads (all on a MatchList populated with N persistent entries
 // spread over 64 peer prefixes, one wildcard ignore-mask class mixed
@@ -10,7 +11,7 @@
 //  - churn: append a use_once entry + match it away, the steady-state
 //    post/consume cycle of the service experiments.
 //
-// The linear engine is O(N) per lookup, the hashed engine O(#classes),
+// The linear scan is O(N) per lookup, the hashed engine O(#classes),
 // so the ratio must grow with N; the acceptance bar for this refactor
 // is >= 5x at N = 10k posted receives.
 //
@@ -30,13 +31,14 @@
 #include <vector>
 
 #include "p4/match.hpp"
+#include "tests/reference/linear_match.hpp"
 
 namespace {
 
 using netddt::p4::ListKind;
-using netddt::p4::MatchEngineKind;
 using netddt::p4::MatchEntry;
 using netddt::p4::MatchList;
+using LinearList = netddt::p4::reference::LinearMatchList;
 
 constexpr std::uint64_t kPeers = 64;
 
@@ -53,8 +55,8 @@ std::uint64_t next_pick(std::uint64_t& s) {
   return s;
 }
 
-MatchList populate(MatchEngineKind kind, std::uint64_t posted) {
-  MatchList list(kind);
+template <class List>
+void populate(List& list, std::uint64_t posted) {
   for (std::uint64_t i = 0; i < posted; ++i) {
     MatchEntry e;
     if (i % 97 == 96) {
@@ -71,12 +73,12 @@ MatchList populate(MatchEngineKind kind, std::uint64_t posted) {
     e.use_once = false;
     list.append(ListKind::kPriority, e);
   }
-  return list;
 }
 
-double lookups_per_sec(MatchEngineKind kind, std::uint64_t posted,
-                       std::uint64_t lookups) {
-  MatchList list = populate(kind, posted);
+template <class List>
+double lookups_per_sec(std::uint64_t posted, std::uint64_t lookups) {
+  List list;
+  populate(list, posted);
   std::uint64_t rng = 0x9E3779B97F4A7C15ull;
   std::uint64_t hits = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -97,9 +99,10 @@ double lookups_per_sec(MatchEngineKind kind, std::uint64_t posted,
   return static_cast<double>(lookups) / sec;
 }
 
-double churns_per_sec(MatchEngineKind kind, std::uint64_t posted,
-                      std::uint64_t cycles) {
-  MatchList list = populate(kind, posted);
+template <class List>
+double churns_per_sec(std::uint64_t posted, std::uint64_t cycles) {
+  List list;
+  populate(list, posted);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < cycles; ++i) {
     MatchEntry e;
@@ -149,25 +152,21 @@ int main(int argc, char** argv) {
   for (const char* workload : {"lookup", "churn"}) {
     const bool churn = std::strcmp(workload, "churn") == 0;
     for (std::uint64_t posted : counts) {
-      // The linear engine walks posted/2 entries per hit on average;
+      // The linear scan walks posted/2 entries per hit on average;
       // shrink its op count so a rep stays ~fixed wall time.
       const std::uint64_t lin_ops = lookups / (1 + posted / 50);
       Row r{workload, posted, 0.0, 0.0};
       for (int rep = 0; rep < reps; ++rep) {
         if (churn) {
           r.linear = std::max(
-              r.linear, churns_per_sec(MatchEngineKind::kLinear, posted,
-                                       lin_ops));
+              r.linear, churns_per_sec<LinearList>(posted, lin_ops));
           r.hashed = std::max(
-              r.hashed, churns_per_sec(MatchEngineKind::kHashed, posted,
-                                       lookups));
+              r.hashed, churns_per_sec<MatchList>(posted, lookups));
         } else {
           r.linear = std::max(
-              r.linear, lookups_per_sec(MatchEngineKind::kLinear, posted,
-                                        lin_ops));
+              r.linear, lookups_per_sec<LinearList>(posted, lin_ops));
           r.hashed = std::max(
-              r.hashed, lookups_per_sec(MatchEngineKind::kHashed, posted,
-                                        lookups));
+              r.hashed, lookups_per_sec<MatchList>(posted, lookups));
         }
       }
       rows.push_back(r);

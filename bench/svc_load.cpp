@@ -56,7 +56,6 @@ offload::ServiceRun run_point(double load_fraction, sim::ArrivalKind kind,
                               std::uint64_t messages,
                               std::uint64_t max_inflight,
                               std::uint64_t seed,
-                              p4::MatchEngineKind engine,
                               const sim::faults::FaultConfig& faults,
                               const sim::trace::TraceConfig& trace,
                               sim::Time telemetry_period) {
@@ -67,7 +66,6 @@ offload::ServiceRun run_point(double load_fraction, sim::ArrivalKind kind,
   offload::ServiceConfig cfg;
   cfg.cost.line_rate_gbps = line_rate_gbps;
   cfg.hpus = hpus;
-  cfg.match_engine = engine;
   cfg.max_inflight = max_inflight;
   cfg.seed = seed;
   cfg.faults = faults;
@@ -96,7 +94,6 @@ NETDDT_EXPERIMENT(svc_load, "service goodput, fairness and tails vs load") {
   const double line_rate = params.line_rate_or(200.0);
   const std::uint32_t hpus = params.hpus_or(16);
   const std::uint64_t seed = params.seed_or(1);
-  const auto engine = params.match_engine_or(p4::MatchEngineKind::kHashed);
 
   // Full mode: >=1200 messages per tenant behind a 1024-deep admission
   // window — the >=1k-concurrent steady state the refactor targets.
@@ -129,14 +126,14 @@ NETDDT_EXPERIMENT(svc_load, "service goodput, fairness and tails vs load") {
   for (double load : loads) {
     sweep.submit([=] {
       return run_point(load, sim::ArrivalKind::kPoisson, line_rate, hpus,
-                       messages, max_inflight, seed, engine, faults, trace,
+                       messages, max_inflight, seed, faults, trace,
                        telemetry_period);
     });
   }
   for (auto kind : {sim::ArrivalKind::kPoisson, sim::ArrivalKind::kOnOff}) {
     sweep.submit([=] {
       return run_point(burst_point, kind, line_rate, hpus, messages,
-                       max_inflight, seed, engine, faults, trace,
+                       max_inflight, seed, faults, trace,
                        telemetry_period);
     });
   }

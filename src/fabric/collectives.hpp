@@ -29,7 +29,7 @@
 //
 // Determinism: arrival streams, fault schedules and routing are pure
 // functions of (config, seeds); one run is byte-identical across
-// repeats, --jobs levels and match-engine variants.
+// repeats and --jobs levels.
 
 #include <cstdint>
 #include <optional>

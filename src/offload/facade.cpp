@@ -7,20 +7,17 @@
 
 namespace netddt::offload {
 
-DdtEngine::DdtEngine(spin::NicModel& nic, spin::EvictionPolicyKind policy)
+DdtEngine::DdtEngine(spin::NicModel& nic)
     : nic_(&nic),
       evictions_(&nic.metrics().counter("offload.evictions")),
       host_fallbacks_(&nic.metrics().counter("offload.host_fallbacks")) {
-  nic_->memory().set_policy(spin::make_eviction_policy(policy));
-  nic_->memory().set_eviction_callback(
+  nic_->memory().enable_eviction(
       [this](spin::NicMemory::Handle mem, const std::string&) {
         on_evicted(mem);
       });
 }
 
-DdtEngine::~DdtEngine() {
-  nic_->memory().set_eviction_callback({});
-}
+DdtEngine::~DdtEngine() { nic_->memory().enable_eviction({}); }
 
 void DdtEngine::on_evicted(spin::NicMemory::Handle mem) {
   for (auto& p : plans_) {

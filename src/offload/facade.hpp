@@ -39,13 +39,11 @@ class DdtEngine {
  public:
   using TypeHandle = std::uint64_t;
 
-  /// Installs `policy` (LRU by default — the paper's victim selection)
-  /// on the NIC's memory and registers an eviction callback that marks
-  /// evicted plans non-resident; the engine must therefore outlive no
-  /// NicModel it is constructed on (the destructor detaches).
-  explicit DdtEngine(
-      spin::NicModel& nic,
-      spin::EvictionPolicyKind policy = spin::EvictionPolicyKind::kLru);
+  /// Switches on LRU eviction (the paper's victim selection) in the
+  /// NIC's memory with a callback that marks evicted plans non-resident;
+  /// the engine must therefore outlive no NicModel it is constructed on
+  /// (the destructor detaches the callback; eviction stays on).
+  explicit DdtEngine(spin::NicModel& nic);
   ~DdtEngine();
   DdtEngine(const DdtEngine&) = delete;
   DdtEngine& operator=(const DdtEngine&) = delete;

@@ -83,8 +83,12 @@ bool regions_hold_stream(const std::byte* base, const ddt::TypePtr& type,
 }
 
 ReceiveRun run_receive(const ReceiveConfig& config) {
-  assert(config.type && "receive needs a datatype");
-  assert(config.count > 0 && "receive needs at least one instance");
+  if (config.type == nullptr) {
+    throw std::invalid_argument("ReceiveConfig.type must be set");
+  }
+  if (config.count == 0) {
+    throw std::invalid_argument("ReceiveConfig.count must be > 0");
+  }
   std::optional<sim::check::ScopedEnable> check_scope;
   if (config.validate) check_scope.emplace(true);
 
@@ -165,10 +169,8 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
 
   sim::Engine engine;
   spin::Host host(host_bytes);
-  spin::NicModel nic(
-      engine, host, config.cost,
-      spin::NicConfig{config.hpus, config.nicmem_bytes,
-                      config.match_engine});
+  spin::NicModel nic(engine, host, config.cost,
+                     spin::NicConfig{config.hpus, config.nicmem_bytes});
   fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
   link.attach(1, nic);
   if (config.trace.any()) {
@@ -209,7 +211,7 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
                                             config.pack_engine);
       res.nic_descriptor_bytes = specialized->descriptor_bytes();
       // Pinned: the state belongs to the one in-flight message, so no
-      // eviction policy may reclaim it mid-receive.
+      // eviction may reclaim it mid-receive.
       nic.memory().alloc(res.nic_descriptor_bytes, "specialized",
                          {.pinned = true});
       me.context = nic.register_context(specialized->context(nic));

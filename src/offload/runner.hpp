@@ -14,7 +14,6 @@
 #include "dataloop/program.hpp"
 #include "ddt/datatype.hpp"
 #include "offload/strategy.hpp"
-#include "p4/match.hpp"
 #include "p4/put.hpp"
 #include "sim/faults/faults.hpp"
 #include "sim/metrics.hpp"
@@ -31,9 +30,6 @@ struct ReceiveConfig {
   spin::CostModel cost{};
   std::uint32_t hpus = 16;
   std::uint64_t nicmem_bytes = 4ull << 20;
-  /// Matching-unit implementation; functional only (identical simulated
-  /// timing), so results are byte-identical across engines.
-  p4::MatchEngineKind match_engine = p4::MatchEngineKind::kHashed;
   /// Byte engine for the functional copy paths (verification unpack and
   /// the specialized strategy's handler). The default interpreter keeps
   /// output byte-identical to historical runs; kProgram executes the

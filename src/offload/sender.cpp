@@ -135,8 +135,8 @@ SendResult run_send(const SendConfig& config) {
       // PtlProcessPut through the real outbound engine: one HER per
       // packet on the sender's HPU pool; the gather handler locates the
       // packet's regions and DMA-reads them from host memory.
-      outbound = std::make_unique<spin::OutboundEngine>(engine, c,
-                                                        config.hpus, nic);
+      outbound = std::make_unique<spin::OutboundEngine>(
+          engine, c, config.hpus, link, /*src=*/0, /*dst=*/1);
       // Stream prefix of each region, for the per-packet window search.
       std::vector<std::uint64_t> prefix;
       prefix.reserve(regions.size() + 1);

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "fabric/fabric.hpp"
@@ -18,8 +20,8 @@ namespace netddt::offload {
 namespace {
 
 /// Message ids / match bits encode (tenant, sequence): tenants own
-/// disjoint high-bit prefixes, which is also what gives the hashed
-/// match engine its per-peer buckets (see p4/match.hpp).
+/// disjoint high-bit prefixes, which is also what gives the matching
+/// unit its per-peer hash buckets (see p4/match.hpp).
 std::uint64_t msg_key(std::uint32_t tenant, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(tenant + 1) << 40) | seq;
 }
@@ -232,8 +234,22 @@ void ServiceState::retire(
 }  // namespace
 
 ServiceRun run_service(const ServiceConfig& config) {
-  assert(!config.tenants.empty() && "service needs at least one tenant");
-  assert(config.max_inflight > 0 && "admission window must be positive");
+  if (config.tenants.empty()) {
+    throw std::invalid_argument("ServiceConfig.tenants must not be empty");
+  }
+  if (config.max_inflight == 0) {
+    throw std::invalid_argument("ServiceConfig.max_inflight must be > 0");
+  }
+  for (std::size_t i = 0; i < config.tenants.size(); ++i) {
+    const ServiceTenant& t = config.tenants[i];
+    const auto bad = [i](const char* what) {
+      return std::invalid_argument("ServiceConfig.tenants[" +
+                                   std::to_string(i) + "]." + what);
+    };
+    if (t.type == nullptr) throw bad("type must be set");
+    if (t.count == 0) throw bad("count must be > 0");
+    if (t.messages == 0) throw bad("messages must be > 0");
+  }
   std::optional<sim::check::ScopedEnable> check_scope;
   if (config.validate) check_scope.emplace(true);
 
@@ -242,7 +258,6 @@ ServiceRun run_service(const ServiceConfig& config) {
   st.geometry.reserve(config.tenants.size());
   std::uint64_t host_bytes = 64;
   for (const auto& t : config.tenants) {
-    assert(t.type && t.count > 0 && t.messages > 0);
     TenantGeometry g = tenant_geometry(t);
     g.base = static_cast<std::int64_t>(host_bytes);
     host_bytes += g.stride * t.messages;
@@ -253,11 +268,10 @@ ServiceRun run_service(const ServiceConfig& config) {
   sim::Engine engine;
   spin::Host host(host_bytes);
   spin::NicModel nic(engine, host, config.cost,
-                     spin::NicConfig{config.hpus, config.nicmem_bytes,
-                                     config.match_engine});
+                     spin::NicConfig{config.hpus, config.nicmem_bytes});
   fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
   link.attach(1, nic);
-  DdtEngine facade(nic, config.eviction);
+  DdtEngine facade(nic);
   st.engine = &engine;
   st.host = &host;
   st.nic = &nic;

@@ -1,7 +1,7 @@
 #pragma once
 // Steady-state service driver: many concurrent receives per tenant,
 // offered by an open-loop arrival process, flowing through the MPI
-// facade (plan cache, eviction policy, host fallback) onto one NIC.
+// facade (plan cache, LRU eviction, host fallback) onto one NIC.
 //
 // Where run_receive() measures a single message in isolation, this
 // driver measures the NIC *as a service*: tenants post receives on
@@ -53,8 +53,6 @@ struct ServiceConfig {
   spin::CostModel cost{};
   std::uint32_t hpus = 16;
   std::uint64_t nicmem_bytes = 4ull << 20;
-  p4::MatchEngineKind match_engine = p4::MatchEngineKind::kHashed;
-  spin::EvictionPolicyKind eviction = spin::EvictionPolicyKind::kLru;
   /// Admission window: receives posted + in flight at any instant.
   std::uint64_t max_inflight = 1024;
   std::uint64_t seed = 1;

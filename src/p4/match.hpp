@@ -7,25 +7,20 @@
 // the message's completion packet so the remaining packets of the message
 // match without re-searching (paper Sec 2.1.2).
 //
-// The search itself is behind the MatchEngine interface. Two engines:
-//
-//  - kLinear: the historical std::list scan — O(n) per header packet.
-//    Kept as the reference implementation for differential testing.
-//  - kHashed (default): entries bucket by their masked key
-//    (match_bits & ~ignore_bits) inside per-ignore-mask classes, so a
-//    lookup probes one hash bucket per distinct ignore mask instead of
-//    walking every posted receive. Append and unlink are O(1) via
-//    intrusive handles. FIFO semantics are preserved exactly: every
-//    entry carries a global append sequence number, and when several
-//    mask classes have a candidate the lowest sequence wins — the same
-//    entry a front-to-back list walk would have found. The priority
-//    list is exhausted before the overflow list is consulted.
+// The search is hashed: entries bucket by their masked key
+// (match_bits & ~ignore_bits) inside per-ignore-mask classes, so a
+// lookup probes one hash bucket per distinct ignore mask instead of
+// walking every posted receive. Append and unlink are O(1) via
+// intrusive handles. FIFO semantics are preserved exactly: every entry
+// carries a global append sequence number, and when several mask
+// classes have a candidate the lowest sequence wins — the same entry a
+// front-to-back list walk would have found. The priority list is
+// exhausted before the overflow list is consulted. The tests hold the
+// engine to a front-to-back list scan (tests/reference/linear_match.hpp).
 //
 // Matching is functional in the simulation: which entry wins affects
 // where bytes land, never how long matching takes (the cost model folds
-// the matching unit into the per-packet NIC overhead). Both engines
-// therefore produce byte-identical simulation output by construction;
-// tests/engine_equality.cmake enforces it on the figure suite.
+// the matching unit into the per-packet NIC overhead).
 //
 // Per-peer bucketing: Packet stays 40 bytes (no peer field), so tenants
 // that want per-peer isolation encode the peer id in the high bits of
@@ -33,9 +28,10 @@
 // gives per-peer buckets without widening the wire format.
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
-#include <string_view>
+#include <unordered_map>
 
 namespace netddt::p4 {
 
@@ -57,83 +53,99 @@ struct MatchEntry {
 
 enum class ListKind { kPriority, kOverflow };
 
-enum class MatchEngineKind { kLinear, kHashed };
-
-inline const char* match_engine_name(MatchEngineKind kind) {
-  return kind == MatchEngineKind::kLinear ? "linear" : "hashed";
-}
-
-inline std::optional<MatchEngineKind> parse_match_engine(
-    std::string_view name) {
-  if (name == "linear") return MatchEngineKind::kLinear;
-  if (name == "hashed") return MatchEngineKind::kHashed;
-  return std::nullopt;
-}
-
 /// Result of a header-packet search.
 struct MatchResult {
   MatchEntry entry;   // a copy the NIC retains for the message lifetime
   ListKind list;
 };
 
-/// A matching-unit implementation. The caller (MatchList) owns handle
+/// The hashed search behind MatchList. The caller owns handle
 /// assignment; entries arrive with a unique nonzero id.
 class MatchEngine {
  public:
-  virtual ~MatchEngine() = default;
+  MatchEngine() = default;
+  // Nodes and buckets point at each other: a copy would alias them.
+  MatchEngine(const MatchEngine&) = delete;
+  MatchEngine& operator=(const MatchEngine&) = delete;
 
   /// Insert at the tail of `list` (FIFO append order).
-  virtual void append(ListKind list, const MatchEntry& entry) = 0;
+  void append(ListKind list, const MatchEntry& entry);
 
   /// Search priority then overflow; within a list, the oldest matching
   /// entry wins. A matching use_once entry is unlinked. Returns nullopt
   /// when nothing matches.
-  virtual std::optional<MatchResult> match(std::uint64_t bits) = 0;
+  std::optional<MatchResult> match(std::uint64_t bits);
 
   /// Unlink by handle; returns false if the entry was already gone.
-  virtual bool unlink(std::uint64_t id) = 0;
+  bool unlink(std::uint64_t id);
 
-  virtual std::size_t size(ListKind list) const = 0;
-  virtual MatchEngineKind kind() const = 0;
+  std::size_t size(ListKind list) const { return sizes_[index(list)]; }
+
+ private:
+  struct Bucket;
+  struct Node {
+    MatchEntry entry;
+    std::uint64_t seq = 0;
+    ListKind list = ListKind::kPriority;
+    Bucket* bucket = nullptr;
+    Node* prev = nullptr;
+    Node* next = nullptr;
+  };
+  struct MaskClass;
+  struct Bucket {
+    Node* head = nullptr;
+    Node* tail = nullptr;
+    MaskClass* owner = nullptr;
+    std::uint64_t key = 0;
+  };
+  struct MaskClass {
+    std::uint64_t ignore = 0;
+    std::unordered_map<std::uint64_t, Bucket> buckets;
+  };
+
+  static std::size_t index(ListKind list) {
+    return list == ListKind::kPriority ? 0 : 1;
+  }
+  Bucket& bucket_for(ListKind list, const MatchEntry& entry);
+  void link_tail(Node& n, Bucket& b);
+  void detach(Node& n);
+
+  std::deque<MaskClass> classes_[2];
+  std::unordered_map<std::uint64_t, Node> nodes_;
+  std::uint64_t next_seq_ = 1;
+  std::size_t sizes_[2] = {0, 0};
 };
 
-/// Factory for the concrete engines above.
+/// Thin names kept for perf_ladder/src/layers.cpp, which benchmarks the
+/// engine through them; the hashed engine is the only one.
+enum class MatchEngineKind { kHashed };
 std::unique_ptr<MatchEngine> make_match_engine(MatchEngineKind kind);
 
-/// The matching unit as the NIC sees it: assigns handles, delegates the
-/// search to a pluggable engine (hashed by default).
+/// The matching unit as the NIC sees it: assigns handles and searches
+/// with the hashed engine.
 class MatchList {
  public:
-  explicit MatchList(MatchEngineKind kind = MatchEngineKind::kHashed)
-      : kind_(kind), engine_(make_match_engine(kind)) {}
-
-  /// Backwards-compatible alias; the result type now lives at namespace
-  /// scope so engines can return it.
-  using MatchResult = p4::MatchResult;
-
   /// Append an entry; returns its handle.
   std::uint64_t append(ListKind list, MatchEntry entry);
 
   /// Search priority then overflow. A matching use_once entry is
   /// unlinked. Returns nullopt when nothing matches (packet is dropped).
-  std::optional<p4::MatchResult> match(std::uint64_t bits) {
-    return engine_->match(bits);
+  std::optional<MatchResult> match(std::uint64_t bits) {
+    return engine_.match(bits);
   }
 
   /// Unlink by handle; returns false if the entry was already gone.
-  bool unlink(std::uint64_t id) { return engine_->unlink(id); }
+  bool unlink(std::uint64_t id) { return engine_.unlink(id); }
 
   std::size_t priority_size() const {
-    return engine_->size(ListKind::kPriority);
+    return engine_.size(ListKind::kPriority);
   }
   std::size_t overflow_size() const {
-    return engine_->size(ListKind::kOverflow);
+    return engine_.size(ListKind::kOverflow);
   }
-  MatchEngineKind kind() const { return kind_; }
 
  private:
-  MatchEngineKind kind_;
-  std::unique_ptr<MatchEngine> engine_;
+  MatchEngine engine_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -12,7 +12,6 @@ NicModel::NicModel(sim::Engine& engine, Host& host, CostModel cost,
     : engine_(&engine),
       host_(&host),
       cost_(cost),
-      match_list_(config.match_engine),
       nic_memory_(config.nicmem_bytes, &metrics_),
       dma_(engine, cost_, host.memory(), &metrics_),
       scheduler_(engine, config.hpus, cost_, &metrics_) {

@@ -60,10 +60,6 @@ class Host {
 struct NicConfig {
   std::uint32_t hpus = 16;
   std::uint64_t nicmem_bytes = 4ull << 20;  // scratchpad capacity
-  /// Matching-unit implementation (functional only — matching cost is
-  /// part of the per-packet NIC overhead either way, so both engines
-  /// produce identical simulated timing).
-  p4::MatchEngineKind match_engine = p4::MatchEngineKind::kHashed;
 };
 
 /// Packet staging buffer: packets copied into NIC memory wait here from
@@ -106,9 +102,9 @@ class NicModel {
   /// Deliver one packet at the current simulated time (called by the
   /// fabric's ejection port).
   /// Any packet of an unknown message runs the matching unit (match bits
-  /// ride on every packet — under MatchEngineKind::kHashed a constant-
-  /// time bucket probe, same simulated cost as the linear walk), so a
-  /// lossy wire may open a message with a payload packet.
+  /// ride on every packet; the search is a hash-bucket probe whose cost
+  /// the per-packet NIC overhead covers), so a lossy wire may open a
+  /// message with a payload packet.
   ///
   /// Duplicate-delivery contract (docs/HANDLERS.md): for byte-moving
   /// families (kScatter, kTransform) duplicates re-run handlers — they

@@ -5,71 +5,11 @@
 #include "sim/check.hpp"
 
 namespace netddt::spin {
-namespace {
 
-class RejectPolicy final : public EvictionPolicy {
- public:
-  std::uint64_t pick_victim(const std::vector<NicBlockInfo>&,
-                            std::uint64_t) override {
-    return NicMemory::kInvalid;
-  }
-  EvictionPolicyKind kind() const override {
-    return EvictionPolicyKind::kReject;
-  }
-};
-
-class LruPolicy final : public EvictionPolicy {
- public:
-  std::uint64_t pick_victim(const std::vector<NicBlockInfo>& candidates,
-                            std::uint64_t) override {
-    const NicBlockInfo* victim = nullptr;
-    for (const auto& c : candidates) {
-      if (victim == nullptr || c.last_touch < victim->last_touch) {
-        victim = &c;
-      }
-    }
-    return victim == nullptr ? NicMemory::kInvalid : victim->handle;
-  }
-  EvictionPolicyKind kind() const override {
-    return EvictionPolicyKind::kLru;
-  }
-};
-
-class SizeWeightedPolicy final : public EvictionPolicy {
- public:
-  std::uint64_t pick_victim(const std::vector<NicBlockInfo>& candidates,
-                            std::uint64_t) override {
-    const NicBlockInfo* victim = nullptr;
-    for (const auto& c : candidates) {
-      if (victim == nullptr || c.bytes > victim->bytes ||
-          (c.bytes == victim->bytes &&
-           c.last_touch < victim->last_touch)) {
-        victim = &c;
-      }
-    }
-    return victim == nullptr ? NicMemory::kInvalid : victim->handle;
-  }
-  EvictionPolicyKind kind() const override {
-    return EvictionPolicyKind::kSizeWeighted;
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<EvictionPolicy> make_eviction_policy(
-    EvictionPolicyKind kind) {
-  switch (kind) {
-    case EvictionPolicyKind::kLru: return std::make_unique<LruPolicy>();
-    case EvictionPolicyKind::kSizeWeighted:
-      return std::make_unique<SizeWeightedPolicy>();
-    case EvictionPolicyKind::kReject: break;
-  }
-  return std::make_unique<RejectPolicy>();
-}
-
-void NicMemory::set_policy(std::unique_ptr<EvictionPolicy> policy) {
-  policy_ = std::move(policy);
-  if (policy_ != nullptr && blocks_metric_ == nullptr) {
+void NicMemory::enable_eviction(EvictionCallback cb) {
+  eviction_ = true;
+  on_evict_ = std::move(cb);
+  if (blocks_metric_ == nullptr) {
     blocks_metric_ = &metrics_->gauge("nic.mem.peak_blocks");
     blocks_metric_->set(static_cast<std::int64_t>(blocks_.size()));
   }
@@ -89,11 +29,11 @@ NicMemory::Handle NicMemory::alloc(std::uint64_t bytes, std::string tag,
     // so do not evict the whole scratchpad on its behalf.
     bool made_room = bytes <= capacity_;
     while (made_room && bytes > capacity_ - used()) {
-      made_room = evict_for(bytes - (capacity_ - used()), options);
+      made_room = evict_one(options);
     }
     if (bytes > capacity_ - used()) {
       alloc_failures_->add(1);
-      if (policy_ != nullptr) {
+      if (eviction_) {
         ++admission_rejects_;
         if (rejects_metric_ == nullptr) {
           rejects_metric_ = &metrics_->counter("nic.mem.admission_rejects");
@@ -125,26 +65,21 @@ NicMemory::Handle NicMemory::alloc(std::uint64_t bytes, std::string tag,
   return h;
 }
 
-bool NicMemory::evict_for(std::uint64_t need_bytes,
-                          const AllocOptions& options) {
-  if (policy_ == nullptr) return false;
-  std::vector<NicBlockInfo> candidates;
-  candidates.reserve(blocks_.size());
+bool NicMemory::evict_one(const AllocOptions& options) {
+  if (!eviction_) return false;
+  // last_touch stamps are unique across live blocks (one clock, bumped
+  // on every alloc and touch), so the victim does not depend on the
+  // map's iteration order.
+  Handle victim = kInvalid;
+  std::uint64_t oldest = 0;
   for (const auto& [h, b] : blocks_) {
     if (!b.evictable || b.pinned || b.priority > options.priority) continue;
-    candidates.push_back(
-        NicBlockInfo{h, b.bytes, b.tag, b.priority, b.last_touch});
+    if (victim == kInvalid || b.last_touch < oldest) {
+      victim = h;
+      oldest = b.last_touch;
+    }
   }
-  if (candidates.empty()) return false;
-  const Handle victim = policy_->pick_victim(candidates, need_bytes);
   if (victim == kInvalid) return false;
-  const auto it = blocks_.find(victim);
-  const bool valid = it != blocks_.end() && it->second.evictable &&
-                     !it->second.pinned &&
-                     it->second.priority <= options.priority;
-  NETDDT_CHECK(valid, "eviction policy picked an ineligible victim: handle " +
-                          std::to_string(victim));
-  if (!valid) return false;
   release(victim, /*evicted=*/true);
   return true;
 }

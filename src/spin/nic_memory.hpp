@@ -1,5 +1,5 @@
 #pragma once
-// NIC memory capacity accounting with pluggable admission/eviction.
+// NIC memory capacity accounting with LRU admission/eviction.
 //
 // Handler state (dataloops, checkpoints, iovec caches, per-vHPU segments)
 // must fit in the NIC's scratchpad. The simulator keeps that state in
@@ -9,24 +9,24 @@
 // (paper Fig 13b/c). Occupancy and allocation outcomes are published
 // under the "nic.mem" metrics scope.
 //
-// Eviction is a policy object (EvictionPolicy): when an allocation does
-// not fit and a policy is installed, the allocator collects the
-// evictable, unpinned blocks whose priority does not exceed the
-// requester's and asks the policy for a victim, repeating until the
-// request fits or the policy refuses. Owners of evictable blocks learn
-// about evictions through a callback (handle + tag) so they can drop
-// their side of the state (the facade marks the plan non-resident).
-// Blocks carry touch/pin lifecycle hooks: touch() refreshes the LRU
-// stamp on reuse, pin()/unpin() fence a block against eviction while a
-// message is actively using it.
+// Eviction is off until the block owner switches it on
+// (enable_eviction — the MPI facade does). Then an allocation that does
+// not fit evicts the least-recently-touched evictable, unpinned block
+// whose priority does not exceed the requester's, repeating until the
+// request fits or no such block is left. Without it a full scratchpad
+// rejects the request. Owners of evictable blocks learn about evictions
+// through a callback (handle + tag) so they can drop their side of the
+// state (the facade marks the plan non-resident). Blocks carry
+// touch/pin lifecycle hooks: touch() refreshes the LRU stamp on reuse,
+// pin()/unpin() fence a block against eviction while a message is
+// actively using it.
 //
 // Metrics: the four original metrics (nic.mem.used / allocs /
-// alloc_failures / frees) are registered eagerly, exactly as before.
-// Everything this refactor adds — nic.mem.evictions,
-// nic.mem.admission_rejects, nic.mem.zero_byte_allocs and the
-// nic.mem.peak_blocks gauge — registers lazily on the first event that
-// would make it visible, so a run that never installs a policy (every
-// pre-existing figure binary) publishes byte-identical JSON.
+// alloc_failures / frees) are registered eagerly. nic.mem.evictions,
+// nic.mem.zero_byte_allocs, and — once eviction is on —
+// nic.mem.admission_rejects and the nic.mem.peak_blocks gauge register
+// lazily on the first event that would make them visible, so a NIC
+// without the facade publishes none of them.
 //
 // Zero-byte allocations hold a handle and a tag like any other block.
 // They are invisible in byte occupancy by definition, so they are
@@ -36,65 +36,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/metrics.hpp"
 
 namespace netddt::spin {
-
-enum class EvictionPolicyKind { kReject, kLru, kSizeWeighted };
-
-inline const char* eviction_policy_name(EvictionPolicyKind kind) {
-  switch (kind) {
-    case EvictionPolicyKind::kReject: return "reject";
-    case EvictionPolicyKind::kLru: return "lru";
-    case EvictionPolicyKind::kSizeWeighted: return "size-weighted";
-  }
-  return "?";
-}
-
-inline std::optional<EvictionPolicyKind> parse_eviction_policy(
-    std::string_view name) {
-  if (name == "reject") return EvictionPolicyKind::kReject;
-  if (name == "lru") return EvictionPolicyKind::kLru;
-  if (name == "size-weighted") return EvictionPolicyKind::kSizeWeighted;
-  return std::nullopt;
-}
-
-/// What a policy sees of each eviction candidate. `last_touch` stamps are
-/// unique across live blocks (one global clock, bumped on every alloc
-/// and touch), so a policy that tie-breaks on it is deterministic even
-/// though the candidate vector's order is not specified.
-struct NicBlockInfo {
-  std::uint64_t handle = 0;
-  std::uint64_t bytes = 0;
-  std::string_view tag;
-  int priority = 0;
-  std::uint64_t last_touch = 0;
-};
-
-/// Victim selection. Candidates are pre-filtered (evictable, unpinned,
-/// priority <= requester's); return 0 (NicMemory::kInvalid) to refuse —
-/// the allocation then fails. Must be a pure function of the candidate
-/// *set* (see NicBlockInfo on determinism).
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-  virtual std::uint64_t pick_victim(
-      const std::vector<NicBlockInfo>& candidates,
-      std::uint64_t need_bytes) = 0;
-  virtual EvictionPolicyKind kind() const = 0;
-};
-
-/// kReject never evicts; kLru evicts the least-recently-touched
-/// candidate; kSizeWeighted evicts the largest candidate (oldest touch
-/// on ties) — fewest evictions per byte reclaimed.
-std::unique_ptr<EvictionPolicy> make_eviction_policy(
-    EvictionPolicyKind kind);
 
 class NicMemory {
  public:
@@ -103,7 +50,7 @@ class NicMemory {
 
   struct AllocOptions {
     int priority = 0;      // requester's eviction-priority ceiling
-    bool evictable = false;  // may the policy reclaim this block?
+    bool evictable = false;  // may eviction reclaim this block?
     bool pinned = false;     // start fenced against eviction
   };
 
@@ -122,8 +69,8 @@ class NicMemory {
     frees_ = &metrics->counter("nic.mem.frees");
   }
 
-  /// Reserve `bytes`; returns kInvalid when it does not fit and the
-  /// policy cannot (or will not) make room.
+  /// Reserve `bytes`; returns kInvalid when it does not fit and
+  /// eviction cannot make room.
   Handle alloc(std::uint64_t bytes, std::string tag = {}) {
     return alloc(bytes, std::move(tag), AllocOptions());
   }
@@ -142,22 +89,14 @@ class NicMemory {
   void unpin(Handle h);
   bool is_pinned(Handle h) const;
 
-  /// Install the admission/eviction policy (nullptr restores the
-  /// original reject-on-full behavior). Registers the
-  /// nic.mem.peak_blocks gauge.
-  void set_policy(std::unique_ptr<EvictionPolicy> policy);
-  EvictionPolicyKind policy_kind() const {
-    return policy_ == nullptr ? EvictionPolicyKind::kReject
-                              : policy_->kind();
-  }
-
   /// Invoked after a block is evicted (it is already gone — do not
   /// free() it). The callback must not call back into alloc().
   using EvictionCallback =
       std::function<void(Handle, const std::string& tag)>;
-  void set_eviction_callback(EvictionCallback cb) {
-    on_evict_ = std::move(cb);
-  }
+  /// Switch LRU eviction on (it stays on) and route evictions to `cb`;
+  /// an empty `cb` detaches the owner. Registers the
+  /// nic.mem.peak_blocks gauge.
+  void enable_eviction(EvictionCallback cb);
 
   std::uint64_t bytes_of(Handle h) const {
     auto it = blocks_.find(h);
@@ -188,9 +127,9 @@ class NicMemory {
     std::uint64_t last_touch = 0;
   };
 
-  /// One eviction round: gather candidates for `options`, ask the
-  /// policy, evict the victim. False when no progress is possible.
-  bool evict_for(std::uint64_t need_bytes, const AllocOptions& options);
+  /// Evict the least-recently-touched block `options` may reclaim.
+  /// False when there is none (or eviction is off).
+  bool evict_one(const AllocOptions& options);
   void release(Handle h, bool evicted);
   void note_blocks_changed();
 
@@ -203,7 +142,7 @@ class NicMemory {
   std::uint64_t admission_rejects_ = 0;
   std::uint64_t zero_byte_allocs_ = 0;
 
-  std::unique_ptr<EvictionPolicy> policy_;
+  bool eviction_ = false;
   EvictionCallback on_evict_;
 
   std::unique_ptr<sim::MetricsRegistry> local_metrics_;

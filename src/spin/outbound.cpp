@@ -1,6 +1,6 @@
 #include "spin/outbound.hpp"
 
-#include <cassert>
+#include "fabric/fabric.hpp"
 
 namespace netddt::spin {
 
@@ -38,16 +38,12 @@ void OutboundEngine::process_put(std::uint64_t msg_id,
 void OutboundEngine::mark_ready(Put& put, std::size_t index) {
   put.ready[index] = true;
   // Streaming-put semantics: the target must see ONE in-order message,
-  // so packet i departs only after packets 0..i-1, paced at line rate.
+  // so packet i is handed to the fabric only after packets 0..i-1; the
+  // injection port queues it behind them.
   while (put.next_to_send < put.packets.size() &&
          put.ready[put.next_to_send]) {
-    const p4::Packet& pkt = put.packets[put.next_to_send];
-    const sim::Time depart = std::max(engine_->now(), put.link_free);
-    const sim::Time on_wire = cost_.wire_time(
-        std::max<std::uint64_t>(pkt.payload_bytes, 1));
-    put.link_free = depart + on_wire;
-    engine_->schedule_at(put.link_free + cost_.net_latency,
-                         [nic = target_, pkt] { nic->deliver(pkt); });
+    fabric_->send(src_, dst_, {put.packets[put.next_to_send]},
+                  engine_->now());
     ++put.next_to_send;
   }
 }

@@ -6,7 +6,9 @@
 // handler gathers the packet's payload from host memory (the outbound
 // engine "does not fill the packet with data but delegates this task to
 // the packet handler") and the packet departs as part of ONE streaming
-// put the moment it is ready — in message order, paced at line rate.
+// put the moment it is ready — in message order, handed to the fabric,
+// whose injection port paces it at line rate. Built into
+// netddt_transport, above the fabric it sends on.
 
 #include <cstdint>
 #include <functional>
@@ -18,8 +20,11 @@
 #include "spin/cost_model.hpp"
 #include "p4/put.hpp"
 #include "spin/handler.hpp"
-#include "spin/nic.hpp"
 #include "spin/scheduler.hpp"
+
+namespace netddt::fabric {
+class Fabric;
+}
 
 namespace netddt::spin {
 
@@ -32,14 +37,16 @@ class OutboundEngine {
                                       std::byte* staging,
                                       ChargeMeter& meter)>;
 
-  /// `hpus` are the sender NIC's handler units; `target` receives the
-  /// generated message over a line-rate link.
+  /// `hpus` are the sender NIC's handler units; the generated message
+  /// goes from node `src` to node `dst` of `fabric`.
   OutboundEngine(sim::Engine& engine, CostModel cost, std::uint32_t hpus,
-                 NicModel& target)
+                 fabric::Fabric& fabric, std::uint32_t src, std::uint32_t dst)
       : engine_(&engine),
         cost_(cost),
         scheduler_(engine, hpus, cost_),
-        target_(&target) {}
+        fabric_(&fabric),
+        src_(src),
+        dst_(dst) {}
 
   /// Issue a PtlProcessPut of `total_bytes` (the packed size of the
   /// datatype): per-packet HERs run `gather` under `policy`; packets
@@ -63,7 +70,6 @@ class OutboundEngine {
     std::vector<p4::Packet> packets;
     std::vector<bool> ready;
     std::size_t next_to_send = 0;
-    sim::Time link_free = 0;
     GatherFn gather;
   };
 
@@ -72,7 +78,9 @@ class OutboundEngine {
   sim::Engine* engine_;
   CostModel cost_;
   Scheduler scheduler_;
-  NicModel* target_;
+  fabric::Fabric* fabric_;
+  std::uint32_t src_;
+  std::uint32_t dst_;
   std::vector<std::unique_ptr<Put>> puts_;
 };
 

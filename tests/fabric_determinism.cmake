@@ -1,12 +1,12 @@
 # CTest script: a lossy multi-node collective run must be byte-identical
-# across --jobs levels, match engines and pack engines. The smoke sweep
+# across --jobs levels and pack engines. The smoke sweep
 # of fabric_collectives includes the lossy section (reliable transport
 # over the fabric), so one binary covers routing, port contention, fault
 # schedules and the full receiver pipelines.
 #
-# Three comparisons against the --jobs 1 hashed/interpreter reference:
-#   - --jobs 4                      (parallel sweep points)
-#   - --jobs 4 --match-engine linear  (matching unit is a pure drop-in)
+# Two comparisons:
+#   - --jobs 4 vs the --jobs 1 interpreter reference (parallel sweep
+#     points)
 #   - --jobs 4 --pack-engine program  vs --jobs 1 --pack-engine program
 #     (the compiled flat unpack program, parallelism-independent; it
 #     legitimately differs from the interpreter reference in counters,
@@ -55,9 +55,6 @@ endfunction()
 run_variant(j1 --jobs 1)
 run_variant(j4 --jobs 4)
 compare_variant(j1 j4 "--jobs 4 vs --jobs 1")
-
-run_variant(lin --jobs 4 --match-engine linear)
-compare_variant(j1 lin "linear match engine vs hashed")
 
 run_variant(p1 --jobs 1 --pack-engine program)
 run_variant(p4 --jobs 4 --pack-engine program)

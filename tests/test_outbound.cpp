@@ -1,12 +1,13 @@
 // Tests for the outbound sPIN engine (PtlProcessPut): the target must
-// observe one in-order message paced at line rate, with payloads
-// gathered by sender-side handlers.
+// observe one in-order message paced at line rate by the point-to-point
+// fabric, with payloads gathered by sender-side handlers.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "fabric/fabric.hpp"
 #include "p4/match.hpp"
 #include "sim/engine.hpp"
 #include "spin/nic.hpp"
@@ -17,7 +18,11 @@ namespace {
 
 class OutboundFixture : public ::testing::Test {
  protected:
-  OutboundFixture() : host(1 << 20), nic(eng, host, CostModel{}) {
+  OutboundFixture()
+      : host(1 << 20),
+        nic(eng, host, CostModel{}),
+        link(eng, fabric::point_to_point(CostModel{})) {
+    link.attach(1, nic);
     p4::MatchEntry me;
     me.match_bits = 7;
     me.buffer_offset = 0;
@@ -28,10 +33,11 @@ class OutboundFixture : public ::testing::Test {
   sim::Engine eng;
   Host host;
   NicModel nic;
+  fabric::Fabric link;
 };
 
 TEST_F(OutboundFixture, GatheredMessageArrivesIntact) {
-  OutboundEngine out(eng, CostModel{}, 8, nic);
+  OutboundEngine out(eng, CostModel{}, 8, link, 0, 1);
   const std::uint64_t total = 10000;
   std::vector<std::byte> source(total);
   for (std::uint64_t i = 0; i < total; ++i) {
@@ -54,7 +60,7 @@ TEST_F(OutboundFixture, GatheredMessageArrivesIntact) {
 TEST_F(OutboundFixture, PacketsDepartInMessageOrder) {
   // Make even packets slow to gather: departures must still be in
   // order (streaming-put semantics: one message, header first).
-  OutboundEngine out(eng, CostModel{}, 8, nic);
+  OutboundEngine out(eng, CostModel{}, 8, link, 0, 1);
   std::vector<std::uint64_t> arrival_order;
   // Observe order via a processing context on the receiver.
   ExecutionContext ctx;
@@ -82,7 +88,7 @@ TEST_F(OutboundFixture, PacketsDepartInMessageOrder) {
 }
 
 TEST_F(OutboundFixture, FastGatherSustainsLineRate) {
-  OutboundEngine out(eng, CostModel{}, 16, nic);
+  OutboundEngine out(eng, CostModel{}, 16, link, 0, 1);
   const std::uint64_t total = 1 << 20;
   out.process_put(3, 7, total, SchedulingPolicy::Default(),
                   [](const p4::Packet&, std::byte*, ChargeMeter& m) {
@@ -97,7 +103,7 @@ TEST_F(OutboundFixture, FastGatherSustainsLineRate) {
 }
 
 TEST_F(OutboundFixture, SlowGatherThrottlesTheStream) {
-  OutboundEngine out(eng, CostModel{}, 1, nic);  // one sender HPU
+  OutboundEngine out(eng, CostModel{}, 1, link, 0, 1);  // one sender HPU
   const std::uint64_t total = 64 * 2048;
   const sim::Time per_pkt = sim::us(2);
   out.process_put(4, 7, total, SchedulingPolicy::Default(),

@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "p4/event.hpp"
 #include "p4/match.hpp"
 #include "p4/packet.hpp"
 #include "p4/put.hpp"
+#include "reference/linear_match.hpp"
 #include "sim/check.hpp"
 #include "sim/rng.hpp"
 
@@ -25,17 +28,49 @@ MatchEntry me(std::uint64_t bits, std::uint64_t ignore = 0) {
   return e;
 }
 
-// Every matching-semantics test runs against both engines: the linear
-// reference scan and the hashed default must be indistinguishable.
-class Matching : public ::testing::TestWithParam<MatchEngineKind> {
+// Every matching-semantics test runs against both the hashed MatchList
+// and the linear reference scan: the two must be indistinguishable.
+// Kept as a 4-byte enum (linear = 0, hashed = 1) so the instantiated
+// test names stay stable.
+enum class Impl { kLinear, kHashed };
+
+/// MatchList or the reference, picked by the test parameter.
+class EitherList {
+ public:
+  explicit EitherList(Impl impl) : linear_(impl == Impl::kLinear) {}
+
+  std::uint64_t append(ListKind list, const MatchEntry& e) {
+    return linear_ ? ref_.append(list, e) : hashed_.append(list, e);
+  }
+  std::optional<MatchResult> match(std::uint64_t bits) {
+    return linear_ ? ref_.match(bits) : hashed_.match(bits);
+  }
+  bool unlink(std::uint64_t id) {
+    return linear_ ? ref_.unlink(id) : hashed_.unlink(id);
+  }
+  std::size_t priority_size() const {
+    return linear_ ? ref_.priority_size() : hashed_.priority_size();
+  }
+  std::size_t overflow_size() const {
+    return linear_ ? ref_.overflow_size() : hashed_.overflow_size();
+  }
+
+ private:
+  bool linear_;
+  MatchList hashed_;
+  reference::LinearMatchList ref_;
+};
+
+class Matching : public ::testing::TestWithParam<Impl> {
  protected:
-  MatchList ml{GetParam()};
+  EitherList ml{GetParam()};
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Engines, Matching,
-    ::testing::Values(MatchEngineKind::kLinear, MatchEngineKind::kHashed),
-    [](const auto& info) { return match_engine_name(info.param); });
+    Engines, Matching, ::testing::Values(Impl::kLinear, Impl::kHashed),
+    [](const auto& info) {
+      return info.param == Impl::kLinear ? "linear" : "hashed";
+    });
 
 TEST_P(Matching, ExactBitsMatch) {
   ml.append(ListKind::kPriority, me(0xCAFE));
@@ -176,8 +211,8 @@ TEST_P(Matching, AppendWithPresetIdViolatesCheck) {
 // lock-step — same hits (entry identity and list), same misses, same
 // unlink outcomes, same sizes after every step.
 TEST(MatchingDifferential, RandomOpsLinearVsHashed) {
-  MatchList lin(MatchEngineKind::kLinear);
-  MatchList hsh(MatchEngineKind::kHashed);
+  reference::LinearMatchList lin;
+  MatchList hsh;
   sim::Rng rng(2026);
   // Small pools of bits/masks so matches, misses, and mask-class
   // overlaps all happen often.
@@ -214,6 +249,103 @@ TEST(MatchingDifferential, RandomOpsLinearVsHashed) {
     ASSERT_EQ(lin.priority_size(), hsh.priority_size()) << "step " << step;
     ASSERT_EQ(lin.overflow_size(), hsh.overflow_size()) << "step " << step;
   }
+}
+
+// Differential on the entry shapes the simulator posts: service
+// tenants' (tenant + 1) << 40 | seq keys, collectives' (round << 32) |
+// src keys, exact single-message bits (some persistent), and the
+// facade's match-anything overflow buffer (ignore_bits = ~0, one-shot
+// or persistent). The lists grow past 10k posted entries under a
+// post/consume/unlink mix, then drain; both must agree on every handle,
+// hit, miss, unlink and size.
+TEST(MatchingDifferential, TrafficShapedLinearVsHashed) {
+  reference::LinearMatchList lin;
+  MatchList hsh;
+  sim::Rng rng(17);
+  std::vector<std::uint64_t> posted_bits;  // priority keys, maybe consumed
+  std::vector<std::uint64_t> ids;
+  std::uint64_t tenant_seq[4] = {};
+  const std::uint64_t exact_bits[] = {0xABCD, 7, 8};
+  std::size_t peak = 0;
+  int step = 0;
+  const auto check_sizes = [&] {
+    ASSERT_EQ(lin.priority_size(), hsh.priority_size()) << "step " << step;
+    ASSERT_EQ(lin.overflow_size(), hsh.overflow_size()) << "step " << step;
+  };
+  const auto append = [&] {
+    MatchEntry e = me(0);
+    ListKind list = ListKind::kPriority;
+    const std::uint64_t shape = rng.below(16);
+    if (shape < 9) {  // service tenant
+      const std::uint64_t t = rng.below(4);
+      e.match_bits = ((t + 1) << 40) | tenant_seq[t]++;
+    } else if (shape < 13) {  // collective round
+      e.match_bits = (rng.below(8) << 32) | rng.below(64);
+    } else if (shape < 15) {  // single message
+      e.match_bits = exact_bits[rng.below(3)];
+      e.use_once = rng.uniform() < 0.5;
+    } else {  // facade overflow buffer
+      e.ignore_bits = ~std::uint64_t{0};
+      e.use_once = rng.uniform() < 0.5;
+      list = ListKind::kOverflow;
+    }
+    e.buffer_offset = step;  // identity marker
+    const auto id_l = lin.append(list, e);
+    ASSERT_EQ(id_l, hsh.append(list, e));
+    ids.push_back(id_l);
+    if (list == ListKind::kPriority) posted_bits.push_back(e.match_bits);
+  };
+  const auto match = [&] {
+    // Mostly bits of a posted receive; sometimes an unexpected message
+    // that only an overflow buffer can catch.
+    const std::uint64_t bits =
+        rng.uniform() < 0.9 && !posted_bits.empty()
+            ? posted_bits[rng.below(posted_bits.size())]
+            : (std::uint64_t{7} << 40) | rng.below(1 << 20);
+    const auto hit_l = lin.match(bits);
+    const auto hit_h = hsh.match(bits);
+    ASSERT_EQ(hit_l.has_value(), hit_h.has_value()) << "step " << step;
+    if (hit_l) {
+      ASSERT_EQ(hit_l->entry.id, hit_h->entry.id) << "step " << step;
+      EXPECT_EQ(hit_l->entry.buffer_offset, hit_h->entry.buffer_offset);
+      EXPECT_EQ(hit_l->list, hit_h->list);
+    }
+  };
+  const auto unlink = [&] {
+    if (ids.empty()) return;
+    const auto id = ids[rng.below(ids.size())];
+    EXPECT_EQ(lin.unlink(id), hsh.unlink(id)) << "step " << step;
+  };
+
+  // Grow: posts outpace consumption until 10k entries are posted.
+  for (; peak < 10000; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.75) {
+      append();
+    } else if (op < 0.95) {
+      match();
+    } else {
+      unlink();
+    }
+    check_sizes();
+    if (HasFatalFailure()) return;
+    peak = std::max(peak, hsh.priority_size() + hsh.overflow_size());
+  }
+  // Drain: consumption and unlinks outpace posts.
+  for (int i = 0; i < 12000; ++i, ++step) {
+    const double op = rng.uniform();
+    if (op < 0.1) {
+      append();
+    } else if (op < 0.8) {
+      match();
+    } else {
+      unlink();
+    }
+    check_sizes();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(peak, 10000u);
+  EXPECT_LT(hsh.priority_size(), peak) << "the drain phase must consume";
 }
 
 TEST(Packetize, SplitsAtPayloadBoundary) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dataloop/cache.hpp"
@@ -25,6 +27,29 @@ ReceiveConfig vec_cfg(std::int64_t count, std::int64_t block,
   cfg.type = Datatype::hvector(count, block, 2 * block, Datatype::int8());
   cfg.strategy = kind;
   return cfg;
+}
+
+// Invalid configs throw (in every build type) with the field's name.
+void expect_invalid(const ReceiveConfig& cfg, const std::string& field) {
+  try {
+    run_receive(cfg);
+    ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Runner, RejectsMissingType) {
+  ReceiveConfig cfg = vec_cfg(8, 64, StrategyKind::kRwCp);
+  cfg.type = nullptr;
+  expect_invalid(cfg, "ReceiveConfig.type");
+}
+
+TEST(Runner, RejectsZeroCount) {
+  ReceiveConfig cfg = vec_cfg(8, 64, StrategyKind::kRwCp);
+  cfg.count = 0;
+  expect_invalid(cfg, "ReceiveConfig.count");
 }
 
 TEST(Runner, SinglePacketMessage) {

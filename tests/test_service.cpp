@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "ddt/datatype.hpp"
 #include "offload/service.hpp"
@@ -49,6 +51,47 @@ bool runs_equal(const ServiceRun& a, const ServiceRun& b) {
   return true;
 }
 
+// Invalid configs throw (in every build type) with the field's name.
+void expect_invalid(const ServiceConfig& cfg, const std::string& field) {
+  try {
+    run_service(cfg);
+    ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Service, RejectsNoTenants) {
+  ServiceConfig cfg = small_config();
+  cfg.tenants.clear();
+  expect_invalid(cfg, "ServiceConfig.tenants");
+}
+
+TEST(Service, RejectsZeroAdmissionWindow) {
+  ServiceConfig cfg = small_config();
+  cfg.max_inflight = 0;
+  expect_invalid(cfg, "ServiceConfig.max_inflight");
+}
+
+TEST(Service, RejectsTenantWithoutType) {
+  ServiceConfig cfg = small_config();
+  cfg.tenants[1].type = nullptr;
+  expect_invalid(cfg, "ServiceConfig.tenants[1].type");
+}
+
+TEST(Service, RejectsTenantWithZeroCount) {
+  ServiceConfig cfg = small_config();
+  cfg.tenants[0].count = 0;
+  expect_invalid(cfg, "ServiceConfig.tenants[0].count");
+}
+
+TEST(Service, RejectsTenantWithZeroMessages) {
+  ServiceConfig cfg = small_config();
+  cfg.tenants[1].messages = 0;
+  expect_invalid(cfg, "ServiceConfig.tenants[1].messages");
+}
+
 TEST(Service, AllMessagesCompleteAndVerify) {
   ServiceConfig cfg = small_config();
   cfg.validate = true;
@@ -77,18 +120,6 @@ TEST(Service, SeedChangesTheSchedule) {
   cfg.seed = 8;
   const ServiceRun b = run_service(cfg);
   EXPECT_NE(a.makespan, b.makespan);
-}
-
-TEST(Service, HashedAndLinearEnginesAgreeExactly) {
-  ServiceConfig cfg = small_config();
-  cfg.verify_every = 4;
-  cfg.match_engine = p4::MatchEngineKind::kHashed;
-  const ServiceRun h = run_service(cfg);
-  cfg.match_engine = p4::MatchEngineKind::kLinear;
-  const ServiceRun l = run_service(cfg);
-  EXPECT_TRUE(runs_equal(h, l));
-  EXPECT_EQ(h.verify_failures, 0u);
-  EXPECT_EQ(l.verify_failures, 0u);
 }
 
 TEST(Service, AdmissionWindowBackpressures) {

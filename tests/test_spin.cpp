@@ -77,22 +77,24 @@ TEST(NicMemory, PeakBlocksTracksHighWaterMark) {
 }
 
 TEST(NicMemory, RejectPolicyNeverEvicts) {
-  NicMemory mem(1000);
-  mem.set_policy(make_eviction_policy(EvictionPolicyKind::kReject));
+  // Until an owner enables eviction, a full scratchpad rejects the
+  // request: an evictable block stays, and the failure is a plain
+  // alloc failure, not an admission reject.
+  sim::MetricsRegistry reg;
+  NicMemory mem(1000, &reg);
   mem.alloc(800, "a", {.evictable = true});
   EXPECT_EQ(mem.alloc(400, "b"), NicMemory::kInvalid);
   EXPECT_EQ(mem.evictions(), 0u);
-  EXPECT_EQ(mem.admission_rejects(), 1u);
+  EXPECT_EQ(mem.admission_rejects(), 0u);
+  EXPECT_EQ(reg.snapshot().counters.at("nic.mem.alloc_failures"), 1u);
 }
 
 TEST(NicMemory, LruEvictsLeastRecentlyTouched) {
   NicMemory mem(1000);
-  mem.set_policy(make_eviction_policy(EvictionPolicyKind::kLru));
   std::vector<std::string> evicted;
-  mem.set_eviction_callback(
-      [&](NicMemory::Handle, const std::string& tag) {
-        evicted.push_back(tag);
-      });
+  mem.enable_eviction([&](NicMemory::Handle, const std::string& tag) {
+    evicted.push_back(tag);
+  });
   const auto a = mem.alloc(400, "a", {.evictable = true});
   mem.alloc(400, "b", {.evictable = true});
   mem.touch(a);  // b is now the LRU block
@@ -102,25 +104,26 @@ TEST(NicMemory, LruEvictsLeastRecentlyTouched) {
   EXPECT_EQ(mem.evictions(), 1u);
 }
 
-TEST(NicMemory, SizeWeightedEvictsLargestFirst) {
-  NicMemory mem(1000);
-  mem.set_policy(make_eviction_policy(EvictionPolicyKind::kSizeWeighted));
-  std::vector<std::string> evicted;
-  mem.set_eviction_callback(
-      [&](NicMemory::Handle, const std::string& tag) {
-        evicted.push_back(tag);
-      });
-  mem.alloc(200, "small", {.evictable = true});
-  mem.alloc(600, "large", {.evictable = true});
-  ASSERT_NE(mem.alloc(500, "new"), NicMemory::kInvalid);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], "large") << "one large eviction beats two small";
-  EXPECT_EQ(mem.used(), 700u);
+TEST(NicMemory, EvictionStaysOnAfterOwnerDetaches) {
+  // The facade's destructor detaches its callback; blocks it left
+  // behind stay reclaimable, oldest first.
+  sim::MetricsRegistry reg;
+  NicMemory mem(1000, &reg);
+  int seen = 0;
+  mem.enable_eviction([&](NicMemory::Handle, const std::string&) { ++seen; });
+  EXPECT_EQ(reg.snapshot().gauges.count("nic.mem.peak_blocks"), 1u);
+  mem.alloc(200, "old", {.evictable = true});
+  mem.alloc(600, "young", {.evictable = true});
+  mem.enable_eviction({});
+  ASSERT_NE(mem.alloc(300, "new"), NicMemory::kInvalid);
+  EXPECT_EQ(mem.evictions(), 1u);
+  EXPECT_EQ(mem.used(), 900u) << "LRU takes the old block, not the large";
+  EXPECT_EQ(seen, 0);
 }
 
 TEST(NicMemory, PinFencesAgainstEviction) {
   NicMemory mem(1000);
-  mem.set_policy(make_eviction_policy(EvictionPolicyKind::kLru));
+  mem.enable_eviction({});
   const auto a = mem.alloc(600, "a", {.evictable = true});
   mem.pin(a);
   EXPECT_TRUE(mem.is_pinned(a));
@@ -133,7 +136,7 @@ TEST(NicMemory, PinFencesAgainstEviction) {
 
 TEST(NicMemory, PriorityCeilingLimitsVictims) {
   NicMemory mem(1000);
-  mem.set_policy(make_eviction_policy(EvictionPolicyKind::kLru));
+  mem.enable_eviction({});
   mem.alloc(800, "vip", {.priority = 5, .evictable = true});
   // A low-priority requester may not evict the high-priority block...
   EXPECT_EQ(mem.alloc(400, "low", {.priority = 0}), NicMemory::kInvalid);
@@ -145,7 +148,7 @@ TEST(NicMemory, PriorityCeilingLimitsVictims) {
 
 TEST(NicMemory, OversizedRequestFailsWithoutEvicting) {
   NicMemory mem(1000);
-  mem.set_policy(make_eviction_policy(EvictionPolicyKind::kLru));
+  mem.enable_eviction({});
   mem.alloc(400, "a", {.evictable = true});
   EXPECT_EQ(mem.alloc(2000, "huge"), NicMemory::kInvalid);
   EXPECT_EQ(mem.evictions(), 0u) << "cannot ever fit: evicting is waste";
