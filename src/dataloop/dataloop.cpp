@@ -24,7 +24,6 @@ std::int64_t Dataloop::block_count() const {
 }
 
 std::int64_t Dataloop::leaf_block_offset(std::int64_t i) const {
-  assert(leaf);
   NETDDT_CHECK(leaf, "block offset asked of a non-leaf dataloop");
   switch (kind) {
     case LoopKind::kContig:
@@ -42,13 +41,11 @@ std::int64_t Dataloop::leaf_block_offset(std::int64_t i) const {
     case LoopKind::kStruct:
       break;
   }
-  assert(false && "struct loops are never leaves");
   NETDDT_CHECK(kind != LoopKind::kStruct, "struct loops are never leaves");
   return 0;
 }
 
 std::uint64_t Dataloop::leaf_block_bytes(std::int64_t i) const {
-  assert(leaf);
   NETDDT_CHECK(leaf, "block size asked of a non-leaf dataloop");
   if (kind == LoopKind::kIndexed) {
     NETDDT_CHECK(i >= 0 && static_cast<std::size_t>(i) <
@@ -139,7 +136,6 @@ const Dataloop* CompiledDataloop::compile(const ddt::TypePtr& t,
   switch (t->kind()) {
     case ddt::Kind::kElementary:
       // Elementary types are dense; handled above.
-      assert(false);
       NETDDT_CHECK(t->kind() != ddt::Kind::kElementary,
                    "non-dense elementary type reached the compiler");
       break;
@@ -249,7 +245,6 @@ const Dataloop* CompiledDataloop::compile(const ddt::TypePtr& t,
     }
 
     case ddt::Kind::kResized:
-      assert(false && "resized handled before allocation");
       NETDDT_CHECK(t->kind() != ddt::Kind::kResized,
                    "resized wrapper reached the node allocator");
       break;

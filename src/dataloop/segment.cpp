@@ -1,7 +1,6 @@
 #include "dataloop/segment.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 #include "sim/check.hpp"
@@ -10,7 +9,6 @@ namespace netddt::dataloop {
 
 Segment::Segment(const CompiledDataloop& loops)
     : loops_(&loops), total_bytes_(loops.total_bytes()) {
-  assert(loops.depth() <= kMaxDepth && "datatype nests too deeply");
   NETDDT_CHECK(loops.depth() <= kMaxDepth,
                "datatype nests deeper than the fixed segment stack: depth " +
                    std::to_string(loops.depth()));
@@ -45,7 +43,6 @@ std::int64_t Segment::child_base(const Cursor& c) const {
 
 void Segment::descend(const Dataloop* loop, std::int64_t base) {
   for (;;) {
-    assert(depth_ < kMaxDepth);
     NETDDT_CHECK(depth_ < kMaxDepth,
                  "dataloop descent overflows the cursor stack");
     NETDDT_CHECK(loop != nullptr, "descending into a null dataloop child");
@@ -131,24 +128,19 @@ void Segment::pop_and_advance() {
 
 void Segment::advance_stream(std::uint64_t limit, const RegionEmit* emit,
                              ProcessStats& stats) {
-  assert(limit <= total_bytes_);
   NETDDT_CHECK(limit <= total_bytes_,
                "window limit " + std::to_string(limit) +
                    " past the packed stream end " +
                    std::to_string(total_bytes_));
   while (stream_pos_ < limit) {
-    if (sim::check::enabled()) {
-      sim::check::context().stream_offset =
-          static_cast<std::int64_t>(stream_pos_);
-    }
+    sim::check::context().stream_offset =
+        static_cast<std::int64_t>(stream_pos_);
     const bool have = ensure_leaf();
-    assert(have && "stream exhausted before limit");
     NETDDT_CHECK(have, "dataloop walk exhausted " +
                            std::to_string(stream_pos_) +
                            " bytes into a " + std::to_string(total_bytes_) +
                            "-byte stream, " + std::to_string(limit - stream_pos_) +
                            " bytes short of the window limit");
-    (void)have;
     Cursor& top = stack_[depth_ - 1];
     const Dataloop& leaf = *top.loop;
 
@@ -234,7 +226,6 @@ void Segment::advance_stream(std::uint64_t limit, const RegionEmit* emit,
 
 ProcessStats Segment::process(std::uint64_t first, std::uint64_t last,
                               const RegionEmit& emit) {
-  assert(first <= last && last <= total_bytes_);
   NETDDT_CHECK(first <= last, "inverted stream window [" +
                                   std::to_string(first) + ", " +
                                   std::to_string(last) + ")");
@@ -284,7 +275,6 @@ const Checkpoint& CheckpointTable::closest(std::uint64_t pos) const {
   auto it = std::upper_bound(
       table_.begin(), table_.end(), pos,
       [](std::uint64_t p, const Checkpoint& c) { return p < c.stream_pos; });
-  assert(it != table_.begin());
   NETDDT_CHECK(it != table_.begin(),
                "no checkpoint at or before stream position " +
                    std::to_string(pos));

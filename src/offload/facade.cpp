@@ -1,9 +1,10 @@
 #include "offload/facade.hpp"
 
-#include "ddt/normalize.hpp"
-
 #include <algorithm>
-#include <cassert>
+#include <string>
+
+#include "ddt/normalize.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::offload {
 
@@ -31,7 +32,8 @@ void DdtEngine::on_evicted(spin::NicMemory::Handle mem) {
 
 DdtEngine::TypeHandle DdtEngine::commit(ddt::TypePtr type,
                                         TypeAttributes attrs) {
-  assert(type && type->size() > 0);
+  NETDDT_CHECK(type != nullptr && type->size() > 0,
+               "commit needs a non-null datatype of non-zero size");
   Committed c;
   c.type = ddt::normalize(type);
   c.attrs = attrs;
@@ -99,7 +101,9 @@ DdtEngine::PostResult DdtEngine::post_receive(TypeHandle handle,
                                               std::uint64_t length,
                                               std::uint64_t match_bits) {
   auto it = types_.find(handle);
-  assert(it != types_.end() && "post_receive on an uncommitted type");
+  NETDDT_CHECK(it != types_.end(),
+               "post_receive on uncommitted type handle " +
+                   std::to_string(handle));
   const Committed& committed = it->second;
 
   PostResult result{};

@@ -1,10 +1,8 @@
 #include "offload/runner.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -55,7 +53,10 @@ bool regions_hold_stream(const std::byte* base, const ddt::TypePtr& type,
                          std::uint64_t count,
                          std::span<const std::byte> packed,
                          dataloop::PackEngine engine, std::uint64_t window) {
-  assert(packed.size() == type->size() * count && "stream/type mismatch");
+  NETDDT_CHECK(packed.size() == type->size() * count,
+               "sent stream of " + std::to_string(packed.size()) +
+                   " bytes for a type of " + std::to_string(type->size()) +
+                   " bytes x " + std::to_string(count));
   if (packed.empty()) return true;  // packed.data() may be null
   std::shared_ptr<const dataloop::FlatProgram> prog;
   if (engine == dataloop::PackEngine::kProgram) {
@@ -89,9 +90,6 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   if (config.count == 0) {
     throw std::invalid_argument("ReceiveConfig.count must be > 0");
   }
-  std::optional<sim::check::ScopedEnable> check_scope;
-  if (config.validate) check_scope.emplace(true);
-
   // In-network compute (docs/HANDLERS.md): the destination ("logical")
   // size comes from the type as always, but with the kTransform family
   // the wire carries the quantized stream, so the message on the wire is
@@ -194,7 +192,8 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
     // field still selects the kHostUnpack baseline for ablations).
     computep = ComputePlan::create(config.type, config.count, nic.cost(),
                                    config.pack_engine, cc, nic.metrics());
-    assert(computep != nullptr && "compute config not element-eligible");
+    NETDDT_CHECK(computep != nullptr,
+                 "compute config is not element-eligible for this type");
     res.nic_descriptor_bytes = computep->descriptor_bytes();
     nic.memory().alloc(res.nic_descriptor_bytes, "compute",
                        {.pinned = true});

@@ -71,10 +71,6 @@ struct ReceiveConfig {
   /// a stray write there is the differential fuzz oracle's job, which
   /// compares whole `keep_buffer` buffers.
   bool verify = true;
-  /// Force the src/sim/check invariant checker on for this run (same
-  /// effect as SPIN_CHECK=1 but scoped to the calling thread, so
-  /// parallel sweeps can mix validated and plain runs).
-  bool validate = false;
   /// Copy the final receive buffer into ReceiveRun::buffer so callers
   /// (the differential fuzz oracle) can compare whole buffers across
   /// strategies, not just the typed regions.

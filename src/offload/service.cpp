@@ -12,7 +12,6 @@
 #include "fabric/fabric.hpp"
 #include "offload/runner.hpp"
 #include "p4/put.hpp"
-#include "sim/check.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace/sampler.hpp"
 
@@ -250,9 +249,6 @@ ServiceRun run_service(const ServiceConfig& config) {
     if (t.count == 0) throw bad("count must be > 0");
     if (t.messages == 0) throw bad("messages must be > 0");
   }
-  std::optional<sim::check::ScopedEnable> check_scope;
-  if (config.validate) check_scope.emplace(true);
-
   ServiceState st;
   st.config = &config;
   st.geometry.reserve(config.tenants.size());

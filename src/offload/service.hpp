@@ -56,8 +56,6 @@ struct ServiceConfig {
   /// Admission window: receives posted + in flight at any instant.
   std::uint64_t max_inflight = 1024;
   std::uint64_t seed = 1;
-  /// Force the invariant checker on for this run (thread-scoped).
-  bool validate = false;
   /// Verify every Nth completed message of each tenant (0 disables):
   /// its regions must hold the sent stream (regions_hold_stream).
   /// Sampled because full verification of thousands of messages would

@@ -1,32 +1,8 @@
 #include "sim/check.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 namespace netddt::sim::check {
-
-namespace detail {
-
-bool env_enabled() {
-  static const bool on = [] {
-    const char* v = std::getenv("SPIN_CHECK");
-    return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-  }();
-  return on;
-}
-
-}  // namespace detail
-
-void set_thread_enabled(bool on) { detail::state() = on ? 1 : 0; }
-void clear_thread_override() {
-  detail::state() = detail::env_enabled() ? 1 : 0;
-}
-
-ScopedEnable::ScopedEnable(bool on) : saved_(detail::state()) {
-  detail::state() = on ? 1 : 0;
-}
-ScopedEnable::~ScopedEnable() { detail::state() = saved_; }
 
 ScopedContext::ScopedContext(const Context& ctx) : saved_(context()) {
   Context& cur = context();

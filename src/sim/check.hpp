@@ -1,22 +1,14 @@
 #pragma once
-// Opt-in runtime invariant checking for the simulation pipeline.
+// Always-on runtime invariant checking for the simulation pipeline.
 //
-// The hot paths (dataloop walks, segment catch-up, NIC packet dispatch)
-// guard their invariants with plain assert(), which compiles out under
-// -DNDEBUG: a release build that violates one silently corrupts the
-// receive buffer instead of failing. NETDDT_CHECK keeps those invariants
-// compiled in but gated behind a runtime flag, so the differential
-// fuzzer (tests/fuzz) and CI soak runs can turn a silent corruption into
-// a diagnosable error that names the message, packet and stream offset
-// involved.
-//
-// Enabling: set SPIN_CHECK=1 in the environment (process-wide), or set
-// ReceiveConfig::validate, which scopes checking to one run on the
-// calling thread (safe under the --jobs executor: the flag is
-// thread-local). When disabled the only cost per check is one untaken
-// branch on a thread-local flag — no metrics are touched and no
-// allocation happens, so deterministic output (tables, --json reports)
-// is byte-identical to a build without the checker.
+// NIC handlers write straight into the receive buffer, so a broken
+// invariant in a hot path (dataloop walks, segment catch-up, NIC packet
+// dispatch) or a bad caller input would corrupt memory without any
+// error. Plain assert() compiles out under -DNDEBUG; NETDDT_CHECK stays
+// in every build type and tests only its condition. A passing check
+// costs one compare and one untaken branch: no metrics are touched and
+// nothing is allocated, so deterministic output (tables, --json
+// reports) does not depend on the checks.
 //
 // Failure model: a violated check throws check::Violation carrying the
 // formatted expression, source location, and the current Context (msg
@@ -29,42 +21,6 @@
 #include <string>
 
 namespace netddt::sim::check {
-
-namespace detail {
-// SPIN_CHECK environment switch (read once, cached). Out of line so the
-// header never touches getenv.
-bool env_enabled();
-
-// Per-thread on/off flag, seeded from SPIN_CHECK on first use. A
-// function-local thread_local (not a namespace-scope extern one): every
-// TU then emits its own correct TLS access, which sidesteps the GCC
-// TLS-wrapper codegen that UBSan flags as a null load on threads other
-// than the one that first initialized the variable.
-inline int& state() {
-  thread_local int s = env_enabled() ? 1 : 0;
-  return s;
-}
-}  // namespace detail
-
-/// True when invariant checks are live on this thread.
-inline bool enabled() { return detail::state() != 0; }
-
-/// Force checking on/off for the current thread (ReceiveConfig.validate).
-void set_thread_enabled(bool on);
-/// Back to inheriting SPIN_CHECK.
-void clear_thread_override();
-
-/// RAII thread-local enable, restoring the previous state.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true);
-  ~ScopedEnable();
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-
- private:
-  int saved_;
-};
 
 /// What the pipeline was doing when a check fired. Installed by the
 /// layers that know (NIC dispatch sets msg/packet, segment walks set the
@@ -82,8 +38,7 @@ inline Context& context() {
 }
 
 /// RAII context patch: overwrites the given fields, restores on exit.
-/// Constructing one is a few stores — callers still gate on enabled()
-/// when they sit on a per-packet path.
+/// Constructing one is a few stores.
 class ScopedContext {
  public:
   explicit ScopedContext(const Context& ctx);
@@ -112,12 +67,12 @@ class Violation : public std::runtime_error {
 
 }  // namespace netddt::sim::check
 
-/// Checked invariant: no-op unless check::enabled(); throws
+/// Checked invariant, compiled into every build type: throws
 /// check::Violation (with `detail`, which is only evaluated on failure)
 /// when the condition is false.
-#define NETDDT_CHECK(cond, detail)                                        \
-  do {                                                                    \
-    if (::netddt::sim::check::enabled() && !(cond)) [[unlikely]] {        \
-      ::netddt::sim::check::fail(#cond, __FILE__, __LINE__, (detail));    \
-    }                                                                     \
+#define NETDDT_CHECK(cond, detail)                                     \
+  do {                                                                 \
+    if (!(cond)) [[unlikely]] {                                        \
+      ::netddt::sim::check::fail(#cond, __FILE__, __LINE__, (detail)); \
+    }                                                                  \
   } while (0)

@@ -1,6 +1,5 @@
 #include "spin/nic.hpp"
 
-#include <cassert>
 #include <string>
 
 #include "sim/check.hpp"
@@ -265,14 +264,11 @@ void NicModel::deliver_spin(MsgState& st, const p4::Packet& pkt) {
             // Handler-completion bookkeeping happens at simulated end.
             const std::uint32_t staged = pkt_copy.payload_bytes;
             engine_->schedule(runtime, [this, &st, staged, run_header] {
-              assert(st.outstanding > 0);
               NETDDT_CHECK(st.outstanding > 0,
                            "handler completed for msg " +
                                std::to_string(st.msg_id) +
                                " with no handlers outstanding");
               --st.outstanding;
-              assert(pkt_buffer_->value() >=
-                     static_cast<std::int64_t>(staged));
               NETDDT_CHECK(pkt_buffer_->value() >=
                                static_cast<std::int64_t>(staged),
                            "packet-buffer accounting went negative "

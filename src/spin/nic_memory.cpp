@@ -88,7 +88,6 @@ void NicMemory::release(Handle h, bool evicted) {
   const auto it = blocks_.find(h);
   NETDDT_CHECK(it != blocks_.end(),
                "double free of NIC memory handle " + std::to_string(h));
-  if (it == blocks_.end()) return;
   const std::string tag = std::move(it->second.tag);
   used_->sub(static_cast<std::int64_t>(it->second.bytes));
   frees_->add(1);
@@ -113,7 +112,6 @@ void NicMemory::touch(Handle h) {
   const auto it = blocks_.find(h);
   NETDDT_CHECK(it != blocks_.end(),
                "touch of unknown NIC memory handle " + std::to_string(h));
-  if (it == blocks_.end()) return;
   it->second.last_touch = ++touch_clock_;
 }
 
@@ -121,7 +119,6 @@ void NicMemory::pin(Handle h) {
   const auto it = blocks_.find(h);
   NETDDT_CHECK(it != blocks_.end(),
                "pin of unknown NIC memory handle " + std::to_string(h));
-  if (it == blocks_.end()) return;
   it->second.pinned = true;
 }
 
@@ -129,7 +126,6 @@ void NicMemory::unpin(Handle h) {
   const auto it = blocks_.find(h);
   NETDDT_CHECK(it != blocks_.end(),
                "unpin of unknown NIC memory handle " + std::to_string(h));
-  if (it == blocks_.end()) return;
   it->second.pinned = false;
 }
 

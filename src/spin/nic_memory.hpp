@@ -77,8 +77,7 @@ class NicMemory {
   Handle alloc(std::uint64_t bytes, std::string tag,
                const AllocOptions& options);
 
-  /// Release; double frees raise a NETDDT_CHECK violation naming the
-  /// handle (and are a safe no-op with the checker off).
+  /// Release; a double free is a NETDDT_CHECK violation naming the handle.
   void free(Handle h);
 
   /// Refresh the block's recency stamp (LRU input) — call on every

@@ -240,7 +240,6 @@ OracleOutcome run_oracle(
     // handler and program-based verify run under the same oracle.
     rc.pack_engine = (fc.seed & 1) != 0 ? dataloop::PackEngine::kProgram
                                         : dataloop::PackEngine::kInterpreter;
-    rc.validate = true;
     rc.keep_buffer = true;
     offload::ReceiveRun run;
     try {
@@ -315,7 +314,6 @@ OracleOutcome run_oracle(
     rc.faults = faults;
     rc.pack_engine = (fc.seed & 1) != 0 ? dataloop::PackEngine::kProgram
                                         : dataloop::PackEngine::kInterpreter;
-    rc.validate = true;
     try {
       const auto run = offload::run_receive(rc);
       if (!run.result.verified) {
@@ -353,7 +351,6 @@ OracleOutcome run_oracle(
       rc.faults = faults;
       rc.pack_engine = engine;
       rc.compute = fc.cc;
-      rc.validate = true;
       rc.keep_buffer = true;
       offload::ReceiveRun run;
       try {

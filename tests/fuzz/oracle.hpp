@@ -5,9 +5,9 @@
 // agree — byte-identical receive buffers against the ddt::unpack
 // reference (whole buffers, so stray DMA writes outside the typed
 // regions are caught too), and consistent NIC metrics (unique-packet
-// counts, DMA byte totals). The invariant checker (src/sim/check) runs
-// enabled for every simulation, so internal violations surface even
-// when the final bytes happen to be right.
+// counts, DMA byte totals). The invariant checks (src/sim/check) are
+// always on, so internal violations surface even when the final bytes
+// happen to be right.
 //
 // A host-side three-way byte-engine differential runs first: the
 // compiled flat program (dataloop/program.hpp), the Segment interpreter

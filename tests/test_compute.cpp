@@ -17,6 +17,7 @@
 #include "ddt/datatype.hpp"
 #include "offload/compute_plan.hpp"
 #include "offload/runner.hpp"
+#include "sim/check.hpp"
 #include "spin/compute.hpp"
 
 namespace netddt {
@@ -159,7 +160,6 @@ offload::ReceiveConfig compute_config(ddt::TypePtr type,
   cfg.type = std::move(type);
   cfg.strategy = StrategyKind::kRwCp;
   cfg.compute = cc;
-  cfg.validate = true;
   return cfg;
 }
 
@@ -300,6 +300,17 @@ TEST(ComputePlanEligibility, ElementMayNotSpanRegions) {
   EXPECT_TRUE(ComputePlan::elem_eligible(type, 1, cc));  // 12 % 4 == 0
   cc.elem = ElemType::kInt64;
   EXPECT_FALSE(ComputePlan::elem_eligible(type, 1, cc));  // 12 % 8 != 0
+}
+
+TEST(ComputeReceive, IneligibleConfigIsAViolation) {
+  // 12 logical bytes are not whole int64s: run_receive refuses the
+  // compute config instead of running without a plan.
+  ComputeConfig cc;
+  cc.family = HandlerFamily::kReduce;
+  cc.elem = ElemType::kInt64;
+  const auto cfg =
+      compute_config(Datatype::vector(4, 3, 5, Datatype::int8()), cc);
+  EXPECT_THROW(offload::run_receive(cfg), sim::check::Violation);
 }
 
 TEST(ComputeReceive, DescriptorBytesCoverTheWalkState) {

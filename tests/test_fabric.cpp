@@ -102,9 +102,8 @@ CollectiveConfig base_config(CollectiveKind kind) {
 }
 
 TEST(Fabric, SendToUnattachedNodeIsAViolation) {
-  // Preconditions are NETDDT_CHECKs, live in every build type once the
-  // checker is on, and name the route and message.
-  sim::check::ScopedEnable checks;
+  // Preconditions are NETDDT_CHECKs, live in every build type, and name
+  // the route and message.
   sim::Engine engine;
   FabricConfig fc;
   fc.topology = small_fat_tree(4);
@@ -264,6 +263,24 @@ TEST(Collectives, LossyReduceScatterSkipsFailedWindows) {
   EXPECT_EQ(run.completed + run.failed, run.messages);
   EXPECT_EQ(run.mismatched_windows, 0u);
   EXPECT_EQ(run.verified_windows + run.skipped_windows, 8u * 2);
+}
+
+TEST(Collectives, InvalidConfigIsRejected) {
+  auto one_node = base_config(CollectiveKind::kAlltoall);
+  one_node.fabric.topology = small_fat_tree(1);
+  EXPECT_THROW(run_collective(one_node), sim::check::Violation);
+
+  auto no_rounds = base_config(CollectiveKind::kAlltoall);
+  no_rounds.rounds = 0;
+  EXPECT_THROW(run_collective(no_rounds), sim::check::Violation);
+
+  auto ragged = base_config(CollectiveKind::kAlltoall);
+  ragged.block_bytes = 1000;  // not a multiple of the 256-byte row
+  EXPECT_THROW(run_collective(ragged), sim::check::Violation);
+
+  auto split_elem = base_config(CollectiveKind::kReduceScatter);
+  split_elem.block_bytes = 1026;  // not whole int32s
+  EXPECT_THROW(run_collective(split_elem), sim::check::Violation);
 }
 
 TEST(Collectives, RunsAreDeterministic) {

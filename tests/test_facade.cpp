@@ -10,6 +10,7 @@
 #include "fabric/fabric.hpp"
 #include "offload/facade.hpp"
 #include "p4/put.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::offload {
 namespace {
@@ -206,6 +207,21 @@ TEST_F(FacadeFixture, FreeTypeReleasesNicMemory) {
   EXPECT_GT(used, 0u);
   engine.free_type(h);
   EXPECT_LT(nic.memory().used(), used);
+}
+
+TEST_F(FacadeFixture, CommitOfNullOrEmptyTypeIsAViolation) {
+  EXPECT_THROW(engine.commit(nullptr), sim::check::Violation);
+  EXPECT_THROW(engine.commit(Datatype::contiguous(0, Datatype::int8())),
+               sim::check::Violation);
+}
+
+TEST_F(FacadeFixture, PostOnUncommittedHandleIsAViolation) {
+  const auto h = engine.commit(vec(128));
+  engine.free_type(h);
+  EXPECT_THROW(engine.post_receive(h, 1, 0, 1 << 20, 7),
+               sim::check::Violation);
+  EXPECT_THROW(engine.post_receive(h + 1, 1, 0, 1 << 20, 7),
+               sim::check::Violation);
 }
 
 }  // namespace

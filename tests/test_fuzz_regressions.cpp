@@ -44,7 +44,6 @@ TEST(ZeroSize, ReceiveCompletesOnEveryStrategy) {
     rc.type = type;
     rc.count = 3;
     rc.strategy = strategy;
-    rc.validate = true;
     const auto run = netddt::offload::run_receive(rc);
     EXPECT_TRUE(run.result.verified);
     EXPECT_EQ(run.result.message_bytes, 0u);
@@ -117,7 +116,6 @@ TEST(ResizedNegativeLb, ReceiveShiftsTheBuffer) {
     rc.type = type;
     rc.count = 4;
     rc.strategy = strategy;
-    rc.validate = true;
     rc.keep_buffer = true;
     const auto run = netddt::offload::run_receive(rc);
     EXPECT_TRUE(run.result.verified);

@@ -110,8 +110,7 @@ TEST_F(LinkFixture, PacedSendWaitsForReadyTimes) {
 
 TEST_F(LinkFixture, ReadyTimesMustMatchPackets) {
   // A ready vector of the wrong length is a NETDDT_CHECK violation,
-  // live in every build type once the checker is on.
-  sim::check::ScopedEnable checks;
+  // live in every build type.
   const auto pkts = p4::packetize(1, 1, data);
   const std::vector<sim::Time> ready(pkts.size() - 1, 0);
   EXPECT_THROW(link.send(0, 1, pkts, 0, ready), sim::check::Violation);

@@ -201,7 +201,6 @@ TEST_P(Matching, SizesTrackAppendUnlinkAndMatch) {
 }
 
 TEST_P(Matching, AppendWithPresetIdViolatesCheck) {
-  sim::check::ScopedEnable checks(true);
   MatchEntry e = me(1);
   e.id = 42;  // handles are assigned by the MatchList, never the caller
   EXPECT_THROW(ml.append(ListKind::kPriority, e), sim::check::Violation);

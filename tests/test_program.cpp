@@ -227,8 +227,10 @@ TEST(ProgramExec, PackerUnpackerProgramEngineMatchesInterpreter) {
   std::vector<std::byte> a(loops.total_bytes()), b(loops.total_bytes());
   std::uint64_t pa = 0, pb = 0;
   while (!interp.done()) {
-    pa += interp.pack(std::span<std::byte>(a).subspan(pa, 13));
-    pb += programmed.pack(std::span<std::byte>(b).subspan(pb, 13));
+    pa += interp.pack(std::span<std::byte>(a).subspan(
+        pa, std::min<std::uint64_t>(13, a.size() - pa)));
+    pb += programmed.pack(std::span<std::byte>(b).subspan(
+        pb, std::min<std::uint64_t>(13, b.size() - pb)));
   }
   EXPECT_TRUE(programmed.done());
   EXPECT_EQ(a, b);

@@ -92,9 +92,7 @@ TEST(Sender, SingleRegionMessage) {
 }
 
 TEST(Sender, MissingTypeOrCountIsAViolation) {
-  // The config precondition is a NETDDT_CHECK, live in every build type
-  // once the checker is on.
-  sim::check::ScopedEnable checks;
+  // The config precondition is a NETDDT_CHECK, live in every build type.
   EXPECT_THROW(run_send(cfg(nullptr, SendStrategy::kPackSend)),
                sim::check::Violation);
   EXPECT_THROW(run_send(cfg(strided(4, 64), SendStrategy::kPackSend, 0)),

@@ -94,7 +94,6 @@ TEST(Service, RejectsTenantWithZeroMessages) {
 
 TEST(Service, AllMessagesCompleteAndVerify) {
   ServiceConfig cfg = small_config();
-  cfg.validate = true;
   cfg.verify_every = 1;  // verify every message on this small run
   const ServiceRun run = run_service(cfg);
   for (const auto& ts : run.tenants) {
@@ -144,7 +143,6 @@ TEST(Service, SymmetricTenantsAreFair) {
 TEST(Service, BurstyArrivalsStillDrain) {
   ServiceConfig cfg = small_config();
   for (auto& t : cfg.tenants) t.arrivals.kind = sim::ArrivalKind::kOnOff;
-  cfg.validate = true;
   const ServiceRun run = run_service(cfg);
   for (const auto& ts : run.tenants) EXPECT_EQ(ts.completed, ts.offered);
   EXPECT_EQ(run.verify_failures, 0u);
@@ -163,7 +161,6 @@ TEST(Service, LossyWireAtHighLoadVerifiesEveryMessage) {
   cfg.faults.dup_rate = 0.05;
   cfg.faults.reorder_rate = 0.1;
   cfg.faults.seed = 31;
-  cfg.validate = true;
   cfg.verify_every = 1;
   const ServiceRun run = run_service(cfg);
   for (const auto& ts : run.tenants) {

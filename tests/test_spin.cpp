@@ -44,11 +44,7 @@ TEST(NicMemory, DoubleFreeViolatesCheck) {
   NicMemory mem(1000);
   const auto a = mem.alloc(100, "a");
   mem.free(a);
-  {
-    sim::check::ScopedEnable checks(true);
-    EXPECT_THROW(mem.free(a), sim::check::Violation);
-  }
-  mem.free(a);  // checker off: safe no-op
+  EXPECT_THROW(mem.free(a), sim::check::Violation);
   EXPECT_EQ(mem.used(), 0u);
 }
 
@@ -495,7 +491,6 @@ TEST(DmaFifo, RunUntilCountsEveryWriteDueByTheDeadline) {
 }
 
 TEST(DmaFifo, BadWriteIsAViolationAtTheIssuingCall) {
-  sim::check::ScopedEnable checks;
   sim::Engine eng;
   CostModel cost;
   std::vector<std::byte> host(64);
