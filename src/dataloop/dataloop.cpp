@@ -1,12 +1,21 @@
 #include "dataloop/dataloop.hpp"
 
-#include <cassert>
 #include <string>
 
 #include "ddt/normalize.hpp"
 #include "sim/check.hpp"
 
 namespace netddt::dataloop {
+
+namespace {
+
+/// Checked before normalize() dereferences it.
+const ddt::TypePtr& non_null(const ddt::TypePtr& type) {
+  NETDDT_CHECK(type != nullptr, "cannot compile a null datatype");
+  return type;
+}
+
+}  // namespace
 
 std::int64_t Dataloop::block_count() const {
   switch (kind) {
@@ -75,8 +84,7 @@ std::uint64_t Dataloop::serialized_bytes() const {
 }
 
 CompiledDataloop::CompiledDataloop(ddt::TypePtr type, std::uint64_t count)
-    : type_(ddt::normalize(type)), count_(count) {
-  assert(type_ && "cannot compile a null datatype");
+    : type_(ddt::normalize(non_null(type))), count_(count) {
   root_extent_ = type_->extent();
   if (type_->size() == 0) {
     // Zero-size datatype (zero-count loop, empty struct, ...): compile to

@@ -1,7 +1,9 @@
 #include "ddt/darray.hpp"
 
-#include <cassert>
+#include <string>
 #include <vector>
+
+#include "sim/check.hpp"
 
 namespace netddt::ddt {
 namespace {
@@ -32,15 +34,23 @@ TypePtr darray(std::int64_t rank, std::span<const std::int64_t> gsizes,
                std::span<const std::int64_t> psizes, TypePtr base,
                bool c_order) {
   const std::size_t ndims = gsizes.size();
-  assert(ndims > 0 && distribs.size() == ndims && dargs.size() == ndims &&
-         psizes.size() == ndims);
-  assert(base && base->extent() >= 0);
+  NETDDT_CHECK(ndims > 0 && distribs.size() == ndims &&
+                   dargs.size() == ndims && psizes.size() == ndims,
+               "darray: " + std::to_string(ndims) + " gsizes, " +
+                   std::to_string(distribs.size()) + " distribs, " +
+                   std::to_string(dargs.size()) + " dargs, " +
+                   std::to_string(psizes.size()) + " psizes");
+  NETDDT_CHECK(base, "darray: null base type");
+  NETDDT_CHECK(base->extent() >= 0,
+               "darray: base extent " + std::to_string(base->extent()));
 
   // Grid coordinates of `rank` (row-major over psizes, per MPI).
   std::vector<std::int64_t> coords(ndims);
   std::int64_t grid = 1;
   for (auto p : psizes) grid *= p;
-  assert(rank >= 0 && rank < grid);
+  NETDDT_CHECK(rank >= 0 && rank < grid,
+               "darray: rank " + std::to_string(rank) + " outside a " +
+                   std::to_string(grid) + "-process grid");
   std::int64_t rem = rank;
   for (std::size_t d = ndims; d-- > 0;) {
     coords[d] = rem % psizes[d];
@@ -53,10 +63,14 @@ TypePtr darray(std::int64_t rank, std::span<const std::int64_t> gsizes,
     const std::size_t d = c_order ? k : ndims - 1 - k;
     const std::int64_t n = gsizes[d];
     const std::int64_t p = psizes[d];
-    assert(n > 0 && p > 0);
+    NETDDT_CHECK(n > 0 && p > 0, "darray: dim " + std::to_string(d) +
+                                     " gsize " + std::to_string(n) +
+                                     ", psize " + std::to_string(p));
     switch (distribs[d]) {
       case Distribution::kNone: {
-        assert(p == 1 && "kNone requires a single process in the dim");
+        NETDDT_CHECK(p == 1, "darray: kNone dim " + std::to_string(d) +
+                                 " needs a single process, not " +
+                                 std::to_string(p));
         const std::int64_t ex = t->extent();
         t = Datatype::resized(Datatype::contiguous(n, std::move(t)), 0,
                               n * ex);
@@ -65,13 +79,18 @@ TypePtr darray(std::int64_t rank, std::span<const std::int64_t> gsizes,
       case Distribution::kBlock: {
         std::int64_t b = dargs[d];
         if (b == kDefaultDarg) b = (n + p - 1) / p;  // ceil(n/p)
-        assert(b * p >= n && "block size too small to cover the dim");
+        NETDDT_CHECK(b * p >= n, "darray: block " + std::to_string(b) +
+                                     " x " + std::to_string(p) +
+                                     " processes cannot cover dim " +
+                                     std::to_string(d) + " of " +
+                                     std::to_string(n));
         t = distribute_dim(n, p, coords[d], b, std::move(t));
         break;
       }
       case Distribution::kCyclic: {
         const std::int64_t b = dargs[d] == kDefaultDarg ? 1 : dargs[d];
-        assert(b > 0);
+        NETDDT_CHECK(b > 0, "darray: cyclic block " + std::to_string(b) +
+                                " in dim " + std::to_string(d));
         t = distribute_dim(n, p, coords[d], b, std::move(t));
         break;
       }

@@ -4,6 +4,9 @@
 #include <cassert>
 #include <numeric>
 #include <sstream>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::ddt {
 
@@ -361,7 +364,8 @@ TypePtr Datatype::elementary(std::uint64_t size, std::string name) {
 }
 
 TypePtr Datatype::contiguous(std::int64_t count, TypePtr base) {
-  assert(count >= 0 && base);
+  NETDDT_CHECK(base, "contiguous: null base type");
+  NETDDT_CHECK(count >= 0, "contiguous: count " + std::to_string(count));
   auto t = make(Kind::kContiguous);
   t->count_ = count;
   t->children_.push_back(std::move(base));
@@ -371,14 +375,17 @@ TypePtr Datatype::contiguous(std::int64_t count, TypePtr base) {
 
 TypePtr Datatype::vector(std::int64_t count, std::int64_t blocklen,
                          std::int64_t stride, TypePtr base) {
-  assert(base);
+  NETDDT_CHECK(base, "vector: null base type");
   const std::int64_t stride_bytes = stride * base->extent();
   return hvector(count, blocklen, stride_bytes, std::move(base));
 }
 
 TypePtr Datatype::hvector(std::int64_t count, std::int64_t blocklen,
                           std::int64_t stride_bytes, TypePtr base) {
-  assert(count >= 0 && blocklen >= 0 && base);
+  NETDDT_CHECK(base, "hvector: null base type");
+  NETDDT_CHECK(count >= 0 && blocklen >= 0,
+               "hvector: count " + std::to_string(count) + ", blocklen " +
+                   std::to_string(blocklen));
   auto t = make(Kind::kVector);
   t->count_ = count;
   t->blocklen_ = blocklen;
@@ -391,7 +398,7 @@ TypePtr Datatype::hvector(std::int64_t count, std::int64_t blocklen,
 TypePtr Datatype::indexed_block(std::int64_t blocklen,
                                 std::span<const std::int64_t> displs,
                                 TypePtr base) {
-  assert(base);
+  NETDDT_CHECK(base, "indexed_block: null base type");
   std::vector<std::int64_t> bytes(displs.begin(), displs.end());
   for (auto& d : bytes) d *= base->extent();
   return hindexed_block(blocklen, bytes, std::move(base));
@@ -400,7 +407,9 @@ TypePtr Datatype::indexed_block(std::int64_t blocklen,
 TypePtr Datatype::hindexed_block(std::int64_t blocklen,
                                  std::span<const std::int64_t> displs_bytes,
                                  TypePtr base) {
-  assert(blocklen >= 0 && base);
+  NETDDT_CHECK(base, "hindexed_block: null base type");
+  NETDDT_CHECK(blocklen >= 0,
+               "hindexed_block: blocklen " + std::to_string(blocklen));
   auto t = make(Kind::kIndexedBlock);
   t->blocklen_ = blocklen;
   t->displs_.assign(displs_bytes.begin(), displs_bytes.end());
@@ -412,7 +421,7 @@ TypePtr Datatype::hindexed_block(std::int64_t blocklen,
 TypePtr Datatype::indexed(std::span<const std::int64_t> blocklens,
                           std::span<const std::int64_t> displs,
                           TypePtr base) {
-  assert(base);
+  NETDDT_CHECK(base, "indexed: null base type");
   std::vector<std::int64_t> bytes(displs.begin(), displs.end());
   for (auto& d : bytes) d *= base->extent();
   return hindexed(blocklens, bytes, std::move(base));
@@ -421,7 +430,11 @@ TypePtr Datatype::indexed(std::span<const std::int64_t> blocklens,
 TypePtr Datatype::hindexed(std::span<const std::int64_t> blocklens,
                            std::span<const std::int64_t> displs_bytes,
                            TypePtr base) {
-  assert(blocklens.size() == displs_bytes.size() && base);
+  NETDDT_CHECK(base, "hindexed: null base type");
+  NETDDT_CHECK(blocklens.size() == displs_bytes.size(),
+               "hindexed: " + std::to_string(blocklens.size()) +
+                   " blocklens for " + std::to_string(displs_bytes.size()) +
+                   " displacements");
   auto t = make(Kind::kIndexed);
   t->blocklens_.assign(blocklens.begin(), blocklens.end());
   t->displs_.assign(displs_bytes.begin(), displs_bytes.end());
@@ -433,8 +446,15 @@ TypePtr Datatype::hindexed(std::span<const std::int64_t> blocklens,
 TypePtr Datatype::struct_type(std::span<const std::int64_t> blocklens,
                               std::span<const std::int64_t> displs_bytes,
                               std::span<const TypePtr> types) {
-  assert(blocklens.size() == displs_bytes.size() &&
-         blocklens.size() == types.size());
+  NETDDT_CHECK(blocklens.size() == displs_bytes.size() &&
+                   blocklens.size() == types.size(),
+               "struct_type: " + std::to_string(blocklens.size()) +
+                   " blocklens, " + std::to_string(displs_bytes.size()) +
+                   " displacements, " + std::to_string(types.size()) +
+                   " types");
+  for (const TypePtr& child : types) {
+    NETDDT_CHECK(child, "struct_type: null member type");
+  }
   auto t = make(Kind::kStruct);
   t->blocklens_.assign(blocklens.begin(), blocklens.end());
   t->displs_.assign(displs_bytes.begin(), displs_bytes.end());
@@ -448,8 +468,11 @@ TypePtr Datatype::subarray(std::span<const std::int64_t> sizes,
                            std::span<const std::int64_t> starts, TypePtr base,
                            bool c_order) {
   const std::size_t ndims = sizes.size();
-  assert(ndims > 0 && subsizes.size() == ndims && starts.size() == ndims);
-  assert(base);
+  NETDDT_CHECK(base, "subarray: null base type");
+  NETDDT_CHECK(ndims > 0 && subsizes.size() == ndims && starts.size() == ndims,
+               "subarray: " + std::to_string(ndims) + " sizes, " +
+                   std::to_string(subsizes.size()) + " subsizes, " +
+                   std::to_string(starts.size()) + " starts");
 
   // Normalize to C order: dims[0] is outermost, dims[ndims-1] contiguous.
   std::vector<std::size_t> dims(ndims);
@@ -469,9 +492,14 @@ TypePtr Datatype::subarray(std::span<const std::int64_t> sizes,
 
   std::int64_t start_off = 0;
   for (std::size_t k = 0; k < ndims; ++k) {
-    assert(subsizes[dims[k]] >= 0 && starts[dims[k]] >= 0);
-    assert(starts[dims[k]] + subsizes[dims[k]] <= sizes[dims[k]]);
-    start_off += starts[dims[k]] * row_ext[k];
+    const std::size_t d = dims[k];
+    NETDDT_CHECK(subsizes[d] >= 0 && starts[d] >= 0 &&
+                     starts[d] + subsizes[d] <= sizes[d],
+                 "subarray: dim " + std::to_string(d) + " start " +
+                     std::to_string(starts[d]) + " + subsize " +
+                     std::to_string(subsizes[d]) + " outside size " +
+                     std::to_string(sizes[d]));
+    start_off += starts[d] * row_ext[k];
   }
 
   TypePtr t = contiguous(subsizes[dims[ndims - 1]], std::move(base));
@@ -485,7 +513,8 @@ TypePtr Datatype::subarray(std::span<const std::int64_t> sizes,
 
 TypePtr Datatype::resized(TypePtr base, std::int64_t lb,
                           std::int64_t extent) {
-  assert(base && extent >= 0);
+  NETDDT_CHECK(base, "resized: null base type");
+  NETDDT_CHECK(extent >= 0, "resized: extent " + std::to_string(extent));
   auto t = make(Kind::kResized);
   t->lb_ = lb;
   t->ub_ = lb + extent;

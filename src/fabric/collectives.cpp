@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "ddt/datatype.hpp"
@@ -37,13 +38,13 @@ ddt::TypePtr elem_type(spin::ElemType e) {
   return ddt::Datatype::int32();
 }
 
-/// One offered message: (round r, source s, destination d). Payload and
-/// packets are built up front and stay at stable addresses for the
-/// simulation's lifetime (forwarding events hold pointers into them).
+/// One offered message: (round r, source s, destination d). Its payload
+/// exists from the offer instant to the message's release (see
+/// Driver::release), not for the whole run; it is empty outside that.
 struct Msg {
-  std::uint64_t msg_id = 0;
-  std::uint32_t r = 0, s = 0, d = 0;
   std::vector<std::byte> payload;
+  /// Lossless only: the fabric forwards these headers hop by hop (a
+  /// reliable put keeps its own copy).
   std::vector<p4::Packet> packets;
   bool done = false;
   bool failed = false;
@@ -55,6 +56,10 @@ struct Driver {
   std::uint64_t block;
   bool lossy;
   bool reduce;  // streaming-reduction landing (offloaded reduce-scatter)
+  // No copy can read a payload once its message is done: lossless
+  // routes deliver every copy before the completion, and the RMW landing
+  // drops duplicates unread. Otherwise payloads wait for the run's end.
+  bool release_at_done;
 
   sim::Engine engine;
   Fabric fabric;
@@ -66,12 +71,17 @@ struct Driver {
   std::uint64_t extent = 0;
   std::uint64_t slot_stride = 0;
   std::vector<std::unique_ptr<offload::SpecializedPlan>> plans;
+  std::vector<std::byte> ref;  // one slot's expected contents
 
   // Streaming-reduction landing.
   spin::ComputeConfig cc;
   std::vector<std::unique_ptr<offload::ComputePlan>> cplans;
+  // Expected contents of every (destination, round) window: the init
+  // fill, with each contribution folded in as it is built.
+  std::vector<std::byte> expected;
 
   std::vector<Msg> msgs;
+  std::uint64_t live_payload_bytes = 0;
   std::vector<sim::Time> offers;             // (s, r) -> offer instant
   std::vector<sim::Time> round_first_offer;  // per round
   std::vector<sim::Time> round_last_done;    // per round, -1 = none
@@ -85,6 +95,7 @@ struct Driver {
         lossy(config.faults.active()),
         reduce(config.kind == CollectiveKind::kReduceScatter &&
                config.offload),
+        release_at_done(!lossy || reduce),
         fabric(engine, config.fabric) {}
 
   std::uint64_t msg_index(std::uint32_t r, std::uint32_t s,
@@ -93,13 +104,19 @@ struct Driver {
     return (static_cast<std::uint64_t>(r) * P + s) * (P - 1) + step;
   }
 
-  std::uint64_t payload_seed(const Msg& m) const {
+  std::uint64_t msg_id(std::uint32_t r, std::uint32_t s,
+                       std::uint32_t d) const {
+    return (static_cast<std::uint64_t>(r) * P + s) * P + d + 1;
+  }
+
+  std::uint64_t payload_seed(std::uint32_t r, std::uint32_t s,
+                             std::uint32_t d) const {
     // Allgather broadcasts one block per (round, source); the other
     // kinds send distinct per-destination blocks.
     const std::uint64_t key =
         cfg.kind == CollectiveKind::kAllgather
-            ? static_cast<std::uint64_t>(m.r) * P + m.s
-            : m.msg_id;
+            ? static_cast<std::uint64_t>(r) * P + s
+            : msg_id(r, s, d);
     return cfg.seed ^ (key * 0x9E3779B97F4A7C15ull);
   }
 
@@ -107,6 +124,11 @@ struct Driver {
     return cfg.seed ^
            ((static_cast<std::uint64_t>(d) * cfg.rounds + r + 1) *
             0xD1B54A32D192ED03ull);
+  }
+
+  std::byte* expected_window(std::uint32_t d, std::uint32_t r) {
+    return expected.data() +
+           (static_cast<std::uint64_t>(d) * cfg.rounds + r) * block;
   }
 
   void build_nodes() {
@@ -121,6 +143,9 @@ struct Driver {
       cc.op = cfg.op;
       cc.elem = cfg.elem;
       host_bytes = static_cast<std::uint64_t>(cfg.rounds) * block;
+      if (cfg.verify) {
+        expected.resize(static_cast<std::uint64_t>(P) * cfg.rounds * block);
+      }
     } else if (cfg.offload) {
       NETDDT_CHECK(block % kRowBytes == 0,
                    "block_bytes must be a multiple of 256");
@@ -140,6 +165,7 @@ struct Driver {
       host_bytes =
           static_cast<std::uint64_t>(cfg.rounds) * P * slot_stride;
     }
+    if (!reduce) ref.resize(slot_stride);
 
     hosts.reserve(P);
     nics.reserve(P);
@@ -169,6 +195,10 @@ struct Driver {
               hosts.back()->memory().data() +
                   static_cast<std::uint64_t>(r) * block,
               0, window_seed(n, r));
+          if (cfg.verify) {
+            cplans.back()->init_fill(expected_window(n, r), 0,
+                                     window_seed(n, r));
+          }
         }
       } else if (cfg.offload) {
         plans.push_back(offload::SpecializedPlan::create(
@@ -210,34 +240,6 @@ struct Driver {
     }
   }
 
-  void build_messages() {
-    msgs.resize(static_cast<std::uint64_t>(cfg.rounds) * P * (P - 1));
-    for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
-      for (std::uint32_t s = 0; s < P; ++s) {
-        for (std::uint32_t step = 0; step + 1 < P; ++step) {
-          const std::uint32_t d = (s + 1 + step) % P;
-          Msg& m = msgs[msg_index(r, s, d)];
-          m.r = r;
-          m.s = s;
-          m.d = d;
-          m.msg_id =
-              (static_cast<std::uint64_t>(r) * P + s) * P + d + 1;
-          if (reduce) {
-            m.payload.resize(block);
-            spin::fill_typed(m.payload.data(), block, cfg.elem,
-                             payload_seed(m));
-          } else {
-            m.payload = offload::packed_message_pattern(block,
-                                                        payload_seed(m));
-          }
-          m.packets = p4::packetize(
-              m.msg_id, (static_cast<std::uint64_t>(r) << 32) | s,
-              m.payload, cfg.fabric.cost.pkt_payload);
-        }
-      }
-    }
-  }
-
   void schedule_offers() {
     offers.assign(static_cast<std::uint64_t>(P) * cfg.rounds, 0);
     round_first_offer.assign(cfg.rounds, sim::Time{-1});
@@ -259,17 +261,37 @@ struct Driver {
 
   void offer_round(std::uint32_t s, std::uint32_t r) {
     const sim::Time now = engine.now();
+    const std::uint64_t match_bits = (static_cast<std::uint64_t>(r) << 32) | s;
     for (std::uint32_t step = 0; step + 1 < P; ++step) {
       const std::uint32_t d = (s + 1 + step) % P;
       const std::uint64_t idx = msg_index(r, s, d);
+      const std::uint64_t id = msg_id(r, s, d);
       Msg& m = msgs[idx];
+      if (reduce) {
+        m.payload.resize(block);
+        spin::fill_typed(m.payload.data(), block, cfg.elem,
+                         payload_seed(r, s, d));
+        if (cfg.verify) {
+          spin::apply_reduce(expected_window(d, r), m.payload.data(), block,
+                             cfg.op, cfg.elem);
+        }
+      } else {
+        m.payload =
+            offload::packed_message_pattern(block, payload_seed(r, s, d));
+      }
+      live_payload_bytes += block;
+      run.peak_live_payload_bytes =
+          std::max(run.peak_live_payload_bytes, live_payload_bytes);
+      std::vector<p4::Packet> packets = p4::packetize(
+          id, match_bits, m.payload, cfg.fabric.cost.pkt_payload);
       if (!lossy) {
+        m.packets = std::move(packets);
         fabric.send(s, d, m.packets, now);
         continue;
       }
       fabric.send_reliable(
-          s, d, m.packets, now,
-          sim::faults::FaultPlan(cfg.faults, m.msg_id), cfg.retransmit,
+          s, d, std::move(packets), now,
+          sim::faults::FaultPlan(cfg.faults, id), cfg.retransmit,
           [this, idx](sim::Time, bool ok) {
             if (ok) return;
             msgs[idx].failed = true;
@@ -278,8 +300,8 @@ struct Driver {
     }
   }
 
-  void on_msg_done(std::uint32_t d, std::uint64_t msg_id, sim::Time when) {
-    const std::uint64_t u = msg_id - 1;
+  void on_msg_done(std::uint32_t d, std::uint64_t id, sim::Time when) {
+    const std::uint64_t u = id - 1;
     NETDDT_CHECK(u % P == d, "msg completion on the wrong node");
     const std::uint32_t s = static_cast<std::uint32_t>((u / P) % P);
     const std::uint32_t r = static_cast<std::uint32_t>(u / P / P);
@@ -292,77 +314,98 @@ struct Driver {
     run.completion_us.push_back(static_cast<double>(when - offer) / 1e6);
     if (when > round_last_done[r]) round_last_done[r] = when;
     if (when > last_done) last_done = when;
+    if (release_at_done && !m.failed) release(r, s, d);
   }
 
-  void verify() {
-    if (!cfg.verify) return;
-    if (reduce) {
-      // One window per (destination, round); skip windows any failed
-      // put may have partially written.
-      std::vector<std::byte> ref(block);
-      for (std::uint32_t d = 0; d < P; ++d) {
-        for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
-          bool clean = true;
-          for (std::uint32_t s = 0; s < P && clean; ++s) {
-            if (s == d) continue;
-            const Msg& m = msgs[msg_index(r, s, d)];
-            clean = m.done && !m.failed;
-          }
-          if (!clean) {
-            ++run.skipped_windows;
-            continue;
-          }
-          cplans[d]->init_fill(ref.data(), 0, window_seed(d, r));
-          for (std::uint32_t s = 0; s < P; ++s) {
-            if (s == d) continue;
-            const Msg& m = msgs[msg_index(r, s, d)];
-            spin::apply_reduce(ref.data(), m.payload.data(), block,
-                               cfg.op, cfg.elem);
-          }
-          const std::byte* got = hosts[d]->memory().data() +
-                                 static_cast<std::uint64_t>(r) * block;
-          if (std::memcmp(got, ref.data(), block) == 0) {
-            ++run.verified_windows;
-          } else {
-            ++run.mismatched_windows;
-          }
-        }
-      }
+  /// No copy of message (r, s, d) can read its payload any more: verify
+  /// its slot (byte-moving kinds) and free the payload.
+  void release(std::uint32_t r, std::uint32_t s, std::uint32_t d) {
+    Msg& m = msgs[msg_index(r, s, d)];
+    if (!reduce && cfg.verify) verify_slot(m, r, s, d);
+    m.packets = std::vector<p4::Packet>();
+    m.payload = std::vector<std::byte>();
+    live_payload_bytes -= block;
+  }
+
+  /// Byte-moving kinds (and the packed host baseline): one slot per
+  /// message. A misrouted write shows up as missing bytes in the
+  /// intended slot, whenever that slot is checked.
+  void verify_slot(const Msg& m, std::uint32_t r, std::uint32_t s,
+                   std::uint32_t d) {
+    if (!m.done || m.failed) {
+      ++run.skipped_windows;
       return;
     }
-    // Byte-moving kinds (and the packed host baseline): one slot per
-    // message.
-    std::vector<std::byte> ref(slot_stride);
-    for (const Msg& m : msgs) {
-      if (!m.done || m.failed) {
-        ++run.skipped_windows;
-        continue;
-      }
-      const std::byte* got =
-          hosts[m.d]->memory().data() +
-          (static_cast<std::uint64_t>(m.r) * P + m.s) * slot_stride;
-      bool ok;
-      if (cfg.offload) {
-        std::fill(ref.begin(), ref.end(), std::byte{0});
-        ddt::unpack(m.payload.data(), *type, 1, ref.data());
-        ok = std::memcmp(got, ref.data(), slot_stride) == 0;
-      } else {
-        ok = std::memcmp(got, m.payload.data(), block) == 0;
-      }
-      if (ok) {
-        ++run.verified_windows;
-      } else {
-        ++run.mismatched_windows;
+    const std::byte* got =
+        hosts[d]->memory().data() +
+        (static_cast<std::uint64_t>(r) * P + s) * slot_stride;
+    bool ok;
+    if (cfg.offload) {
+      std::fill(ref.begin(), ref.end(), std::byte{0});
+      ddt::unpack(m.payload.data(), *type, 1, ref.data());
+      ok = std::memcmp(got, ref.data(), slot_stride) == 0;
+    } else {
+      ok = std::memcmp(got, m.payload.data(), block) == 0;
+    }
+    if (ok) {
+      ++run.verified_windows;
+    } else {
+      ++run.mismatched_windows;
+    }
+  }
+
+  /// Reduce-scatter: one window per (destination, round); skip windows
+  /// any failed or unfinished put may have partially written.
+  void verify_windows() {
+    for (std::uint32_t d = 0; d < P; ++d) {
+      for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
+        bool clean = true;
+        for (std::uint32_t s = 0; s < P && clean; ++s) {
+          if (s == d) continue;
+          const Msg& m = msgs[msg_index(r, s, d)];
+          clean = m.done && !m.failed;
+        }
+        if (!clean) {
+          ++run.skipped_windows;
+          continue;
+        }
+        const std::byte* got = hosts[d]->memory().data() +
+                               static_cast<std::uint64_t>(r) * block;
+        if (std::memcmp(got, expected_window(d, r), block) == 0) {
+          ++run.verified_windows;
+        } else {
+          ++run.mismatched_windows;
+        }
       }
     }
+  }
+
+  /// The engine drained: release every payload still held (lossy byte
+  /// movers, failed puts) and check the release rule held.
+  void release_retained() {
+    std::uint64_t retained = 0;
+    for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
+      for (std::uint32_t s = 0; s < P; ++s) {
+        for (std::uint32_t step = 0; step + 1 < P; ++step) {
+          const std::uint32_t d = (s + 1 + step) % P;
+          if (msgs[msg_index(r, s, d)].payload.empty()) continue;
+          release(r, s, d);
+          ++retained;
+        }
+      }
+    }
+    NETDDT_CHECK(!release_at_done || retained == run.failed,
+                 std::to_string(retained) + " payloads retained past done, " +
+                     std::to_string(run.failed) + " failed puts");
   }
 
   CollectiveRun execute() {
     NETDDT_CHECK(P >= 2, "collective needs at least two nodes");
     NETDDT_CHECK(cfg.rounds >= 1, "collective needs at least one round");
+    NETDDT_CHECK(block > 0, "block_bytes must be positive");
     build_nodes();
     post_receives();
-    build_messages();
+    msgs.resize(static_cast<std::uint64_t>(cfg.rounds) * P * (P - 1));
     schedule_offers();
     for (std::uint32_t d = 0; d < P; ++d) {
       nics[d]->set_msg_done_callback(
@@ -375,6 +418,7 @@ struct Driver {
     run.messages = msgs.size();
     NETDDT_CHECK(run.completed + run.failed == run.messages,
                  "every offered message must complete or fail");
+    release_retained();
     if (last_done >= 0) {
       run.makespan = last_done - first_offer;
       if (run.makespan > 0) {
@@ -395,7 +439,7 @@ struct Driver {
                                     round_first_offer[r]) /
                     1e6);
     }
-    verify();
+    if (reduce && cfg.verify) verify_windows();
     run.fabric_metrics = fabric.metrics().snapshot();
     return std::move(run);
   }

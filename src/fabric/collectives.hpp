@@ -27,6 +27,21 @@
 // Messages that exhaust their retries are counted in `failed` and their
 // destination windows are excluded from verification.
 //
+// Memory: a message's payload is built at its offer instant and lives
+// only until its release, where a byte-moving slot is verified and the
+// payload is freed. A message is released at its destination's
+// msg-done callback when no later copy can still read its bytes: on
+// lossless runs (oblivious routes and FIFO ports deliver every packet,
+// and land every handler and DMA write, before the completion's
+// signalled write) and on reduce-scatter's read-modify-write landing
+// (the NIC drops duplicates unread). Lossy
+// byte movers, and puts that failed, wait for the end of the run: a
+// duplicate that reaches the NIC just before done can still run a
+// handler or an RDMA write after it. Reduce-scatter verifies against
+// per-window expected contents that fold in each contribution as it is
+// built. So payload memory follows the messages in flight, not the
+// messages offered. Host memory still holds one slot per (round, peer).
+//
 // Determinism: arrival streams, fault schedules and routing are pure
 // functions of (config, seeds); one run is byte-identical across
 // repeats and --jobs levels.
@@ -112,6 +127,9 @@ struct CollectiveRun {
   std::uint64_t verified_windows = 0;
   std::uint64_t skipped_windows = 0;  // touched by a failed put
   std::uint64_t mismatched_windows = 0;
+  /// High-water mark of payload bytes held at once (offered, not yet
+  /// released; see "Memory" above). Host-side only: no bench reports it.
+  std::uint64_t peak_live_payload_bytes = 0;
   sim::MetricsSnapshot fabric_metrics;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "sim/check.hpp"
 
@@ -184,24 +185,26 @@ void Fabric::send(std::uint32_t src, std::uint32_t dst,
 // packet is acked. Each copy reaching the NIC is built at arrival from
 // (index, attempt, dup), flags set. Same-time events fire in scheduling
 // order: an attempt's delivery before its duplicate, the timer after
-// both. Engine callbacks keep the put alive.
+// both. Engine callbacks keep the put, and with it its own copy of the
+// packet headers, alive; the payload bytes the headers point to stay the
+// caller's (see send_reliable).
 
 class Fabric::Put : public std::enable_shared_from_this<Put> {
  public:
   Put(Fabric& fab, const Route& route, spin::NicModel& dst,
-      const NicCounters& nic_counters, const std::vector<p4::Packet>& packets,
+      const NicCounters& nic_counters, std::vector<p4::Packet> packets,
       const sim::faults::FaultPlan& plan, const p4::RetransmitConfig& rc,
       PutCompleteFn on_complete)
       : fab_(&fab),
         route_(&route),
         dst_(&dst),
         nc_(&nic_counters),
-        packets_(&packets),
+        packets_(std::move(packets)),
         plan_(plan),
         rc_(rc),
         on_complete_(std::move(on_complete)),
         taps_(dst),
-        state_(packets.size()) {
+        state_(packets_.size()) {
     const sim::Time hops = static_cast<sim::Time>(route.size());
     const sim::Time slot = fab.cost().pkt_interval();
     ack_latency_ = hops * fab.config_.hop_latency;
@@ -223,7 +226,7 @@ class Fabric::Put : public std::enable_shared_from_this<Put> {
 
   /// Send the first attempts, no earlier than `at`. Call once.
   void start(sim::Time at) {
-    const std::size_t n = packets_->size();
+    const std::size_t n = packets_.size();
     if (n == 1) {
       // Single-packet put: the lone packet is both data and completion.
       completion_sent_ = true;
@@ -235,7 +238,7 @@ class Fabric::Put : public std::enable_shared_from_this<Put> {
 
  private:
   const p4::Packet& packet(std::uint64_t idx) const {
-    return (*packets_)[idx];
+    return packets_[idx];
   }
 
   void transmit(std::uint64_t idx, std::uint32_t attempt, sim::Time at) {
@@ -360,7 +363,7 @@ class Fabric::Put : public std::enable_shared_from_this<Put> {
     nc_->acks->add(1);
     if (done_ || !state_.mark_acked(static_cast<std::size_t>(idx))) return;
     const sim::Time now = fab_->engine_->now();
-    const std::uint64_t last = packets_->size() - 1;
+    const std::uint64_t last = packets_.size() - 1;
     if (idx == last) {
       // Completion packet acked: the put is complete.
       done_ = true;
@@ -390,7 +393,7 @@ class Fabric::Put : public std::enable_shared_from_this<Put> {
   const Route* route_;
   spin::NicModel* dst_;
   const NicCounters* nc_;
-  const std::vector<p4::Packet>* packets_;
+  std::vector<p4::Packet> packets_;  // headers; data stays the caller's
   sim::faults::FaultPlan plan_;
   p4::RetransmitConfig rc_;
   PutCompleteFn on_complete_;
@@ -405,7 +408,7 @@ class Fabric::Put : public std::enable_shared_from_this<Put> {
 };
 
 void Fabric::send_reliable(std::uint32_t src, std::uint32_t dst,
-                           const std::vector<p4::Packet>& packets,
+                           std::vector<p4::Packet> packets,
                            sim::Time earliest,
                            const sim::faults::FaultPlan& plan,
                            const p4::RetransmitConfig& rc,
@@ -424,7 +427,7 @@ void Fabric::send_reliable(std::uint32_t src, std::uint32_t dst,
           &m.gauge("link.reorder_depth")};
   }
   auto put = std::make_shared<Put>(*this, route_for(src, dst), *nics_[dst],
-                                   nc, packets, plan, rc,
+                                   nc, std::move(packets), plan, rc,
                                    std::move(on_complete));
   put->start(earliest);
 }

@@ -109,19 +109,28 @@ class Fabric {
   /// no earlier than `earliest` or, if given, `ready[i]` (streaming puts
   /// / outbound pacing). Every send from `src` queues behind that one
   /// port, and FIFO ports keep the header-first / completion-last order
-  /// along the route. On a one-hop route the packets are copied at
-  /// injection; on longer routes the caller keeps them and their data
-  /// alive until the simulation drains.
+  /// along the route. The caller keeps `packets` and their data alive
+  /// until `dst`'s NIC reports the message done (its msg-done callback),
+  /// or until the simulation drains if it never does: with oblivious
+  /// routes and FIFO ports every packet is delivered, and every handler
+  /// and DMA write reading its data has landed, before the completion's
+  /// signalled write. On a one-hop route the headers are copied at
+  /// injection, so only the data must outlive the call.
   void send(std::uint32_t src, std::uint32_t dst,
             const std::vector<p4::Packet>& packets, sim::Time earliest,
             const std::vector<sim::Time>& ready = {});
 
   /// Reliable put (see the lossy-path contract in the header comment).
   /// `plan` must be active(); inert plans should use send().
-  /// `on_complete` fires once with the put's outcome. The caller keeps
-  /// `packets` and their data alive until the simulation drains.
+  /// `on_complete` fires once with the put's outcome. The put keeps its
+  /// own copy of the packet headers; the caller keeps their data alive
+  /// until the simulation drains: a duplicate or retransmitted copy that
+  /// reaches the NIC just before the message is done can still run a
+  /// handler or an RDMA write after the msg-done callback. Only on a
+  /// read-modify-write landing, where the NIC drops every copy after the
+  /// first unread, may the data go at msg-done (if the put did not fail).
   void send_reliable(std::uint32_t src, std::uint32_t dst,
-                     const std::vector<p4::Packet>& packets,
+                     std::vector<p4::Packet> packets,
                      sim::Time earliest, const sim::faults::FaultPlan& plan,
                      const p4::RetransmitConfig& rc = {},
                      PutCompleteFn on_complete = {});

@@ -84,8 +84,8 @@ std::unique_ptr<ComputePlan> ComputePlan::create(
     const ddt::TypePtr& type, std::uint64_t count,
     const spin::CostModel& cost, dataloop::PackEngine engine,
     const ComputeConfig& cc, sim::MetricsRegistry& metrics) {
-  assert(cc.family != HandlerFamily::kScatter &&
-         "kScatter is the byte-moving strategies' family, not a plan");
+  NETDDT_CHECK(cc.family != HandlerFamily::kScatter,
+               "kScatter is the byte-moving strategies' family, not a plan");
   if (!elem_eligible(type, count, cc)) return nullptr;
   return std::unique_ptr<ComputePlan>(
       new ComputePlan(type, count, cost, engine, cc, metrics));

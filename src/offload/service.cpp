@@ -58,12 +58,11 @@ struct MsgRecord {
   std::uint64_t seq = 0;
   sim::Time arrival = 0;
   bool host_path = false;  // facade fell back: packed landing
-  std::vector<std::byte> packed;  // alive until the message completes
-  // Lossy path only: the reliable transport holds a pointer to this
-  // vector (and packet data spans into `packed`), and late duplicates
-  // can deliver after the message retires — both move to the run-scoped
-  // graveyard when the record dies, never freed mid-run.
-  std::unique_ptr<std::vector<p4::Packet>> packets;
+  // Packet data spans into these bytes. A lossless message frees them
+  // when it retires; a lossy one moves them to the run-scoped graveyard,
+  // since a late duplicate can still read them after the message retires
+  // (see Fabric::send_reliable).
+  std::vector<std::byte> packed;
 };
 
 struct ServiceState {
@@ -92,7 +91,6 @@ struct ServiceState {
   // See MsgRecord: buffers of retired lossy messages live here until
   // the engine drains.
   std::vector<std::vector<std::byte>> graveyard_packed;
-  std::vector<std::unique_ptr<std::vector<p4::Packet>>> graveyard_packets;
 
   void on_arrival(std::uint32_t tenant, std::uint64_t seq, sim::Time at);
   void admit(std::uint64_t key);
@@ -145,12 +143,12 @@ void ServiceState::admit(std::uint64_t key) {
   }
   const sim::faults::FaultPlan plan(config->faults, key);
   if (plan.active()) {
-    rec.packets = std::make_unique<std::vector<p4::Packet>>(
-        p4::packetize(key, key, rec.packed, config->cost.pkt_payload));
-    link->send_reliable(0, 1, *rec.packets, engine->now(), plan,
-                        config->retransmit, [this, key](sim::Time, bool ok) {
-                          if (!ok) on_put_failed(key);
-                        });
+    link->send_reliable(
+        0, 1, p4::packetize(key, key, rec.packed, config->cost.pkt_payload),
+        engine->now(), plan, config->retransmit,
+        [this, key](sim::Time, bool ok) {
+          if (!ok) on_put_failed(key);
+        });
   } else {
     // One hop: the fabric copies each packet at injection.
     link->send(0, 1,
@@ -212,9 +210,8 @@ void ServiceState::on_put_failed(std::uint64_t key) {
 void ServiceState::retire(
     std::unordered_map<std::uint64_t, MsgRecord>::iterator it) {
   MsgRecord& rec = it->second;
-  if (rec.packets != nullptr) {
+  if (config->faults.active()) {
     graveyard_packed.push_back(std::move(rec.packed));
-    graveyard_packets.push_back(std::move(rec.packets));
   }
   live.erase(it);
 

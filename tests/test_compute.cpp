@@ -302,6 +302,18 @@ TEST(ComputePlanEligibility, ElementMayNotSpanRegions) {
   EXPECT_FALSE(ComputePlan::elem_eligible(type, 1, cc));  // 12 % 8 != 0
 }
 
+TEST(ComputePlanEligibility, ScatterFamilyIsAViolation) {
+  // kScatter belongs to the byte-moving strategies, never to a plan.
+  ComputeConfig cc;
+  cc.family = HandlerFamily::kScatter;
+  sim::MetricsRegistry scratch;
+  EXPECT_THROW(ComputePlan::create(Datatype::contiguous(4, Datatype::int32()),
+                                   1, spin::CostModel{},
+                                   dataloop::PackEngine::kInterpreter, cc,
+                                   scratch),
+               sim::check::Violation);
+}
+
 TEST(ComputeReceive, IneligibleConfigIsAViolation) {
   // 12 logical bytes are not whole int64s: run_receive refuses the
   // compute config instead of running without a plan.

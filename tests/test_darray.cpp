@@ -9,6 +9,7 @@
 #include "ddt/darray.hpp"
 #include "ddt/pack.hpp"
 #include "offload/runner.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::ddt {
 namespace {
@@ -180,6 +181,25 @@ TEST(Darray, OffloadsEndToEnd) {
     EXPECT_TRUE(offload::run_receive(cfg).result.verified)
         << offload::strategy_name(kind);
   }
+}
+
+TEST(Darray, BadCallerInputIsAViolation) {
+  using sim::check::Violation;
+  const std::vector<std::int64_t> g{8}, p{2}, darg{kDefaultDarg};
+  const std::vector<Distribution> block{Distribution::kBlock};
+  const auto i32 = Datatype::int32();
+  EXPECT_THROW(darray(2, g, block, darg, p, i32), Violation);  // rank
+  EXPECT_THROW(darray(0, g, block, darg, p, nullptr), Violation);
+  EXPECT_THROW(darray(0, g, std::vector<Distribution>{}, darg, p, i32),
+               Violation);
+  EXPECT_THROW(darray(0, g, std::vector<Distribution>{Distribution::kNone},
+                      darg, p, i32),
+               Violation);
+  EXPECT_THROW(darray(0, g, block, std::vector<std::int64_t>{3}, p, i32),
+               Violation);  // 3 x 2 cannot cover 8
+  EXPECT_THROW(darray(0, g, std::vector<Distribution>{Distribution::kCyclic},
+                      std::vector<std::int64_t>{0}, p, i32),
+               Violation);
 }
 
 }  // namespace

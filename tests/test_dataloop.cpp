@@ -12,6 +12,7 @@
 #include "dataloop/dataloop.hpp"
 #include "dataloop/segment.hpp"
 #include "ddt/pack.hpp"
+#include "sim/check.hpp"
 #include "sim/rng.hpp"
 
 namespace netddt::dataloop {
@@ -413,6 +414,10 @@ TEST(DataloopCache, CachedLoopMatchesFreshCompile) {
     EXPECT_EQ(ra[i].offset, rb[i].offset);
     EXPECT_EQ(ra[i].size, rb[i].size);
   }
+}
+
+TEST(Compile, NullTypeIsAViolation) {
+  EXPECT_THROW({ CompiledDataloop loops(TypePtr{}); }, sim::check::Violation);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "ddt/datatype.hpp"
 #include "ddt/pack.hpp"
+#include "sim/check.hpp"
 #include "sim/rng.hpp"
 
 namespace netddt::ddt {
@@ -369,6 +370,30 @@ TEST_P(RandomTypeRoundtrip, PackUnpackRestoresData) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
   auto t = random_type(rng, 3);
   check_roundtrip(t, 1 + rng.below(3));
+}
+
+TEST(Constructors, BadCallerInputIsAViolation) {
+  // Checked in every build type, not only where assert() survives.
+  using sim::check::Violation;
+  const TypePtr i32 = Type::int32();
+  EXPECT_THROW(Type::contiguous(-1, i32), Violation);
+  EXPECT_THROW(Type::contiguous(4, nullptr), Violation);
+  EXPECT_THROW(Type::vector(2, 1, 3, nullptr), Violation);
+  EXPECT_THROW(Type::hvector(2, -1, 8, i32), Violation);
+  EXPECT_THROW(Type::hindexed_block(-2, std::vector<std::int64_t>{0}, i32),
+               Violation);
+  EXPECT_THROW(Type::indexed(std::vector<std::int64_t>{1, 2},
+                             std::vector<std::int64_t>{0}, i32),
+               Violation);
+  const std::vector<std::int64_t> one{1}, zero{0};
+  EXPECT_THROW(Type::struct_type(one, zero, std::vector<TypePtr>{}),
+               Violation);
+  EXPECT_THROW(Type::struct_type(one, zero, std::vector<TypePtr>{nullptr}),
+               Violation);
+  const std::vector<std::int64_t> sizes{4, 4}, sub{2, 3}, starts{0, 2};
+  EXPECT_THROW(Type::subarray(sizes, sub, starts, i32), Violation);
+  EXPECT_THROW(Type::subarray(sizes, sub, one, i32), Violation);
+  EXPECT_THROW(Type::resized(i32, 0, -4), Violation);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTypeRoundtrip,

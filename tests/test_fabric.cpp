@@ -265,6 +265,57 @@ TEST(Collectives, LossyReduceScatterSkipsFailedWindows) {
   EXPECT_EQ(run.verified_windows + run.skipped_windows, 8u * 2);
 }
 
+TEST(Collectives, LossyHostBaselineVerifies) {
+  // Plain RDMA landing under loss: a duplicate's DMA write is not gated
+  // by the NIC and can land after done, so these payloads stay alive
+  // until the end of the run.
+  auto cfg = base_config(CollectiveKind::kAlltoall);
+  cfg.offload = false;
+  cfg.block_bytes = 4096;
+  cfg.faults.drop_rate = 0.05;
+  cfg.faults.dup_rate = 0.10;
+  cfg.faults.seed = 5;
+  const auto run = run_collective(cfg);
+  EXPECT_EQ(run.completed + run.failed, run.messages);
+  EXPECT_GT(run.verified_windows, 0u);
+  EXPECT_EQ(run.mismatched_windows, 0u);
+  EXPECT_EQ(run.verified_windows + run.skipped_windows, run.messages);
+}
+
+TEST(Collectives, PayloadsLiveOnlyWhileInFlight) {
+  // run_collective itself checks the release rule at the end of the
+  // run: wherever payloads go at done, only failed puts are retained. Rounds 10 us apart (mean) let
+  // earlier rounds finish before later ones are offered.
+  const auto paced = [](CollectiveKind kind) {
+    auto cfg = base_config(kind);
+    cfg.rounds = 8;
+    cfg.arrivals.rate = 1e5;
+    return cfg;
+  };
+  const auto lossless = run_collective(paced(CollectiveKind::kAlltoall));
+  EXPECT_EQ(lossless.mismatched_windows, 0u);
+  EXPECT_GT(lossless.peak_live_payload_bytes, 0u);
+  EXPECT_LT(lossless.peak_live_payload_bytes, lossless.messages * 1024 / 2);
+
+  // The RMW landing drops duplicates unread, so lossy reduce-scatter
+  // still releases at done; only failed puts are retained.
+  auto rs = paced(CollectiveKind::kReduceScatter);
+  rs.faults.drop_rate = 0.05;
+  rs.faults.dup_rate = 0.10;
+  rs.faults.reorder_rate = 0.10;
+  rs.faults.seed = 11;
+  const auto lossy_rs = run_collective(rs);
+  EXPECT_EQ(lossy_rs.mismatched_windows, 0u);
+  EXPECT_LT(lossy_rs.peak_live_payload_bytes, lossy_rs.messages * 1024 / 2);
+
+  // Lossy byte movers keep every payload until the run ends.
+  auto a2a = paced(CollectiveKind::kAlltoall);
+  a2a.faults = rs.faults;
+  const auto lossy_a2a = run_collective(a2a);
+  EXPECT_EQ(lossy_a2a.mismatched_windows, 0u);
+  EXPECT_EQ(lossy_a2a.peak_live_payload_bytes, lossy_a2a.messages * 1024);
+}
+
 TEST(Collectives, InvalidConfigIsRejected) {
   auto one_node = base_config(CollectiveKind::kAlltoall);
   one_node.fabric.topology = small_fat_tree(1);
@@ -281,6 +332,11 @@ TEST(Collectives, InvalidConfigIsRejected) {
   auto split_elem = base_config(CollectiveKind::kReduceScatter);
   split_elem.block_bytes = 1026;  // not whole int32s
   EXPECT_THROW(run_collective(split_elem), sim::check::Violation);
+
+  auto empty = base_config(CollectiveKind::kAlltoall);
+  empty.offload = false;  // the packed landing takes any block size
+  empty.block_bytes = 0;
+  EXPECT_THROW(run_collective(empty), sim::check::Violation);
 }
 
 TEST(Collectives, RunsAreDeterministic) {
