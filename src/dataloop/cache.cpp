@@ -1,6 +1,8 @@
 #include "dataloop/cache.hpp"
 
-#include <charconv>
+#include <cstddef>
+#include <functional>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -9,76 +11,84 @@
 namespace netddt::dataloop {
 namespace {
 
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];  // 20 chars cover any int64, plus the delimiter
-  char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
-  *end++ = ',';
-  out.append(buf, end);
-}
+// A cache slot is identified by (type fingerprint, count). Distinct
+// structures may share a fingerprint, so a key match is only a
+// candidate: lookups confirm it with ddt::same_structure().
+struct Key {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t count = 0;
+  bool operator==(const Key&) const = default;
+};
 
-// Serialize every structural field that influences compilation.
-// Delimiters keep adjacent numeric fields from aliasing (e.g. counts
-// 1,12 vs 11,2); kind() alone fixes which fields are meaningful, but we
-// always emit all of them so the format needs no per-kind schema.
-void append_signature(std::string& out, const ddt::Datatype& t) {
-  out += static_cast<char>('A' + static_cast<int>(t.kind()));
-  append_i64(out, static_cast<std::int64_t>(t.size()));
-  append_i64(out, t.lb());
-  append_i64(out, t.ub());
-  append_i64(out, t.count());
-  append_i64(out, t.blocklen());
-  append_i64(out, t.stride_bytes());
-  out += 'b';
-  for (std::int64_t v : t.blocklens()) append_i64(out, v);
-  out += 'd';
-  for (std::int64_t v : t.displs_bytes()) append_i64(out, v);
-  out += '(';
-  for (const auto& child : t.children()) append_signature(out, *child);
-  out += ')';
-}
+struct KeyHash {
+  std::size_t operator()(const Key& k) const {
+    return std::hash<std::uint64_t>{}(k.fingerprint ^
+                                      (k.count * 0x9e3779b97f4a7c15ull));
+  }
+};
 
 struct Entry {
+  Key key;
+  ddt::TypePtr type;  // as first passed in (loops holds its normal form)
   std::shared_ptr<const CompiledDataloop> loops;
   std::shared_ptr<const FlatProgram> program;
   bool program_compiled = false;  // true once lowering ran (even if it
                                   // bailed on limits: program stays null
                                   // and we never retry)
-  std::list<std::string>::iterator lru;  // position in Cache::order
 };
+
+using Slot = std::list<Entry>::iterator;
 
 struct Cache {
   std::mutex mu;
-  std::unordered_map<std::string, Entry> map;
-  std::list<std::string> order;  // front = most recently used
+  std::list<Entry> order;  // the entries; front = most recently used
+  std::unordered_multimap<Key, Slot, KeyHash> index;
   std::uint64_t capacity = kDefaultCacheCapacity;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evicted = 0;
 
-  // Caller holds mu.
-  void touch(Entry& e) {
-    if (e.lru != order.begin()) order.splice(order.begin(), order, e.lru);
+  // Caller holds mu for every member below.
+  Slot find(const ddt::Datatype& type, std::uint64_t count) {
+    auto [lo, hi] = index.equal_range(Key{type.fingerprint(), count});
+    for (auto it = lo; it != hi; ++it) {
+      if (ddt::same_structure(*it->second->type, type)) {
+        return it->second;
+      }
+    }
+    return order.end();
+  }
+  void touch(Slot e) {
+    if (e != order.begin()) order.splice(order.begin(), order, e);
   }
   void evict_to_capacity() {
-    while (capacity != 0 && map.size() > capacity) {
-      map.erase(order.back());
+    while (capacity != 0 && order.size() > capacity) {
+      const Slot victim = std::prev(order.end());
+      auto [lo, hi] = index.equal_range(victim->key);
+      for (auto it = lo; it != hi; ++it) {
+        if (it->second == victim) {
+          index.erase(it);
+          break;
+        }
+      }
       order.pop_back();
       ++evicted;
     }
   }
-  Entry& insert(std::string key, std::shared_ptr<const CompiledDataloop> l) {
-    order.push_front(key);
-    auto [it, inserted] = map.emplace(
-        std::move(key), Entry{std::move(l), nullptr, false, order.begin()});
-    if (!inserted) {
-      // Lost a compile race: keep the incumbent, drop our LRU node.
-      order.pop_front();
-      touch(it->second);
-    } else {
-      ++misses;
-      evict_to_capacity();
+  // Returns the entry now cached for (type, count): the new one, or the
+  // incumbent when another thread's compile landed first.
+  Entry& insert(const ddt::TypePtr& type, std::uint64_t count,
+                std::shared_ptr<const CompiledDataloop> loops) {
+    if (const Slot found = find(*type, count); found != order.end()) {
+      touch(found);
+      return *found;
     }
-    return it->second;
+    const Key key{type->fingerprint(), count};
+    order.push_front(Entry{key, type, std::move(loops), nullptr, false});
+    index.emplace(key, order.begin());
+    ++misses;
+    evict_to_capacity();
+    return order.front();
   }
 };
 
@@ -87,68 +97,36 @@ Cache& cache() {
   return c;
 }
 
-std::string make_key(const ddt::TypePtr& type, std::uint64_t count) {
-  std::string key = type_signature_string(*type);
-  key += '#';
-  key += std::to_string(count);
-  return key;
-}
-
 }  // namespace
-
-std::string type_signature_string(const ddt::Datatype& type) {
-  std::string out;
-  out.reserve(64);
-  append_signature(out, type);
-  return out;
-}
-
-std::uint64_t type_signature(const ddt::Datatype& type) {
-  const std::string sig = type_signature_string(type);
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (char c : sig) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
 
 std::shared_ptr<const CompiledDataloop> compile_cached(
     const ddt::TypePtr& type, std::uint64_t count) {
-  std::string key = make_key(type, count);
-
   Cache& c = cache();
   {
     std::lock_guard<std::mutex> lock(c.mu);
-    auto it = c.map.find(key);
-    if (it != c.map.end()) {
+    if (const Slot e = c.find(*type, count); e != c.order.end()) {
       ++c.hits;
-      c.touch(it->second);
-      return it->second.loops;
+      c.touch(e);
+      return e->loops;
     }
   }
   // Compile outside the lock: compilation is the expensive part, and two
   // threads racing on the same key just produce one redundant compile.
   auto compiled = std::make_shared<const CompiledDataloop>(type, count);
   std::lock_guard<std::mutex> lock(c.mu);
-  return c.insert(std::move(key), std::move(compiled)).loops;
+  return c.insert(type, count, std::move(compiled)).loops;
 }
 
 CompiledPlan plan_cached(const ddt::TypePtr& type, std::uint64_t count) {
-  std::string key = make_key(type, count);
-
   Cache& c = cache();
   std::shared_ptr<const CompiledDataloop> loops;
   {
     std::lock_guard<std::mutex> lock(c.mu);
-    auto it = c.map.find(key);
-    if (it != c.map.end()) {
+    if (const Slot e = c.find(*type, count); e != c.order.end()) {
       ++c.hits;
-      c.touch(it->second);
-      if (it->second.program_compiled) {
-        return CompiledPlan{it->second.loops, it->second.program};
-      }
-      loops = it->second.loops;  // dataloop cached, program still pending
+      c.touch(e);
+      if (e->program_compiled) return CompiledPlan{e->loops, e->program};
+      loops = e->loops;  // dataloop cached, program still pending
     }
   }
   if (!loops) {
@@ -159,26 +137,19 @@ CompiledPlan plan_cached(const ddt::TypePtr& type, std::uint64_t count) {
   auto program = compile_program(*loops);
 
   std::lock_guard<std::mutex> lock(c.mu);
-  auto it = c.map.find(key);
-  if (it == c.map.end()) {
-    Entry& e = c.insert(std::move(key), std::move(loops));
+  Entry& e = c.insert(type, count, std::move(loops));
+  if (!e.program_compiled) {
     e.program = std::move(program);
     e.program_compiled = true;
-    return CompiledPlan{e.loops, e.program};
   }
-  c.touch(it->second);
-  if (!it->second.program_compiled) {
-    it->second.program = std::move(program);
-    it->second.program_compiled = true;
-  }
-  return CompiledPlan{it->second.loops, it->second.program};
+  return CompiledPlan{e.loops, e.program};
 }
 
 DataloopCacheStats dataloop_cache_stats() {
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.mu);
   return DataloopCacheStats{c.hits, c.misses,
-                            static_cast<std::uint64_t>(c.map.size()),
+                            static_cast<std::uint64_t>(c.order.size()),
                             c.evicted, c.capacity};
 }
 
@@ -194,7 +165,7 @@ std::uint64_t dataloop_cache_set_capacity(std::uint64_t capacity) {
 void dataloop_cache_clear() {
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.mu);
-  c.map.clear();
+  c.index.clear();
   c.order.clear();
   c.capacity = kDefaultCacheCapacity;
   c.hits = 0;

@@ -6,12 +6,19 @@
 // point, and the general strategies additionally compile a probe loop
 // before the plan's own. CompiledDataloop is immutable after
 // construction, so identical (type tree, count) pairs can share one
-// compiled loop. compile_cached() keys a process-wide table by a
-// canonical signature of the full datatype tree — every structural
-// field (kind, counts, strides, displacements, bounds, children,
-// elementary sizes), not the lossy to_string() form — so two
-// structurally identical trees hit the same entry even when built
-// through different constructors or shared subtrees.
+// compiled loop. compile_cached() keys a process-wide table by
+// (Datatype::fingerprint(), count). The fingerprint is a 64-bit hash
+// the type computes once at construction over every structural field
+// (kind, counts, strides, displacements, bounds, elementary sizes) and
+// its children's fingerprints, so a lookup costs one hash probe, not a
+// walk of the tree. A probe hit is confirmed by ddt::same_structure(),
+// a field-for-field compare that returns at once when the caller passes
+// the cached object itself; two fingerprints that collide therefore get
+// separate entries. Two structurally identical trees hit the same entry
+// even when built through different constructors (vector vs hvector)
+// or shared subtrees. Each entry keeps the type it was first built from
+// alive (the compare needs it; the compiled loop holds only the
+// normalized form) until the entry is evicted.
 //
 // The table is bounded: long fuzz/sweep campaigns generate unbounded
 // distinct layouts, so entries past the capacity are evicted in strict
@@ -30,7 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "dataloop/dataloop.hpp"
 #include "dataloop/program.hpp"
@@ -45,15 +51,6 @@ struct DataloopCacheStats {
   std::uint64_t entries_evicted = 0;
   std::uint64_t capacity = 0;  // 0 = unbounded
 };
-
-/// Canonical structural signature of a datatype tree (the cache key,
-/// minus the repetition count). Two types with equal signatures compile
-/// to interchangeable dataloops.
-std::string type_signature_string(const ddt::Datatype& type);
-
-/// 64-bit FNV-1a hash of type_signature_string(); handy as a compact
-/// identity for logs and tests.
-std::uint64_t type_signature(const ddt::Datatype& type);
 
 /// Compile `count` instances of `type`, memoized: structurally identical
 /// (type, count) pairs return the same shared CompiledDataloop.

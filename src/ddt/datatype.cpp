@@ -7,6 +7,7 @@
 #include <string>
 
 #include "sim/check.hpp"
+#include "sim/rng.hpp"
 
 namespace netddt::ddt {
 
@@ -203,6 +204,44 @@ void Datatype::finalize() {
   true_lb_ = tlo;
   true_ub_ = thi;
   assert(ub_ >= lb_ || size_ == 0);
+
+  // One SplitMix64 step per field keeps the hash order-sensitive; the
+  // vector lengths go in too, so adjacent fields cannot alias.
+  std::uint64_t h = 0;
+  const auto add = [&h](auto v) {
+    h = sim::splitmix64(h ^ static_cast<std::uint64_t>(v));
+  };
+  add(kind_);
+  add(size_);
+  add(lb_);
+  add(ub_);
+  add(count_);
+  add(blocklen_);
+  add(stride_bytes_);
+  add(blocklens_.size());
+  for (std::int64_t v : blocklens_) add(v);
+  add(displs_.size());
+  for (std::int64_t v : displs_) add(v);
+  add(children_.size());
+  for (const TypePtr& c : children_) add(c->fingerprint());
+  fingerprint_ = h;
+}
+
+bool same_structure(const Datatype& a, const Datatype& b) {
+  if (&a == &b) return true;
+  if (a.fingerprint() != b.fingerprint() || a.kind() != b.kind() ||
+      a.size() != b.size() || a.lb() != b.lb() || a.ub() != b.ub() ||
+      a.count() != b.count() || a.blocklen() != b.blocklen() ||
+      a.stride_bytes() != b.stride_bytes() ||
+      !std::ranges::equal(a.blocklens(), b.blocklens()) ||
+      !std::ranges::equal(a.displs_bytes(), b.displs_bytes()) ||
+      a.children().size() != b.children().size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.children().size(); ++i) {
+    if (!same_structure(*a.children()[i], *b.children()[i])) return false;
+  }
+  return true;
 }
 
 void Datatype::for_each_region(std::int64_t base, const RegionFn& fn) const {
@@ -299,6 +338,24 @@ std::vector<Region> Datatype::flatten(std::uint64_t count) const {
   }
   merge_adjacent(out);
   return out;
+}
+
+const RegionFacts& Datatype::region_facts() const {
+  std::call_once(facts_once_, [this] {
+    facts_.regions = flatten(1);
+    const auto& r = facts_.regions;
+    facts_.instances_join =
+        !r.empty() && r.back().offset + static_cast<std::int64_t>(
+                                            r.back().size) ==
+                          r.front().offset + extent();
+  });
+  return facts_;
+}
+
+std::uint64_t Datatype::region_count(std::uint64_t count) const {
+  const RegionFacts& f = region_facts();
+  if (count == 0 || f.regions.empty()) return 0;
+  return count * f.regions.size() - (count - 1) * (f.instances_join ? 1 : 0);
 }
 
 std::string_view Datatype::kind_name() const {

@@ -13,11 +13,25 @@
 //    using the base type's extent, exactly as MPI specifies.
 //  - Types are immutable and shared (shared_ptr<const Datatype>), so type
 //    trees may be reused freely across layouts and threads.
+//
+// Commit-time facts. Like MPI_Type_commit, each type computes the facts
+// that depend on it alone once, so per-message code reads them instead
+// of re-walking the tree:
+//  - fingerprint(): a 64-bit structural hash taken at construction from
+//    the type's own fields plus its children's fingerprints. It keys the
+//    dataloop/plan cache (dataloop/cache.hpp); same_structure() confirms
+//    a match field for field.
+//  - region_facts(): the merged regions of one instance and whether
+//    consecutive instances join, computed on first use behind a
+//    once-guard (sweep threads share types). region_count(count) gives
+//    flatten(count).size() from them, and the host-unpack model
+//    (offload/host_model.hpp) walks them instead of flattening.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,6 +51,16 @@ enum class Kind {
   kIndexed,       // stored with byte displacements (covers hindexed)
   kStruct,
   kResized,
+};
+
+/// Region facts of one instance, computed once per type (see
+/// Datatype::region_facts()).
+struct RegionFacts {
+  /// flatten(1): the merged regions of one instance, in type-map order.
+  std::vector<Region> regions;
+  /// True when an instance's last region ends exactly where the next
+  /// instance's first region starts, so flatten(count) merges the two.
+  bool instances_join = false;
 };
 
 /// Visitor over the contiguous regions of one instance of a type, in
@@ -76,6 +100,21 @@ class Datatype {
   /// Materialize `count` repetitions (each shifted by extent()) as a
   /// merged region list in type-map order.
   std::vector<Region> flatten(std::uint64_t count = 1) const;
+
+  /// Structural fingerprint, fixed at construction: a hash of kind(),
+  /// size(), lb(), ub(), count(), blocklen(), stride_bytes(), blocklens(),
+  /// displs_bytes() and the children's fingerprints. Elementary names are
+  /// not covered (int32 and float32 share a layout). Equal structure
+  /// implies equal fingerprints; the converse needs same_structure().
+  std::uint64_t fingerprint() const { return fingerprint_; }
+
+  /// The type's region facts, computed on the first call (thread-safe)
+  /// and shared by every later one.
+  const RegionFacts& region_facts() const;
+
+  /// flatten(count).size() without building the list:
+  /// count * r - (count - 1) * join, from region_facts().
+  std::uint64_t region_count(std::uint64_t count) const;
 
   /// Human-readable type tree (one line), e.g. "vector(4,2,16,float64)".
   std::string to_string() const;
@@ -154,7 +193,9 @@ class Datatype {
  private:
   Datatype() = default;
   static std::shared_ptr<Datatype> make(Kind kind);
-  void finalize();  // compute size/lb/ub/true bounds/block_count/dense
+  // Compute size/lb/ub/true bounds/block_count/dense and the
+  // fingerprint.
+  void finalize();
 
   Kind kind_ = Kind::kElementary;
   std::uint64_t size_ = 0;
@@ -171,6 +212,15 @@ class Datatype {
   std::vector<std::int64_t> displs_;
   std::vector<TypePtr> children_;
   std::string name_;
+  std::uint64_t fingerprint_ = 0;
+
+  mutable std::once_flag facts_once_;
+  mutable RegionFacts facts_;
 };
+
+/// True when `a` and `b` agree on every field fingerprint() covers, all
+/// the way down the tree: such types are interchangeable layouts. Returns
+/// at once when both are the same object or their fingerprints differ.
+bool same_structure(const Datatype& a, const Datatype& b);
 
 }  // namespace netddt::ddt

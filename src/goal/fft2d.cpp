@@ -1,12 +1,13 @@
 #include "goal/fft2d.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <string>
 
 #include "ddt/datatype.hpp"
 #include "fabric/collectives.hpp"
 #include "offload/host_model.hpp"
 #include "offload/runner.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::goal {
 namespace {
@@ -40,10 +41,17 @@ sim::Time fabric_alltoall_time(std::uint32_t nodes, std::uint64_t block,
   return static_cast<sim::Time>(run.round_us.front() * 1e6);
 }
 
+void check_divisible(const Fft2dConfig& config, const char* who) {
+  NETDDT_CHECK(config.nodes > 0 && config.n % config.nodes == 0,
+               std::string(who) + ": n " + std::to_string(config.n) +
+                   " is not a multiple of nodes " +
+                   std::to_string(config.nodes));
+}
+
 }  // namespace
 
 Fft2dResult run_fft2d(const Fft2dConfig& config) {
-  assert(config.n % config.nodes == 0);
+  check_divisible(config, "run_fft2d");
   const std::uint64_t rows = config.n / config.nodes;
   const std::uint32_t peers = config.nodes - 1;
 
@@ -191,7 +199,7 @@ OffloadCosts measure_offload(const Fft2dConfig& config) {
 }  // namespace
 
 Fft2dResult run_fft2d_trace(const Fft2dConfig& config) {
-  assert(config.n % config.nodes == 0);
+  check_divisible(config, "run_fft2d_trace");
   const std::uint32_t p = config.nodes;
   const std::uint64_t rows = config.n / p;
   const std::uint64_t block_bytes = rows * rows * kComplexBytes;

@@ -1,30 +1,37 @@
 #include "offload/host_model.hpp"
 
-#include <unordered_set>
-
 namespace netddt::offload {
 namespace {
 
 std::uint64_t touched_line_bytes(const ddt::Datatype& type,
                                  std::uint64_t count,
                                  std::uint64_t line_bytes) {
-  // Count distinct destination cache lines across all regions. Regions
-  // are disjoint, so summing per-region line spans over-counts shared
-  // boundary lines only; we merge adjacent regions first (flatten does)
-  // and accept the remaining boundary double-count as noise < 1 line per
-  // region.
+  // Count distinct destination cache lines across the merged regions of
+  // `count` instances, in the order Datatype::flatten lists them.
+  // Regions are disjoint, so summing per-region line spans over-counts
+  // shared boundary lines only; we discount a line shared with the
+  // previous region and accept the remaining double-count as noise < 1
+  // line per region.
+  //
+  // Walks the one-instance regions shifted by i * extent instead of
+  // materializing the list for all instances. Where instances join, that
+  // list has one region spanning the seam instead of two; the two halves
+  // cover the same lines and the shared-line discount removes the one
+  // they have in common, so the total is the same.
+  const auto line = static_cast<std::int64_t>(line_bytes);
+  const auto& regions = type.region_facts().regions;
   std::uint64_t lines = 0;
-  const auto regions = type.flatten(count);
   std::int64_t last_line = -1;
-  for (const auto& r : regions) {
-    const std::int64_t first =
-        r.offset / static_cast<std::int64_t>(line_bytes);
-    const std::int64_t last =
-        (r.offset + static_cast<std::int64_t>(r.size) - 1) /
-        static_cast<std::int64_t>(line_bytes);
-    lines += static_cast<std::uint64_t>(last - first + 1);
-    if (first == last_line && lines > 0) --lines;  // shared boundary line
-    last_line = last;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::int64_t base = static_cast<std::int64_t>(i) * type.extent();
+    for (const auto& r : regions) {
+      const std::int64_t first = (base + r.offset) / line;
+      const std::int64_t last =
+          (base + r.offset + static_cast<std::int64_t>(r.size) - 1) / line;
+      lines += static_cast<std::uint64_t>(last - first + 1);
+      if (first == last_line) --lines;  // shared boundary line
+      last_line = last;
+    }
   }
   return lines * line_bytes;
 }
@@ -35,9 +42,8 @@ HostUnpackEstimate host_unpack_estimate(const ddt::Datatype& type,
                                         std::uint64_t count,
                                         const spin::CostModel& cost) {
   HostUnpackEstimate est;
-  const auto regions = type.flatten(1);
-  const std::uint64_t blocks_per_instance = regions.size();
-  est.blocks = blocks_per_instance * count;
+  const auto& regions = type.region_facts().regions;
+  est.blocks = regions.size() * count;
 
   sim::Time per_instance = 0;
   for (const auto& r : regions) {

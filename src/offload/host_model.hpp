@@ -22,7 +22,9 @@ struct HostUnpackEstimate {
   std::uint64_t traffic_bytes = 0;
 };
 
-/// Cost of unpacking `count` instances of `type` on the host CPU.
+/// Cost of unpacking `count` instances of `type` on the host CPU. Reads
+/// the type's once-computed region facts (Datatype::region_facts()), so
+/// it never materializes flatten(count).
 HostUnpackEstimate host_unpack_estimate(const ddt::Datatype& type,
                                         std::uint64_t count,
                                         const spin::CostModel& cost);

@@ -136,8 +136,7 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   res.wire_bytes = msg_bytes;
   res.packets = npkt;
 
-  const auto regions = config.type->flatten(config.count);
-  res.gamma = static_cast<double>(regions.size()) /
+  res.gamma = static_cast<double>(config.type->region_count(config.count)) /
               static_cast<double>(npkt);
 
   // The packed message (what the sender's pack/streaming produced). For

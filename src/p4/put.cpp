@@ -3,8 +3,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 
+#include "sim/check.hpp"
 #include "sim/rng.hpp"
 
 namespace netddt::p4 {
@@ -33,7 +35,8 @@ bool ReliablePutState::mark_acked(std::size_t i) {
 std::vector<Packet> packetize(std::uint64_t msg_id, std::uint64_t match_bits,
                               std::span<const std::byte> data,
                               std::uint32_t payload) {
-  assert(payload > 0);
+  NETDDT_CHECK(payload > 0, "packetize: payload " + std::to_string(payload) +
+                                " bytes for msg " + std::to_string(msg_id));
   if (data.empty()) return packetize_empty(msg_id, match_bits);
 
   const std::uint64_t n = packet_count(data.size(), payload);
@@ -83,7 +86,9 @@ StreamingPut::StreamingPut(std::uint64_t msg_id, std::uint64_t match_bits,
       match_bits_(match_bits),
       total_(total_bytes),
       payload_(payload) {
-  assert(payload > 0);
+  NETDDT_CHECK(payload > 0, "StreamingPut: payload " +
+                                std::to_string(payload) + " bytes for msg " +
+                                std::to_string(msg_id));
   // Reserve upfront: emitted packets hold pointers into this buffer, so
   // it must never reallocate.
   buffer_.resize(total_bytes);
@@ -91,14 +96,24 @@ StreamingPut::StreamingPut(std::uint64_t msg_id, std::uint64_t match_bits,
 
 std::vector<Packet> StreamingPut::stream(std::span<const std::byte> chunk,
                                          bool end_of_message) {
-  assert(!finished_ && "streaming put already completed");
-  assert(staged_ + chunk.size() <= total_ && "chunk overflows the message");
+  NETDDT_CHECK(!finished_, "StreamingPut::stream: msg " +
+                               std::to_string(msg_id_) +
+                               " already completed");
+  NETDDT_CHECK(chunk.size() <= total_ - staged_,
+               "StreamingPut::stream: chunk of " +
+                   std::to_string(chunk.size()) + " bytes overflows msg " +
+                   std::to_string(msg_id_) + " (" + std::to_string(staged_) +
+                   " of " + std::to_string(total_) + " bytes staged)");
   if (!chunk.empty()) {
     std::memcpy(buffer_.data() + staged_, chunk.data(), chunk.size());
     staged_ += chunk.size();
   }
   if (end_of_message) {
-    assert(staged_ == total_ && "end of message before all bytes staged");
+    NETDDT_CHECK(staged_ == total_,
+                 "StreamingPut::stream: end of msg " +
+                     std::to_string(msg_id_) + " after " +
+                     std::to_string(staged_) + " of " +
+                     std::to_string(total_) + " bytes");
     finished_ = true;
     if (total_ == 0) {
       // A 0-byte put still needs its single header+completion packet so

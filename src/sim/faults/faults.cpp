@@ -2,20 +2,6 @@
 
 namespace netddt::sim::faults {
 
-namespace {
-
-// SplitMix64 finalizer: the same mix the Rng seeding procedure uses.
-// Combining the identifying tuple through it gives every (packet,
-// attempt) an independent, well-distributed generator seed.
-std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 FaultDecision FaultPlan::decide(std::uint64_t pkt_index,
                                 std::uint32_t attempt) const {
   FaultDecision d;
@@ -24,7 +10,11 @@ FaultDecision FaultPlan::decide(std::uint64_t pkt_index,
   // A fresh generator per decision, keyed on the full identity of the
   // attempt. The draw order below is part of the schedule: changing it
   // changes every seeded fault plan.
-  Rng rng(mix(mix(mix(config_.seed) ^ msg_id_) ^ pkt_index) ^ attempt);
+  // SplitMix64 over the identifying tuple gives every (packet, attempt)
+  // an independent, well-distributed generator seed.
+  Rng rng(splitmix64(splitmix64(splitmix64(config_.seed) ^ msg_id_) ^
+                     pkt_index) ^
+          attempt);
 
   if (config_.drop_rate > 0.0 && rng.chance(config_.drop_rate)) {
     d.drop = true;

@@ -9,16 +9,22 @@
 
 namespace netddt::sim {
 
+/// SplitMix64 step: advance by the golden-ratio increment, then apply the
+/// finalizer. Turns any 64-bit key into a well-distributed value.
+constexpr std::uint64_t splitmix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
     // SplitMix64 seeding as recommended by the xoshiro authors.
     for (auto& word : state_) {
+      word = splitmix64(seed);
       seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
     }
   }
 

@@ -1,17 +1,21 @@
 #include "sim/trace/sampler.hpp"
 
-#include <cassert>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::sim {
 
 TelemetrySampler::TelemetrySampler(Engine& engine, MetricsRegistry& metrics,
                                    Time period)
     : engine_(&engine), metrics_(&metrics), period_(period) {
-  assert(period_ > 0 && "sampling period must be positive");
+  NETDDT_CHECK(period_ > 0, "telemetry sampling period " +
+                                std::to_string(period_) +
+                                " ps must be positive");
 }
 
 void TelemetrySampler::set_tracer(trace::Tracer* tracer) {
-  assert(!started_ && "attach the tracer before start()");
+  NETDDT_CHECK(!started_, "set_tracer() after the sampler started");
   tracer_ = tracer != nullptr && tracer->events_on() ? tracer : nullptr;
   for (Probe& p : probes_) {
     if (tracer_ != nullptr) {
@@ -26,7 +30,8 @@ void TelemetrySampler::set_tracer(trace::Tracer* tracer) {
 
 void TelemetrySampler::probe(const std::string& name,
                              std::function<double()> read) {
-  assert(!started_ && "register probes before start()");
+  NETDDT_CHECK(!started_,
+               "probe '" + name + "' registered after the sampler started");
   Probe p;
   p.name = name;
   p.read = std::move(read);
@@ -39,7 +44,7 @@ void TelemetrySampler::probe(const std::string& name,
 }
 
 void TelemetrySampler::start() {
-  assert(!started_);
+  NETDDT_CHECK(!started_, "sampler started twice");
   started_ = true;
   tick();
 }

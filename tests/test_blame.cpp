@@ -12,7 +12,10 @@
 #include "offload/runner.hpp"
 #include "offload/service.hpp"
 #include "sim/check.hpp"
+#include "sim/engine.hpp"
+#include "sim/metrics.hpp"
 #include "sim/trace/blame.hpp"
+#include "sim/trace/sampler.hpp"
 
 namespace {
 
@@ -293,6 +296,20 @@ TEST(TelemetrySampler, SeriesAreByteIdenticalAcrossRuns) {
   // already be scheduled when the stop lands).
   const auto& inflight = run1.metrics.series.at(names[0]);
   EXPECT_LE(inflight.back().first, run1.makespan + config.telemetry_period);
+}
+
+TEST(TelemetrySampler, MisuseIsRejected) {
+  netddt::sim::Engine engine;
+  netddt::sim::MetricsRegistry metrics;
+  EXPECT_THROW(netddt::sim::TelemetrySampler(engine, metrics, 0),
+               netddt::sim::check::Violation);
+  netddt::sim::TelemetrySampler sampler(engine, metrics, 1000);
+  sampler.probe("one", [] { return 1.0; });
+  sampler.start();
+  EXPECT_THROW(sampler.probe("late", [] { return 2.0; }),
+               netddt::sim::check::Violation);
+  EXPECT_THROW(sampler.set_tracer(nullptr), netddt::sim::check::Violation);
+  EXPECT_THROW(sampler.start(), netddt::sim::check::Violation);
 }
 
 TEST(TelemetrySampler, DisabledByDefault) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "dataloop/cache.hpp"
@@ -351,8 +352,8 @@ TEST(DataloopCache, StructurallyEqualTypesShareOneEntry) {
   // Built independently, structurally identical.
   auto a = Datatype::hvector(8, 4, 16, Datatype::int32());
   auto b = Datatype::hvector(8, 4, 16, Datatype::int32());
-  EXPECT_EQ(type_signature_string(*a), type_signature_string(*b));
-  EXPECT_EQ(type_signature(*a), type_signature(*b));
+  EXPECT_EQ(a->fingerprint(), b->fingerprint());
+  EXPECT_TRUE(ddt::same_structure(*a, *b));
 
   auto ca = compile_cached(a, 2);
   auto cb = compile_cached(b, 2);
@@ -365,12 +366,12 @@ TEST(DataloopCache, StructurallyEqualTypesShareOneEntry) {
 }
 
 TEST(DataloopCache, StructurallyDifferentTypesDiffer) {
-  // Same element count and size, different stride: signatures must not
+  // Same element count and size, different stride: fingerprints must not
   // collapse (to_string-style summaries would).
   auto a = Datatype::hvector(8, 4, 16, Datatype::int8());
   auto b = Datatype::hvector(8, 4, 20, Datatype::int8());
-  EXPECT_NE(type_signature_string(*a), type_signature_string(*b));
-  EXPECT_NE(type_signature(*a), type_signature(*b));
+  EXPECT_NE(a->fingerprint(), b->fingerprint());
+  EXPECT_FALSE(ddt::same_structure(*a, *b));
 
   dataloop_cache_clear();
   auto ca = compile_cached(a);
@@ -380,6 +381,78 @@ TEST(DataloopCache, StructurallyDifferentTypesDiffer) {
   auto ca2 = compile_cached(a, 4);
   EXPECT_NE(ca.get(), ca2.get());
   EXPECT_EQ(dataloop_cache_stats().entries, 3u);
+}
+
+TEST(DataloopCache, TypesDifferingDeepInTheTreeGetDistinctEntries) {
+  // The roots agree on every own field (a resized wrapper pins their
+  // bounds); only a grandchild's displacement or a resized child's lb
+  // differs.
+  const auto i32 = Datatype::int32();
+  const auto root = [](TypePtr inner) {
+    return Datatype::resized(std::move(inner), 0, 1024);
+  };
+  const std::vector<std::int64_t> blocklens{1, 1};
+  auto leaf_a = Datatype::hindexed(blocklens, std::vector<std::int64_t>{0, 8},
+                                   i32);
+  auto leaf_b = Datatype::hindexed(blocklens,
+                                   std::vector<std::int64_t>{0, 12}, i32);
+  auto displ_a = root(Datatype::hvector(4, 1, 64, leaf_a));
+  auto displ_b = root(Datatype::hvector(4, 1, 64, leaf_b));
+  auto lb_a = root(Datatype::hvector(4, 1, 64, Datatype::resized(leaf_a, 0, 16)));
+  auto lb_b =
+      root(Datatype::hvector(4, 1, 64, Datatype::resized(leaf_a, -4, 16)));
+
+  for (const auto& [a, b] : {std::pair{displ_a, displ_b},
+                             std::pair{lb_a, lb_b}}) {
+    EXPECT_NE(a->fingerprint(), b->fingerprint()) << a->to_string();
+    EXPECT_FALSE(ddt::same_structure(*a, *b)) << a->to_string();
+    dataloop_cache_clear();
+    auto pa = plan_cached(a);
+    auto pb = plan_cached(b);
+    EXPECT_NE(pa.loops.get(), pb.loops.get());
+    EXPECT_EQ(dataloop_cache_stats().entries, 2u);
+    EXPECT_EQ(dataloop_cache_stats().misses, 2u);
+  }
+}
+
+TEST(DataloopCache, VectorAndEquivalentHvectorShareOneEntry) {
+  // vector strides count base extents; hvector strides bytes. The same
+  // layout built both ways is one structure and one cache entry.
+  const auto f64 = Datatype::float64();
+  auto v = Datatype::vector(16, 3, 5, f64);
+  auto hv = Datatype::hvector(16, 3, 5 * 8, f64);
+  EXPECT_EQ(v->fingerprint(), hv->fingerprint());
+  EXPECT_TRUE(ddt::same_structure(*v, *hv));
+
+  dataloop_cache_clear();
+  auto pv = plan_cached(v, 2);
+  auto ph = plan_cached(hv, 2);
+  EXPECT_EQ(pv.loops.get(), ph.loops.get());
+  EXPECT_EQ(pv.program.get(), ph.program.get());
+  EXPECT_EQ(compile_cached(hv, 2).get(), pv.loops.get());
+  const auto stats = dataloop_cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+}
+
+TEST(DataloopCache, EvictionKeepsEqualFingerprintLookupsConsistent) {
+  // Structurally equal types land on one key; evicting it and
+  // re-inserting must leave exactly one live entry.
+  dataloop_cache_clear();
+  const auto prev = dataloop_cache_set_capacity(1);
+  auto a = Datatype::hvector(8, 1, 16, Datatype::int32());
+  auto b = Datatype::hvector(8, 1, 16, Datatype::int32());
+  auto other = Datatype::hvector(8, 1, 24, Datatype::int32());
+  auto first = compile_cached(a);
+  compile_cached(other);  // evicts a's entry
+  auto again = compile_cached(b);
+  EXPECT_NE(first.get(), again.get());
+  EXPECT_EQ(compile_cached(a).get(), again.get());
+  const auto stats = dataloop_cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.entries_evicted, 2u);
+  dataloop_cache_set_capacity(prev);
 }
 
 TEST(DataloopCache, ClearDropsEntriesButKeepsSharedLoopsAlive) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "goal/fft2d.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::goal {
 namespace {
@@ -18,6 +19,16 @@ TEST(Fft2d, ComponentsArePositive) {
   EXPECT_GT(r.communicate, 0);
   EXPECT_GT(r.unpack, 0);
   EXPECT_EQ(r.total, r.compute + r.communicate + r.unpack);
+}
+
+TEST(Fft2d, IndivisibleMatrixIsRejected) {
+  Fft2dConfig cfg;
+  cfg.n = 4096;
+  cfg.nodes = 96;  // 4096 rows do not split evenly over 96 nodes
+  EXPECT_THROW(run_fft2d(cfg), sim::check::Violation);
+  EXPECT_THROW(run_fft2d_trace(cfg), sim::check::Violation);
+  cfg.nodes = 0;
+  EXPECT_THROW(run_fft2d(cfg), sim::check::Violation);
 }
 
 TEST(Fft2d, StrongScalingReducesRuntime) {

@@ -378,6 +378,34 @@ TEST(Packetize, EmptyPutStillSendsHeader) {
   EXPECT_TRUE(pkts[0].first && pkts[0].last);
 }
 
+TEST(Packetize, ZeroPayloadIsRejected) {
+  std::vector<std::byte> data(100);
+  EXPECT_THROW(packetize(1, 0, data, 0), sim::check::Violation);
+  EXPECT_THROW(StreamingPut(1, 0, 100, 0), sim::check::Violation);
+}
+
+TEST(StreamingPut, MisuseIsRejected) {
+  std::vector<std::byte> chunk(600);
+  {
+    // A chunk past the declared size would be copied beyond the buffer.
+    StreamingPut sp(1, 0, 1000);
+    sp.stream(chunk, false);
+    EXPECT_THROW(sp.stream(chunk, false), sim::check::Violation);
+  }
+  {
+    // End of message with bytes still missing.
+    StreamingPut sp(1, 0, 1000);
+    EXPECT_THROW(sp.stream(chunk, true), sim::check::Violation);
+  }
+  {
+    // Streaming into a completed put.
+    StreamingPut sp(1, 0, 600);
+    sp.stream(chunk, true);
+    ASSERT_TRUE(sp.complete());
+    EXPECT_THROW(sp.stream({}, true), sim::check::Violation);
+  }
+}
+
 TEST(StreamingPut, EmitsPacketsAsChunksAccumulate) {
   // 3000 B message, chunks of 1000 B, 2048 B packets: the first packet
   // can only be cut after the third chunk... no — after 2048 B staged,

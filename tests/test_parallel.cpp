@@ -1,13 +1,16 @@
 // Tests for the experiment-harness thread pool (Executor) and ordered
 // fan-out (Sweep): submission-order collection, nested sweeps via
 // help-until work stealing, inline/serial degeneration, and exception
-// propagation.
+// propagation. Also the shared state sweep points touch concurrently:
+// the dataloop/plan cache and a type's once-computed region facts
+// (the CI thread-sanitizer job runs this binary).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +18,8 @@
 #include <vector>
 
 #include "bench/lib/parallel.hpp"
+#include "dataloop/cache.hpp"
+#include "ddt/datatype.hpp"
 
 namespace netddt::bench::parallel {
 namespace {
@@ -125,6 +130,58 @@ TEST(Executor, ManyTasksAllExecute) {
   }
   sweep.collect();
   EXPECT_EQ(ran.load(), 500);
+}
+
+TEST(SharedTypes, PlanCacheAndRegionFactsAreThreadSafe) {
+  // Threads released together make the first region_facts() call on one
+  // shared TypePtr at the same moment, then race on the plan cache with
+  // the shared type and with their own structurally equal copy.
+  const auto make = [] {
+    return ddt::Datatype::hvector(64, 3, 40, ddt::Datatype::float64());
+  };
+  const ddt::TypePtr shared = make();
+  dataloop::dataloop_cache_clear();
+
+  struct Seen {
+    const void* facts = nullptr;
+    std::uint64_t shared_regions = 0;
+    std::uint64_t own_regions = 0;
+    const void* shared_loops = nullptr;
+    const void* own_loops = nullptr;
+    const void* program = nullptr;
+  };
+  constexpr int kThreads = 4;
+  std::vector<Seen> seen(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      Seen& s = seen[static_cast<std::size_t>(i)];
+      s.facts = &shared->region_facts();
+      s.shared_regions = shared->region_count(2);
+      const ddt::TypePtr own = make();
+      const auto plan = i % 2 == 0 ? dataloop::plan_cached(shared, 2)
+                                   : dataloop::plan_cached(own, 2);
+      s.program = plan.program.get();
+      s.shared_loops = dataloop::compile_cached(shared, 2).get();
+      s.own_loops = dataloop::plan_cached(own, 2).loops.get();
+      s.own_regions = own->region_count(2);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.facts, &shared->region_facts());
+    EXPECT_EQ(s.shared_regions, 127u);  // 2 x 64 blocks, joined at the seam
+    EXPECT_EQ(s.own_regions, 127u);
+    EXPECT_EQ(s.shared_loops, seen.front().shared_loops);
+    EXPECT_EQ(s.own_loops, seen.front().shared_loops);
+    EXPECT_EQ(s.program, seen.front().program);
+  }
+  EXPECT_NE(seen.front().program, nullptr);
+  EXPECT_EQ(dataloop::dataloop_cache_stats().entries, 1u);
 }
 
 }  // namespace
