@@ -147,6 +147,12 @@ TypePtr norm(const TypePtr& t) {
 TypePtr normalize(const TypePtr& type) {
   assert(type);
   TypePtr n = norm(type);
+  // A rewrite may move the bounds of a degenerate type: a struct ignores
+  // a zero-length block's displacement, but the hindexed it becomes
+  // bounds its empty block there. Keep the input's bounds.
+  if (n->lb() != type->lb() || n->ub() != type->ub()) {
+    n = Datatype::resized(std::move(n), type->lb(), type->extent());
+  }
   assert(n->size() == type->size());
   assert(n->lb() == type->lb() && n->ub() == type->ub());
   return n;

@@ -1,46 +1,41 @@
 #pragma once
-// Packet-level collectives over the multi-node fabric.
+// Packet-level collectives over the multi-node fabric, as schedules on
+// the message driver (offload/driver.hpp).
 //
 // Three dense collectives — alltoall, allgather, reduce-scatter — run as
 // real packet traffic: every (round, src, dst) message is packetized,
 // forwarded hop-by-hop through the Topology's switches (contending for
 // output ports), and received by a full NIC pipeline. Byte-moving
-// collectives land through the sPIN DDT-unpack path (a SpecializedPlan
+// collectives land through the sPIN DDT-unpack path (one SpecializedPlan
 // per node scatters each peer's block into its strided slot);
-// reduce-scatter lands through the streaming-reduction handlers (PR 9's
-// ComputePlan, HandlerFamily::kReduce) so P-1 contributions combine
-// in-NIC into one contiguous block per round. `offload = false` posts
-// context-free match entries instead — plain RDMA into packed slots, the
-// host-unpack baseline.
+// reduce-scatter lands through the streaming-reduction handlers (one
+// kReduce ComputePlan per node) so P-1 contributions combine in-NIC into
+// one contiguous block per round. `offload = false` posts context-free
+// match entries instead — plain RDMA into packed slots, the host-unpack
+// baseline. Every (destination, round, source) entry is posted before
+// the first offer.
 //
 // Rounds are driven open-loop: each node owns one sim::ArrivalProcess
-// stream and offers a full round of P-1 messages (shifted peer order) at
-// every arrival, so back-to-back rounds overlap and queue inside the
-// fabric under load. Per-message completion time is measured at the
-// receiver (NIC msg-done callback, i.e. after the final signalled DMA)
+// stream and offers a full round of P-1 messages (shifted peer order) in
+// one event at every arrival, so back-to-back rounds overlap and queue
+// inside the fabric under load. Per-message completion time is measured
+// at the receiver (NIC msg-done, i.e. after the final signalled DMA)
 // minus the round's offer instant; the run reports goodput and
 // p50/p99/p99.9 of that distribution.
 //
-// Lossy runs (CollectiveConfig::faults.active()) route every message
-// through Fabric::send_reliable, composing PR 4's reliable transport
-// (acks, backoff, held-back completion) with multi-hop contention.
-// Messages that exhaust their retries are counted in `failed` and their
-// destination windows are excluded from verification.
+// Lossy runs (CollectiveConfig::faults.active()) send every message
+// through Fabric::send_reliable. Messages that exhaust their retries are
+// counted in `failed` and their slots or windows are skipped by
+// verification.
 //
-// Memory: a message's payload is built at its offer instant and lives
-// only until its release, where a byte-moving slot is verified and the
-// payload is freed. A message is released at its destination's
-// msg-done callback when no later copy can still read its bytes: on
-// lossless runs (oblivious routes and FIFO ports deliver every packet,
-// and land every handler and DMA write, before the completion's
-// signalled write) and on reduce-scatter's read-modify-write landing
-// (the NIC drops duplicates unread). Lossy
-// byte movers, and puts that failed, wait for the end of the run: a
-// duplicate that reaches the NIC just before done can still run a
-// handler or an RDMA write after it. Reduce-scatter verifies against
-// per-window expected contents that fold in each contribution as it is
-// built. So payload memory follows the messages in flight, not the
-// messages offered. Host memory still holds one slot per (round, peer).
+// Verification and memory follow the driver: a byte-moving slot is
+// compared whole, gaps included, with the unpacked payload when the
+// message is released, and payloads live from the offer to the release
+// (at done on lossless runs and on the reduce landing, at the end of the
+// run for lossy byte movers and failed puts). Reduce-scatter folds each
+// contribution into a per-window expected block as it is built and
+// compares the windows after the run. Host memory holds one slot per
+// (round, peer).
 //
 // Determinism: arrival streams, fault schedules and routing are pure
 // functions of (config, seeds); one run is byte-identical across
@@ -128,7 +123,7 @@ struct CollectiveRun {
   std::uint64_t skipped_windows = 0;  // touched by a failed put
   std::uint64_t mismatched_windows = 0;
   /// High-water mark of payload bytes held at once (offered, not yet
-  /// released; see "Memory" above). Host-side only: no bench reports it.
+  /// released). Host-side only: no bench reports it.
   std::uint64_t peak_live_payload_bytes = 0;
   sim::MetricsSnapshot fabric_metrics;
 };

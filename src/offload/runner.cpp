@@ -8,15 +8,9 @@
 
 #include "dataloop/cache.hpp"
 #include "ddt/pack.hpp"
-#include "fabric/fabric.hpp"
-#include "offload/compute_plan.hpp"
-#include "offload/general.hpp"
+#include "offload/driver.hpp"
 #include "offload/host_model.hpp"
-#include "offload/iovec.hpp"
-#include "offload/specialized.hpp"
-#include "p4/put.hpp"
 #include "sim/check.hpp"
-#include "spin/nic.hpp"
 
 namespace netddt::offload {
 
@@ -49,6 +43,27 @@ std::vector<std::byte> packed_message_pattern(std::uint64_t bytes,
   return v;
 }
 
+void pack_stream(const std::byte* base, const ddt::TypePtr& type,
+                 std::uint64_t count, dataloop::PackEngine engine,
+                 std::uint64_t window, std::byte* out) {
+  const std::uint64_t bytes = type->size() * count;
+  if (bytes == 0) return;  // out may be null
+  std::shared_ptr<const dataloop::FlatProgram> prog;
+  if (engine == dataloop::PackEngine::kProgram) {
+    prog = dataloop::plan_cached(type, count).program;
+  }
+  if (prog == nullptr) {
+    ddt::pack(base, *type, count, out);
+    return;
+  }
+  // Program engine: gather at packet granularity (the same resumable
+  // windows the receive path saw).
+  const std::uint64_t step = std::max<std::uint64_t>(window, 1);
+  for (std::uint64_t at = 0; at < bytes; at += step) {
+    prog->pack(base, at, std::min(bytes, at + step), out + at);
+  }
+}
+
 bool regions_hold_stream(const std::byte* base, const ddt::TypePtr& type,
                          std::uint64_t count,
                          std::span<const std::byte> packed,
@@ -58,29 +73,10 @@ bool regions_hold_stream(const std::byte* base, const ddt::TypePtr& type,
                    " bytes for a type of " + std::to_string(type->size()) +
                    " bytes x " + std::to_string(count));
   if (packed.empty()) return true;  // packed.data() may be null
-  std::shared_ptr<const dataloop::FlatProgram> prog;
-  if (engine == dataloop::PackEngine::kProgram) {
-    prog = dataloop::plan_cached(type, count).program;
-  }
-  if (prog == nullptr) {
-    const auto stream = std::make_unique_for_overwrite<std::byte[]>(
-        packed.size());
-    ddt::pack(base, *type, count, stream.get());
-    return std::memcmp(stream.get(), packed.data(), packed.size()) == 0;
-  }
-  // Program engine: gather through the compiled flat program at packet
-  // granularity (the same resumable windows the receive path saw).
-  const std::uint64_t step = std::max<std::uint64_t>(window, 1);
-  const auto stream = std::make_unique_for_overwrite<std::byte[]>(
-      std::min<std::uint64_t>(step, packed.size()));
-  for (std::uint64_t at = 0; at < packed.size(); at += step) {
-    const std::uint64_t end = std::min<std::uint64_t>(packed.size(), at + step);
-    prog->pack(base, at, end, stream.get());
-    if (std::memcmp(stream.get(), packed.data() + at, end - at) != 0) {
-      return false;
-    }
-  }
-  return true;
+  const auto stream =
+      std::make_unique_for_overwrite<std::byte[]>(packed.size());
+  pack_stream(base, type, count, engine, window, stream.get());
+  return std::memcmp(stream.get(), packed.data(), packed.size()) == 0;
 }
 
 ReceiveRun run_receive(const ReceiveConfig& config) {
@@ -105,31 +101,19 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
       transform ? logical_bytes / spin::quant_host_elem(cc.quant) *
                       spin::quant_wire_elem(cc.quant)
                 : logical_bytes;
-  // Instance i occupies [i*extent + lb, i*extent + ub): with lb > 0 the
-  // last instance reaches beyond count*extent, so size off the upper
-  // bound. Negative lb (resized types) puts bytes below offset 0; shift
-  // the whole window up so the layout stays inside the buffer — every
-  // DMA target already goes through MatchEntry::buffer_offset.
-  const std::int64_t lo = std::min(
-      {std::int64_t{0}, config.type->lb(), config.type->true_lb()});
-  const std::int64_t hi = std::max(
-      {std::int64_t{0}, config.type->ub(), config.type->true_ub()});
-  const std::uint64_t shift = static_cast<std::uint64_t>(-lo);
-  std::uint64_t buffer_bytes =
-      shift +
-      static_cast<std::uint64_t>(config.type->extent()) *
-          (config.count - 1) +
-      static_cast<std::uint64_t>(hi) + 64;
+  Window window = receive_window(*config.type, config.count);
+  window.bytes += 64;
   // kReduce/kTransform land into the contiguous window [0, logical)
   // regardless of the type's region layout; make sure it fits.
   if (compute_on) {
-    buffer_bytes = std::max(buffer_bytes, shift + logical_bytes + 64);
+    window.bytes = std::max(window.bytes, window.shift + logical_bytes + 64);
   }
+  const std::uint64_t buffer_bytes = window.bytes;
   const std::uint64_t npkt =
       p4::packet_count(msg_bytes, config.cost.pkt_payload);
 
   ReceiveRun run;
-  run.buffer_shift = static_cast<std::int64_t>(shift);
+  run.buffer_shift = static_cast<std::int64_t>(window.shift);
   ReceiveResult& res = run.result;
   res.strategy = config.strategy;
   res.message_bytes = logical_bytes;
@@ -139,158 +123,65 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   res.gamma = static_cast<double>(config.type->region_count(config.count)) /
               static_cast<double>(npkt);
 
-  // The packed message (what the sender's pack/streaming produced). For
-  // compute runs the stream carries valid typed elements (fill_typed),
-  // quantized by the sender for kTransform.
-  std::vector<std::byte> packed;
-  if (!compute_on) {
-    packed = packed_message_pattern(msg_bytes, config.seed);
-  } else if (transform) {
-    const spin::ElemType helem =
-        cc.quant == spin::QuantScheme::kF64ToF32 ? spin::ElemType::kFloat64
-                                                 : spin::ElemType::kFloat32;
-    std::vector<std::byte> logical(logical_bytes);
-    spin::fill_typed(logical.data(), logical_bytes, helem, config.seed);
-    packed.resize(msg_bytes);
-    spin::quantize(packed.data(), logical.data(), logical_bytes, cc.quant);
-  } else {
-    packed.resize(msg_bytes);
-    spin::fill_typed(packed.data(), msg_bytes, cc.elem, config.seed);
-  }
-
-  // Host-unpack baseline keeps a bounce buffer next to the receive
-  // buffer: [0, buffer) receive area, [buffer, buffer+msg) bounce.
+  // Node 0 only sends. The host-unpack baseline keeps a bounce buffer
+  // next to the receive buffer: [0, buffer) receive area, [buffer,
+  // buffer+msg) bounce.
   const bool host_based = config.strategy == StrategyKind::kHostUnpack;
-  const std::uint64_t host_bytes =
-      host_based ? buffer_bytes + msg_bytes : buffer_bytes;
+  MessageDriver driver(World{
+      .fabric = fabric::point_to_point(config.cost),
+      .nic = {config.hpus, config.nicmem_bytes},
+      .host_bytes = {0, host_based ? buffer_bytes + msg_bytes : buffer_bytes},
+      .trace = config.trace,
+      .faults = config.faults,
+      .retransmit = config.retransmit,
+      .ooo_window = config.ooo_window});
+  spin::NicModel& nic = driver.nic(1);
 
-  sim::Engine engine;
-  spin::Host host(host_bytes);
-  spin::NicModel nic(engine, host, config.cost,
-                     spin::NicConfig{config.hpus, config.nicmem_bytes});
-  fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
-  link.attach(1, nic);
-  if (config.trace.any()) {
-    run.tracer = std::make_unique<sim::trace::Tracer>(config.trace);
-    engine.set_tracer(run.tracer.get());
-    nic.set_tracer(run.tracer.get());  // before strategies build contexts
-  }
-
-  // Strategy setup (before the ready-to-receive goes out).
-  std::unique_ptr<SpecializedPlan> specialized;
-  std::unique_ptr<GeneralPlan> general;
-  std::unique_ptr<IovecPlan> iovec;
-  std::unique_ptr<ComputePlan> computep;
-  p4::MatchEntry me;
-  me.match_bits = 0x5197;
-  me.buffer_offset = static_cast<std::int64_t>(shift);
-  me.length = buffer_bytes;
-
-  if (compute_on && config.strategy != StrategyKind::kHostUnpack) {
-    // A compute context replaces the byte-moving strategy (the strategy
-    // field still selects the kHostUnpack baseline for ablations).
-    computep = ComputePlan::create(config.type, config.count, nic.cost(),
-                                   config.pack_engine, cc, nic.metrics());
-    NETDDT_CHECK(computep != nullptr,
-                 "compute config is not element-eligible for this type");
-    res.nic_descriptor_bytes = computep->descriptor_bytes();
-    nic.memory().alloc(res.nic_descriptor_bytes, "compute",
-                       {.pinned = true});
-    me.context = nic.register_context(computep->context(nic));
-  } else
-  switch (config.strategy) {
-    case StrategyKind::kHostUnpack:
-      me.buffer_offset = static_cast<std::int64_t>(buffer_bytes);  // bounce
-      break;
-    case StrategyKind::kSpecialized: {
-      specialized = SpecializedPlan::create(config.type, config.count,
-                                            nic.cost(),
-                                            /*closed_form_only=*/false,
-                                            config.pack_engine);
-      res.nic_descriptor_bytes = specialized->descriptor_bytes();
-      // Pinned: the state belongs to the one in-flight message, so no
-      // eviction may reclaim it mid-receive.
-      nic.memory().alloc(res.nic_descriptor_bytes, "specialized",
-                         {.pinned = true});
-      me.context = nic.register_context(specialized->context(nic));
-      break;
-    }
-    case StrategyKind::kHpuLocal:
-    case StrategyKind::kRoCp:
-    case StrategyKind::kRwCp: {
-      GeneralConfig gc;
-      gc.kind = config.strategy;
-      gc.hpus = config.hpus;
-      gc.epsilon = config.epsilon;
-      gc.nic_memory_budget = config.nicmem_bytes / 2;
-      gc.pkt_buffer_bytes = config.pkt_buffer_bytes;
-      general = std::make_unique<GeneralPlan>(config.type, config.count, gc,
-                                              nic.cost());
-      res.nic_descriptor_bytes = general->descriptor_bytes();
-      res.host_setup_time = general->host_setup_time();
-      res.checkpoint_interval = general->checkpoint_interval();
-      res.checkpoints = general->checkpoints();
-      nic.metrics().counter("offload.checkpoints").add(res.checkpoints);
-      nic.metrics()
-          .counter("offload.checkpoint.interval_bytes")
-          .add(res.checkpoint_interval);
-      nic.memory().alloc(res.nic_descriptor_bytes, "general",
-                         {.pinned = true});
-      me.context = nic.register_context(general->context(nic));
-      break;
-    }
-    case StrategyKind::kIovec: {
-      iovec = std::make_unique<IovecPlan>(config.type, config.count,
-                                          nic.cost());
-      res.nic_descriptor_bytes = iovec->descriptor_bytes();
-      res.host_setup_time = iovec->host_setup_time();
-      me.context = nic.register_context(iovec->context(nic));
-      break;
+  // The landing, before the ready-to-receive goes out. A compute plan
+  // replaces the byte-moving strategy unless the baseline is asked for.
+  Landing to{.bits = 0x5197,
+             .window = window,
+             .verify = config.verify,
+             .type = config.type,
+             .count = config.count,
+             .engine = config.pack_engine};
+  const Plan* plan = host_based ? nullptr : &driver.install(1, config);
+  if (plan == nullptr) {
+    to.window = {.base = static_cast<std::int64_t>(buffer_bytes),
+                 .bytes = msg_bytes};
+  } else {
+    to.plan = plan;
+    to.check = compute_on ? Landing::Check::kCompute
+                          : Landing::Check::kRegions;
+    res.nic_descriptor_bytes = plan->descriptor_bytes;
+    res.host_setup_time = plan->host_setup_time;
+    if (plan->general != nullptr) {
+      res.checkpoint_interval = plan->general->checkpoint_interval();
+      res.checkpoints = plan->general->checkpoints();
     }
   }
-  if (me.context != nullptr && computep == nullptr) {
-    // Handler spans in traces carry the strategy name (compute contexts
-    // already named themselves after their family).
-    static_cast<spin::ExecutionContext*>(me.context)->label =
-        strategy_name(config.strategy).data();
-  }
-  nic.match_list().append(p4::ListKind::kPriority, me);
-
-  if (computep != nullptr) {
+  driver.post(to);
+  if (plan != nullptr && plan->compute != nullptr) {
     // Reductions combine into existing buffer contents: pre-load the
     // destination with the deterministic typed pattern the references
     // also start from.
-    computep->init_fill(host.memory().data(),
-                        static_cast<std::int64_t>(shift), config.seed);
+    plan->compute->init_fill(driver.host(1).memory().data(),
+                             run.buffer_shift, config.seed);
   }
 
   // Stream the message (t = 0 is the ready-to-receive instant).
   const std::uint64_t msg_id = 1;
-  auto packets = p4::packetize(msg_id, me.match_bits, packed,
-                               nic.cost().pkt_payload);
-  if (run.tracer != nullptr && run.tracer->blame() != nullptr) {
-    run.tracer->blame()->open(msg_id, 0);
-  }
-  const sim::faults::FaultPlan fault_plan(config.faults, msg_id);
-  bool put_ok = true;
-  if (fault_plan.active()) {
-    link.send_reliable(0, 1, packets, 0, fault_plan, config.retransmit,
-                       [&put_ok](sim::Time, bool ok) { put_ok = ok; });
-  } else {
-    p4::shuffle_payload(packets, config.ooo_window, config.seed);
-    link.send(0, 1, packets, 0);
-  }
-  engine.run();
-
-  const auto* info = nic.info(msg_id);
-  if (!put_ok || info == nullptr || !info->done) {
+  driver.offer({.id = msg_id, .to = to, .seed = config.seed}, logical_bytes,
+               compute_on ? &cc : nullptr);
+  driver.drain(1);
+  if (driver.failed() > 0) {
     throw std::runtime_error(
         "msg " + std::to_string(msg_id) +
-        (put_ok ? " did not complete"
-                : ": reliable put failed, a packet exhausted max_retries=" +
-                      std::to_string(config.retransmit.max_retries)));
+        ": reliable put failed, a packet exhausted max_retries=" +
+        std::to_string(config.retransmit.max_retries));
   }
-
+  const auto* info = nic.info(msg_id);
+  run.tracer = driver.take_tracer();
   if (run.tracer != nullptr && run.tracer->events_on()) {
     // One span covering the whole message (first byte -> unpack done).
     run.tracer->complete(run.tracer->track("message"), "receive",
@@ -298,11 +189,8 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
                          static_cast<std::int64_t>(msg_id));
   }
   if (run.tracer != nullptr && run.tracer->blame() != nullptr) {
-    // Resolve the attribution window (send start -> final DMA landing);
-    // close() NETDDT_CHECKs that the stages tile it exactly.
-    const auto* attribution =
-        run.tracer->blame()->close(msg_id, info->unpack_done);
-    if (attribution != nullptr) run.blame = *attribution;
+    // Send start -> final DMA landing, closed at done.
+    run.blame = run.tracer->blame()->completed().back();
   }
 
   // Program-engine shape stats: a pure function of (type, count), so
@@ -337,6 +225,7 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
 
   // Publish the simulator's own high-watermark, then freeze the registry:
   // everything below reads through the snapshot, not loose struct fields.
+  const sim::Engine& engine = driver.engine();
   nic.metrics().gauge("sim.engine.queue_depth").set(
       static_cast<std::int64_t>(engine.max_pending()));
   // Deterministic: a pure function of the callables scheduled. Stays 0
@@ -358,7 +247,6 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   // --json) never depends on it.
   nic.metrics().gauge("sim.engine.events_per_sec").set(
       static_cast<std::int64_t>(engine.events_per_sec()));
-  nic.metrics().finalize_series(engine.now());
   run.metrics = nic.metrics().snapshot();
   const sim::MetricsSnapshot& snap = run.metrics;
 
@@ -409,39 +297,17 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
       res.e2e_time += est.unpack_time;
       res.host_traffic_bytes = est.traffic_bytes;
     }
-    if (config.verify) {
-      // The bounce buffer must hold the packed stream; unpack it
-      // functionally to mirror what the CPU would produce. (A 0-byte
-      // message has no bounce data — and packed.data() may be null.)
-      res.verified =
-          msg_bytes == 0 ||
-          std::memcmp(host.memory().data() + buffer_bytes, packed.data(),
-                      msg_bytes) == 0;
-    }
-  } else if (computep != nullptr) {
+  } else if (compute_on) {
     // Offloaded compute: the destination crosses memory once, twice for
     // RMW families (the DMA engine reads it back before combining).
     res.host_traffic_bytes = logical_bytes * (transform ? 1u : 2u);
-    if (config.verify) {
-      // Whole-buffer compare against the shared host reference: init
-      // fill + exactly one combined contribution per element.
-      std::vector<std::byte> reference(buffer_bytes, std::byte{0});
-      computep->host_reference(reference.data(), run.buffer_shift,
-                               packed.data(), msg_bytes, config.seed);
-      res.verified = std::memcmp(host.memory().data(), reference.data(),
-                                 buffer_bytes) == 0;
-    }
   } else {
     // Offloaded: the only main-memory traffic is the scattered message.
     res.host_traffic_bytes = msg_bytes;
-    if (config.verify) {
-      res.verified = regions_hold_stream(
-          host.memory().data() + shift, config.type, config.count, packed,
-          config.pack_engine, nic.cost().pkt_payload);
-    }
   }
+  res.verified = driver.verified() == 1;
   if (config.keep_buffer) {
-    const std::byte* base = host.memory().data();
+    const std::byte* base = driver.host(1).memory().data();
     run.buffer.assign(base, base + buffer_bytes);
   }
   return run;

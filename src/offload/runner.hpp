@@ -1,8 +1,9 @@
 #pragma once
-// Single-receive experiment driver: builds a sender/link/NIC/host world,
-// installs one offload strategy, streams one message, verifies the
-// receive buffer against the sent stream, and reports all the
-// quantities the paper's figures plot.
+// Single-receive experiment: the simplest schedule on the message driver
+// (offload/driver.hpp). A two-node point-to-point world, one post (the
+// forced strategy, a compute plan, or the host baseline's packed bounce
+// landing) and one offer at t = 0; then the quantities the paper's
+// figures plot, read from the receiving NIC's metrics.
 
 #include <cstdint>
 #include <memory>
@@ -110,15 +111,20 @@ struct ReceiveRun {
 /// exhausts `retransmit.max_retries`.
 ReceiveRun run_receive(const ReceiveConfig& config);
 
-/// The byte-moving receive check: gather the `count` instances of `type`
-/// laid out at `base` (the address of type offset 0) back into a stream
-/// and compare it with `packed`, the count * type->size() bytes that were
-/// sent. Only the type's regions are read; gap bytes never affect the
-/// result. For a type whose regions are disjoint (receive types must
-/// be) this is the same as comparing each region with the reference
-/// unpack. kInterpreter gathers with ddt::pack, kProgram with the
-/// compiled flat program in `window`-byte stream windows (the packet
-/// payload), falling back to ddt::pack when the type has no program.
+/// Gather the `count` instances of `type` laid out at `base` (the address
+/// of type offset 0) into the count * type->size() bytes at `out`.
+/// kInterpreter gathers with ddt::pack, kProgram with the compiled flat
+/// program in `window`-byte stream windows (the packet payload), falling
+/// back to ddt::pack when the type has no program.
+void pack_stream(const std::byte* base, const ddt::TypePtr& type,
+                 std::uint64_t count, dataloop::PackEngine engine,
+                 std::uint64_t window, std::byte* out);
+
+/// The byte-moving receive check: pack_stream the regions at `base` and
+/// compare the stream with `packed`, the bytes that were sent. Only the
+/// type's regions are read; gap bytes never affect the result. For a
+/// type whose regions are disjoint (receive types must be) this is the
+/// same as comparing each region with the reference unpack.
 bool regions_hold_stream(const std::byte* base, const ddt::TypePtr& type,
                          std::uint64_t count,
                          std::span<const std::byte> packed,

@@ -4,9 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dataloop/cache.hpp"
-#include "ddt/pack.hpp"
 #include "fabric/fabric.hpp"
+#include "offload/driver.hpp"
 #include "offload/host_model.hpp"
 #include "p4/put.hpp"
 #include "sim/check.hpp"
@@ -35,21 +34,10 @@ SendResult run_send(const SendConfig& config) {
   res.strategy = config.strategy;
   res.message_bytes = msg;
 
-  // Source buffer with a recognizable pattern laid out per the type
-  // (sized off the upper bound: with lb > 0 the last instance reaches
-  // past count*extent). Negative lb puts bytes below offset 0; shift the
-  // whole layout up so it stays inside the buffer.
-  const std::int64_t lo = std::min(
-      {std::int64_t{0}, config.type->lb(), config.type->true_lb()});
-  const std::int64_t hi = std::max(
-      {std::int64_t{0}, config.type->ub(), config.type->true_ub()});
-  const std::uint64_t shift = static_cast<std::uint64_t>(-lo);
-  const std::uint64_t src_bytes =
-      shift +
-      static_cast<std::uint64_t>(config.type->extent()) *
-          (config.count - 1) +
-      static_cast<std::uint64_t>(hi) + 64;
-  std::vector<std::byte> source(src_bytes, std::byte{0});
+  // Source buffer with a recognizable pattern laid out per the type.
+  const Window window = receive_window(*config.type, config.count);
+  const std::uint64_t shift = window.shift;
+  std::vector<std::byte> source(window.bytes + 64, std::byte{0});
   {
     std::uint64_t stream = 0;
     for (const auto& r : regions) {
@@ -60,23 +48,10 @@ SendResult run_send(const SendConfig& config) {
       }
     }
   }
+  // What the Pack+Send CPU would stream, in the same resumable windows.
   std::vector<std::byte> expected(msg);
-  std::shared_ptr<const dataloop::FlatProgram> prog;
-  if (config.pack_engine == dataloop::PackEngine::kProgram) {
-    prog = dataloop::plan_cached(config.type, config.count).program;
-  }
-  if (prog != nullptr) {
-    // Chunked program pack — the same resumable windows the Pack+Send
-    // CPU would stream; byte-identical to ddt::pack by construction.
-    const std::uint64_t step = c.pkt_payload;
-    for (std::uint64_t at = 0; at < msg; at += step) {
-      prog->pack(source.data() + shift, at, std::min(msg, at + step),
-                 expected.data() + at);
-    }
-  } else if (msg > 0) {
-    ddt::pack(source.data() + shift, *config.type, config.count,
-              expected.data());
-  }
+  pack_stream(source.data() + shift, config.type, config.count,
+              config.pack_engine, c.pkt_payload, expected.data());
 
   sim::Engine engine;
   spin::Host host(msg + 64);

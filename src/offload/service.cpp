@@ -1,17 +1,13 @@
 #include "offload/service.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
-#include "fabric/fabric.hpp"
-#include "offload/runner.hpp"
-#include "p4/put.hpp"
+#include "offload/driver.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace/sampler.hpp"
 
@@ -25,203 +21,88 @@ std::uint64_t msg_key(std::uint32_t tenant, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(tenant + 1) << 40) | seq;
 }
 
-/// Per-tenant receive-buffer geometry (one dedicated slot per message,
-/// so late verification of any sampled message stays sound).
-struct TenantGeometry {
-  std::uint64_t msg_bytes = 0;
-  std::int64_t shift = 0;       // lift negative-lb layouts into the slot
-  std::uint64_t stride = 0;     // slot size, 64-byte aligned
-  std::int64_t base = 0;        // first slot's offset in host memory
-};
-
-TenantGeometry tenant_geometry(const ServiceTenant& t) {
-  TenantGeometry g;
-  g.msg_bytes = t.type->size() * t.count;
-  const std::int64_t lo =
-      std::min({std::int64_t{0}, t.type->lb(), t.type->true_lb()});
-  const std::int64_t hi =
-      std::max({std::int64_t{0}, t.type->ub(), t.type->true_ub()});
-  g.shift = -lo;
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(t.type->extent()) * (t.count - 1) +
-      static_cast<std::uint64_t>(hi);
-  // The slot must hold the scattered layout *and* a packed host-fallback
-  // landing, whichever the facade picks for any given message.
-  const std::uint64_t need = static_cast<std::uint64_t>(g.shift) +
-                             std::max(span, g.msg_bytes) + 64;
-  g.stride = (need + 63) & ~std::uint64_t{63};
-  return g;
-}
-
-struct MsgRecord {
+struct Arrival {
   std::uint32_t tenant = 0;
   std::uint64_t seq = 0;
-  sim::Time arrival = 0;
-  bool host_path = false;  // facade fell back: packed landing
-  // Packet data spans into these bytes. A lossless message frees them
-  // when it retires; a lossy one moves them to the run-scoped graveyard,
-  // since a late duplicate can still read them after the message retires
-  // (see Fabric::send_reliable).
-  std::vector<std::byte> packed;
+  sim::Time at = 0;
 };
 
 struct ServiceState {
   const ServiceConfig* config = nullptr;
-  sim::Engine* engine = nullptr;
-  spin::Host* host = nullptr;
-  spin::NicModel* nic = nullptr;
-  fabric::Fabric* link = nullptr;  // point-to-point: node 0 -> node 1
+  MessageDriver* driver = nullptr;
   DdtEngine* facade = nullptr;
-
-  std::vector<TenantGeometry> geometry;
+  /// Per tenant, message 0's receive slot; message seq's sits seq slots
+  /// later. One dedicated slot per message keeps late verification of
+  /// any sampled message sound.
+  std::vector<Window> slots;
   std::vector<DdtEngine::TypeHandle> handles;
   std::vector<TenantStats> stats;
-
-  sim::trace::BlameLedger* blame = nullptr;
   sim::TelemetrySampler* sampler = nullptr;
 
-  std::unordered_map<std::uint64_t, MsgRecord> live;
-  std::deque<std::uint64_t> pending;  // awaiting admission, arrival order
-  std::uint64_t inflight = 0;
+  std::deque<Arrival> pending;  // awaiting admission, arrival order
+  std::uint64_t messages = 0;   // the schedule's total
   std::uint64_t peak_inflight = 0;
-  std::uint64_t verified = 0;
-  std::uint64_t verify_failures = 0;
-  std::uint64_t put_failures = 0;
-  std::uint64_t remaining = 0;  // offered messages not yet retired
-  // See MsgRecord: buffers of retired lossy messages live here until
-  // the engine drains.
-  std::vector<std::vector<std::byte>> graveyard_packed;
 
-  void on_arrival(std::uint32_t tenant, std::uint64_t seq, sim::Time at);
-  void admit(std::uint64_t key);
-  void on_done(std::uint64_t key, sim::Time when);
-  void on_put_failed(std::uint64_t key);
-  void retire(std::unordered_map<std::uint64_t, MsgRecord>::iterator it);
-  bool verify(const MsgRecord& rec) const;
+  void on_arrival(const Arrival& a);
+  void admit(const Arrival& a);
+  void finish(const Message& m, sim::Time when);
 };
 
-void ServiceState::on_arrival(std::uint32_t tenant, std::uint64_t seq,
-                              sim::Time at) {
-  TenantStats& ts = stats[tenant];
-  if (ts.offered == 0 || at < ts.first_arrival) ts.first_arrival = at;
+void ServiceState::on_arrival(const Arrival& a) {
+  TenantStats& ts = stats[a.tenant];
+  if (ts.offered == 0 || a.at < ts.first_arrival) ts.first_arrival = a.at;
   ts.offered += 1;
-  const std::uint64_t key = msg_key(tenant, seq);
-  MsgRecord& rec = live[key];
-  rec.tenant = tenant;
-  rec.seq = seq;
-  rec.arrival = at;
-  if (blame != nullptr) blame->open(key, at);
-  if (inflight >= config->max_inflight) {
+  if (driver->in_flight() >= config->max_inflight) {
     ts.backpressured += 1;
-    pending.push_back(key);
+    pending.push_back(a);
     return;
   }
-  admit(key);
+  admit(a);
 }
 
-void ServiceState::admit(std::uint64_t key) {
-  MsgRecord& rec = live.at(key);
-  const ServiceTenant& tenant = config->tenants[rec.tenant];
-  const TenantGeometry& g = geometry[rec.tenant];
-  const std::int64_t slot =
-      g.base + static_cast<std::int64_t>(rec.seq * g.stride);
-
-  const DdtEngine::PostResult post = facade->post_receive(
-      handles[rec.tenant], tenant.count, slot + g.shift, g.stride,
-      /*match_bits=*/key);
-  rec.host_path = post.strategy == StrategyKind::kHostUnpack;
-  if (rec.host_path) stats[rec.tenant].host_fallbacks += 1;
-
+void ServiceState::admit(const Arrival& a) {
+  const ServiceTenant& tenant = config->tenants[a.tenant];
+  const std::uint64_t key = msg_key(a.tenant, a.seq);
+  Window slot = slots[a.tenant];
+  slot.base += static_cast<std::int64_t>(a.seq * slot.bytes);
+  const std::uint64_t every = config->verify_every;
+  const Landing to = driver->post(
+      {.bits = key,
+       .window = slot,
+       .check = Landing::Check::kRegions,
+       .verify = every > 0 && a.seq % every == 0,
+       .type = tenant.type,
+       .count = tenant.count},
+      *facade, handles[a.tenant]);
+  if (to.check == Landing::Check::kPacked) {
+    stats[a.tenant].host_fallbacks += 1;  // lands packed at slot.at()
+  }
   // Each message carries its own seeded pattern so verification can
   // tell messages of the same tenant apart.
-  rec.packed = packed_message_pattern(
-      g.msg_bytes, config->seed * 0x10001 + key);
-  if (blame != nullptr) {
-    // Backpressure wait: arrival -> this admission (empty if immediate).
-    blame->interval(key, sim::trace::BlameStage::kAdmission, rec.arrival,
-                    engine->now());
-  }
-  const sim::faults::FaultPlan plan(config->faults, key);
-  if (plan.active()) {
-    link->send_reliable(
-        0, 1, p4::packetize(key, key, rec.packed, config->cost.pkt_payload),
-        engine->now(), plan, config->retransmit,
-        [this, key](sim::Time, bool ok) {
-          if (!ok) on_put_failed(key);
-        });
+  driver->offer({.id = key,
+                 .to = to,
+                 .seed = config->seed * 0x10001 + key,
+                 .arrival = a.at},
+                tenant.type->size() * tenant.count);
+  peak_inflight = std::max(peak_inflight, driver->in_flight());
+}
+
+void ServiceState::finish(const Message& m, sim::Time when) {
+  TenantStats& ts = stats[(m.id >> 40) - 1];
+  if (m.failed) {
+    ts.failed += 1;
   } else {
-    // One hop: the fabric copies each packet at injection.
-    link->send(0, 1,
-               p4::packetize(key, key, rec.packed, config->cost.pkt_payload),
-               engine->now());
+    ts.completed += 1;
+    ts.bytes += m.payload.size();
+    ts.last_done = std::max(ts.last_done, when);
+    ts.completion.add(when - m.arrival);
   }
-
-  inflight += 1;
-  peak_inflight = std::max(peak_inflight, inflight);
-}
-
-bool ServiceState::verify(const MsgRecord& rec) const {
-  const ServiceTenant& tenant = config->tenants[rec.tenant];
-  const TenantGeometry& g = geometry[rec.tenant];
-  const std::int64_t slot =
-      g.base + static_cast<std::int64_t>(rec.seq * g.stride);
-  const std::byte* mem = host->memory().data();
-  if (g.msg_bytes == 0) return true;
-  if (rec.host_path) {
-    // Host fallback: the slot holds the raw packed stream.
-    return std::memcmp(mem + slot + g.shift, rec.packed.data(),
-                       g.msg_bytes) == 0;
+  if (driver->completed() + driver->failed() == messages &&
+      sampler != nullptr) {
+    sampler->stop();
   }
-  return regions_hold_stream(mem + slot + g.shift, tenant.type, tenant.count,
-                             rec.packed, dataloop::PackEngine::kInterpreter,
-                             config->cost.pkt_payload);
-}
-
-void ServiceState::on_done(std::uint64_t key, sim::Time when) {
-  const auto it = live.find(key);
-  if (it == live.end()) return;  // not a service-managed message
-  MsgRecord& rec = it->second;
-  TenantStats& ts = stats[rec.tenant];
-  ts.completed += 1;
-  ts.bytes += geometry[rec.tenant].msg_bytes;
-  ts.last_done = std::max(ts.last_done, when);
-  ts.completion.add(when - rec.arrival);
-  if (blame != nullptr) blame->close(key, when);
-
-  const std::uint64_t every = config->verify_every;
-  if (every > 0 && rec.seq % every == 0) {
-    verified += 1;
-    if (!verify(rec)) verify_failures += 1;
-  }
-  retire(it);
-}
-
-void ServiceState::on_put_failed(std::uint64_t key) {
-  const auto it = live.find(key);
-  if (it == live.end()) return;
-  stats[it->second.tenant].failed += 1;
-  put_failures += 1;
-  // No close(): the blame ledger only accounts completed messages, and
-  // the NIC will never finish this one (the completion packet is never
-  // released once a data packet exhausts its retries).
-  retire(it);
-}
-
-void ServiceState::retire(
-    std::unordered_map<std::uint64_t, MsgRecord>::iterator it) {
-  MsgRecord& rec = it->second;
-  if (config->faults.active()) {
-    graveyard_packed.push_back(std::move(rec.packed));
-  }
-  live.erase(it);
-
-  assert(remaining > 0);
-  remaining -= 1;
-  if (remaining == 0 && sampler != nullptr) sampler->stop();
-
-  inflight -= 1;
-  if (!pending.empty() && inflight < config->max_inflight) {
-    const std::uint64_t next = pending.front();
+  if (!pending.empty() && driver->in_flight() < config->max_inflight) {
+    const Arrival next = pending.front();
     pending.pop_front();
     admit(next);
   }
@@ -248,47 +129,43 @@ ServiceRun run_service(const ServiceConfig& config) {
   }
   ServiceState st;
   st.config = &config;
-  st.geometry.reserve(config.tenants.size());
   std::uint64_t host_bytes = 64;
   for (const auto& t : config.tenants) {
-    TenantGeometry g = tenant_geometry(t);
-    g.base = static_cast<std::int64_t>(host_bytes);
-    host_bytes += g.stride * t.messages;
-    st.geometry.push_back(std::move(g));
+    Window slot = receive_window(*t.type, t.count);
+    // The slot must hold the scattered layout *and* a packed host-fallback
+    // landing, whichever the facade picks for any given message.
+    const std::uint64_t need =
+        std::max(slot.bytes, slot.shift + t.type->size() * t.count) + 64;
+    slot.bytes = (need + 63) & ~std::uint64_t{63};
+    slot.base = static_cast<std::int64_t>(host_bytes);
+    host_bytes += slot.bytes * t.messages;
+    st.slots.push_back(slot);
+    st.messages += t.messages;
   }
   st.stats.resize(config.tenants.size());
 
-  sim::Engine engine;
-  spin::Host host(host_bytes);
-  spin::NicModel nic(engine, host, config.cost,
-                     spin::NicConfig{config.hpus, config.nicmem_bytes});
-  fabric::Fabric link(engine, fabric::point_to_point(nic.cost()));
-  link.attach(1, nic);
+  // Node 0 only sends; node 1 receives through the facade.
+  MessageDriver driver(World{.fabric = fabric::point_to_point(config.cost),
+                             .nic = {config.hpus, config.nicmem_bytes},
+                             .host_bytes = {0, host_bytes},
+                             .trace = config.trace,
+                             .faults = config.faults,
+                             .retransmit = config.retransmit});
+  spin::NicModel& nic = driver.nic(1);
   DdtEngine facade(nic);
-  st.engine = &engine;
-  st.host = &host;
-  st.nic = &nic;
-  st.link = &link;
+  st.driver = &driver;
   st.facade = &facade;
-  for (const auto& t : config.tenants) st.remaining += t.messages;
-
-  std::unique_ptr<sim::trace::Tracer> tracer;
-  if (config.trace.any()) {
-    tracer = std::make_unique<sim::trace::Tracer>(config.trace);
-    engine.set_tracer(tracer.get());
-    nic.set_tracer(tracer.get());  // before the facade builds contexts
-    st.blame = tracer->blame();
-  }
 
   std::optional<sim::TelemetrySampler> sampler;
   if (config.telemetry_period > 0) {
-    sampler.emplace(engine, nic.metrics(), config.telemetry_period);
-    sampler->set_tracer(tracer.get());
+    sampler.emplace(driver.engine(), nic.metrics(), config.telemetry_period);
+    sampler->set_tracer(driver.tracer());
     // Every probe reads state the components already maintain; the
     // gauges referenced here are registered eagerly by their owners,
     // so sampling adds "telemetry.*" series and nothing else.
-    sampler->probe("svc.inflight",
-                   [state = &st] { return static_cast<double>(state->inflight); });
+    sampler->probe("svc.inflight", [d = &driver] {
+      return static_cast<double>(d->in_flight());
+    });
     sampler->probe("nic.match.posted", [n = &nic] {
       return static_cast<double>(n->match_list().priority_size() +
                                  n->match_list().overflow_size());
@@ -303,9 +180,9 @@ ServiceRun run_service(const ServiceConfig& config) {
     sampler->probe("nic.dma.queue_depth", [n = &nic] {
       return static_cast<double>(n->dma().queue_depth());
     });
-    sampler->probe("link.port_backlog_us", [l = &link, e = &engine] {
+    sampler->probe("link.port_backlog_us", [d = &driver] {
       const sim::Time backlog =
-          std::max<sim::Time>(0, l->port_free(0) - e->now());
+          std::max<sim::Time>(0, d->fabric().port_free(0) - d->engine().now());
       return static_cast<double>(backlog) / 1e6;
     });
     st.sampler = &*sampler;
@@ -316,9 +193,7 @@ ServiceRun run_service(const ServiceConfig& config) {
     st.handles.push_back(facade.commit(t.type, t.attrs));
   }
 
-  nic.set_msg_done_callback([state = &st](std::uint64_t key, sim::Time when) {
-    state->on_done(key, when);
-  });
+  driver.on_finish = std::bind_front(&ServiceState::finish, &st);
 
   // Precompute every tenant's arrival schedule (single-threaded, tenant
   // order) and post the arrival events; the rest of the run is driven
@@ -328,29 +203,25 @@ ServiceRun run_service(const ServiceConfig& config) {
     ac.seed ^= config.seed;
     sim::ArrivalProcess arrivals(ac, /*stream=*/t);
     for (std::uint64_t seq = 0; seq < config.tenants[t].messages; ++seq) {
-      const sim::Time at = arrivals.next();
-      engine.schedule_at(at, [state = &st, t, seq, at] {
-        state->on_arrival(t, seq, at);
-      });
+      const Arrival a{t, seq, arrivals.next()};
+      driver.engine().schedule_at(a.at,
+                                  [state = &st, a] { state->on_arrival(a); });
     }
   }
-
-  engine.run();
-  assert(st.live.empty() && st.pending.empty() &&
-         "service run drained with messages outstanding");
-
-  nic.metrics().finalize_series(engine.now());
+  driver.drain(st.messages);
 
   ServiceRun run;
   run.peak_inflight = st.peak_inflight;
-  run.verified = st.verified;
-  run.verify_failures = st.verify_failures;
+  run.verified = driver.verified() + driver.mismatched();
+  run.verify_failures = driver.mismatched();
   run.evictions = facade.evictions();
   run.host_fallbacks = facade.host_fallbacks();
-  run.put_failures = st.put_failures;
+  run.put_failures = driver.failed();
   run.metrics = nic.metrics().snapshot();
-  if (st.blame != nullptr) run.blame = st.blame->completed();
-  run.tracer = std::move(tracer);
+  if (driver.tracer() != nullptr && driver.tracer()->blame() != nullptr) {
+    run.blame = driver.tracer()->blame()->completed();
+  }
+  run.tracer = driver.take_tracer();
 
   sim::Time first = 0, last = 0;
   bool any = false;

@@ -1,10 +1,12 @@
 #pragma once
-// Steady-state service driver: many concurrent receives per tenant,
-// offered by an open-loop arrival process, flowing through the MPI
-// facade (plan cache, LRU eviction, host fallback) onto one NIC.
+// Steady-state service: many concurrent receives per tenant, offered by
+// an open-loop arrival process, flowing through the MPI facade (plan
+// cache, LRU eviction, host fallback) onto one NIC. A schedule on the
+// message driver (offload/driver.hpp): Poisson arrivals plus an
+// admission window over its post (a facade post) and offer.
 //
 // Where run_receive() measures a single message in isolation, this
-// driver measures the NIC *as a service*: tenants post receives on
+// schedule measures the NIC *as a service*: tenants post receives on
 // their own clocks, messages queue at the sender's one injection port
 // (every send on the run's point-to-point fabric serializes behind the
 // previous ones), handler state competes for HPUs and NIC memory, and
@@ -15,7 +17,7 @@
 // posted + packets queued) at once — the model of a finite receive
 // window. Arrivals beyond it wait in FIFO order and are admitted as
 // messages retire (counted per tenant in `backpressured`). Admission is
-// driven by NicModel's message-done callback, so the loop closes inside
+// driven by the driver's completion hook, so the loop closes inside
 // the simulation with no wall-clock dependence.
 //
 // Determinism: arrival schedules are pure functions of (config, tenant

@@ -39,6 +39,11 @@ enum class HandlerFamily : std::uint8_t {
   kAccumulate,  // reduction scattered into non-contiguous targets
 };
 
+/// True for the families whose DMA writes are read-modify-write.
+constexpr bool read_modify_write(HandlerFamily f) {
+  return f == HandlerFamily::kReduce || f == HandlerFamily::kAccumulate;
+}
+
 enum class ElemType : std::uint8_t { kInt8, kInt32, kInt64, kFloat32,
                                      kFloat64 };
 

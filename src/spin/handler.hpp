@@ -124,10 +124,7 @@ struct ExecutionContext {
   /// bitmap gates them) instead of relying on idempotent rewrites.
   /// kTransform stays false: dequantize emits plain writes of identical
   /// bytes, so replay is harmless — the historical contract.
-  bool rmw() const {
-    return family == HandlerFamily::kReduce ||
-           family == HandlerFamily::kAccumulate;
-  }
+  bool rmw() const { return read_modify_write(family); }
 };
 
 }  // namespace netddt::spin

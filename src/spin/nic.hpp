@@ -134,9 +134,9 @@ class NicModel {
   const MsgInfo* info(std::uint64_t msg_id) const;
 
   /// Observer of message completion (fires from on_final_dma, after the
-  /// MsgInfo is final and the completion event was posted). The service
-  /// runner uses it to retire in-flight messages and admit queued work;
-  /// nullptr detaches.
+  /// MsgInfo is final and the completion event was posted). The message
+  /// driver uses it to verify and release messages, and its schedules to
+  /// admit queued work; nullptr detaches.
   using MsgDoneFn = std::function<void(std::uint64_t msg_id, sim::Time when)>;
   void set_msg_done_callback(MsgDoneFn fn) { on_msg_done_ = std::move(fn); }
 

@@ -30,6 +30,19 @@ TEST(Normalize, ContiguousOfContiguousCollapses) {
   expect_equivalent(t, n);
 }
 
+TEST(Normalize, ZeroLengthStructBlockKeepsTheBounds) {
+  // The struct ignores the zero-length block's displacement (lb = ub =
+  // 0); the hindexed it normalizes into would bound it at 16.
+  auto t = Type::struct_type(std::vector<std::int64_t>{0},
+                             std::vector<std::int64_t>{16},
+                             std::vector<TypePtr>{Type::int32()});
+  auto n = normalize(t);
+  EXPECT_EQ(n->size(), 0u);
+  EXPECT_EQ(n->lb(), t->lb());
+  EXPECT_EQ(n->ub(), t->ub());
+  expect_equivalent(t, n);
+}
+
 TEST(Normalize, ContiguousOfOneUnwraps) {
   auto t = Type::contiguous(1, Type::float64());
   EXPECT_EQ(normalize(t)->kind(), Kind::kElementary);
