@@ -51,10 +51,10 @@ struct Collective {
         block(config.block_bytes),
         reduce(config.kind == CollectiveKind::kReduceScatter &&
                config.offload),
-        driver(world()) {}
+        driver(build_world()) {}
 
-  /// Checks the config and sizes every node's host memory.
-  offload::World world() {
+  /// Checks the config, sets up the landing and sizes host memory.
+  offload::World build_world() {
     NETDDT_CHECK(P >= 2, "collective needs at least two nodes");
     NETDDT_CHECK(cfg.rounds >= 1, "collective needs at least one round");
     NETDDT_CHECK(block > 0, "block_bytes must be positive");

@@ -66,7 +66,7 @@ struct Landing {
     kSlot,     // the whole window equals the stream's unpack, gaps included
     kCompute,  // the whole window equals the compute plan's host reference
   };
-  std::uint32_t node = 1;
+  std::uint32_t node = 1;  // the receiver of a point-to-point world
   std::uint64_t bits = 0;  // match bits
   Window window{};
   const Plan* plan = nullptr;  // null: packed RDMA (or a facade post)

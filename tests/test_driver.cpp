@@ -36,6 +36,8 @@ TEST(MessageDriver, UnmatchedOfferFailsTheDrainCheck) {
               std::string::npos)
         << what;
   }
+  EXPECT_GT(driver.nic(1).metrics().snapshot().counter("nic.pkts.dropped"),
+            0u);
 }
 
 TEST(MessageDriver, MissingOffersFailTheDrainCheck) {
