@@ -251,8 +251,8 @@ bool MessageDriver::holds(const Message& m) {
     case Landing::Check::kCompute:
       break;
   }
-  scratch_.assign(to.window.bytes, std::byte{0});
-  std::byte* ref = scratch_.data();
+  reference_.assign(to.window.bytes, std::byte{0});
+  std::byte* ref = reference_.data();
   if (to.check == Landing::Check::kSlot) {
     ddt::unpack(m.payload.data(), *to.type, to.count, ref + to.window.shift);
   } else {

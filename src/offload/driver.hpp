@@ -163,7 +163,7 @@ class MessageDriver {
   std::vector<std::unique_ptr<spin::Host>> hosts_;
   std::vector<std::unique_ptr<spin::NicModel>> nics_;
   Live live_;
-  std::vector<std::byte> scratch_;  // kSlot / kCompute reference window
+  std::vector<std::byte> reference_;  // kSlot / kCompute reference window
   std::uint64_t offered_ = 0, completed_ = 0, failed_ = 0;
   std::uint64_t verified_ = 0, mismatched_ = 0, skipped_ = 0;
   std::uint64_t payload_bytes_ = 0, peak_payload_bytes_ = 0;
