@@ -1,7 +1,6 @@
 #include "offload/compute_plan.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -340,8 +339,10 @@ void ComputePlan::host_reference(std::byte* buf, std::int64_t shift,
                                  const std::byte* stream,
                                  std::uint64_t stream_bytes,
                                  std::uint64_t seed) const {
-  assert(stream_bytes == stream_bytes_);
-  (void)stream_bytes;
+  NETDDT_CHECK(stream_bytes == stream_bytes_,
+               "host_reference got a " + std::to_string(stream_bytes) +
+                   "-byte stream for a " + std::to_string(stream_bytes_) +
+                   "-byte plan");
   init_fill(buf, shift, seed);
   switch (cc_.family) {
     case HandlerFamily::kTransform:

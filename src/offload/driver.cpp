@@ -230,6 +230,7 @@ MessageDriver::Live::iterator MessageDriver::release(Live::iterator it) {
       ++mismatched_;
     }
   }
+  if (on_release) on_release(m);
   payload_bytes_ -= m.payload.size();
   return live_.erase(it);
 }

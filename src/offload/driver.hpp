@@ -12,7 +12,10 @@
 // read-modify-write landings (the NIC drops duplicates unread). Lossy
 // byte movers and failed puts wait for the drain, since a duplicate can
 // still run a handler or an RDMA write after done. Payloads are freed,
-// not pooled, so ASan reports any late read.
+// not pooled, so ASan reports any late read. The release runs the
+// schedule's on_release hook after the verify counters move, so a
+// schedule may recycle the landing's host window there: at done for a
+// lossless message, only at the drain for a held or failed one.
 
 #include <cstdint>
 #include <deque>
@@ -137,6 +140,9 @@ class MessageDriver {
   /// The schedule's hook: once per message when it completes or its put
   /// fails (m.failed), before the release.
   std::function<void(const Message&, sim::Time)> on_finish;
+  /// The schedule's hook: once per message at its release, after the
+  /// message is verified and before its payload is freed.
+  std::function<void(const Message&)> on_release;
 
   std::uint64_t in_flight() const { return offered_ - completed_ - failed_; }
   std::uint64_t completed() const { return completed_; }

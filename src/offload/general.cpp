@@ -1,11 +1,12 @@
 #include "offload/general.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <string>
 
 #include "dataloop/cache.hpp"
 #include "offload/host_model.hpp"
 #include "p4/packet.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::offload {
 
@@ -139,7 +140,9 @@ GeneralPlan::GeneralPlan(const ddt::TypePtr& type, std::uint64_t count,
       break;
     }
     default:
-      assert(false && "GeneralPlan handles HPU-local / RO-CP / RW-CP only");
+      NETDDT_CHECK(false, "GeneralPlan handles HPU-local / RO-CP / RW-CP "
+                          "only, not " +
+                              std::string(strategy_name(config.kind)));
   }
 }
 

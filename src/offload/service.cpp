@@ -1,6 +1,7 @@
 #include "offload/service.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -27,14 +28,22 @@ struct Arrival {
   sim::Time at = 0;
 };
 
+/// One tenant's receive slots (see "Receive slots" in service.hpp). A
+/// released slot is zeroed: every post then sees the all-zero window a
+/// fresh calloc'd slot shows, so stale bytes of an earlier occupant
+/// (packed_message_pattern repeats with the seed mod 256) cannot mask
+/// a missing write.
+struct TenantSlots {
+  Window first;  // slot k sits k * first.bytes past this one
+  std::uint64_t fresh = 0;           // slots handed out so far
+  std::vector<std::int64_t> free{};  // released bases, most recent last
+};
+
 struct ServiceState {
   const ServiceConfig* config = nullptr;
   MessageDriver* driver = nullptr;
   DdtEngine* facade = nullptr;
-  /// Per tenant, message 0's receive slot; message seq's sits seq slots
-  /// later. One dedicated slot per message keeps late verification of
-  /// any sampled message sound.
-  std::vector<Window> slots;
+  std::vector<TenantSlots> slots;
   std::vector<DdtEngine::TypeHandle> handles;
   std::vector<TenantStats> stats;
   sim::TelemetrySampler* sampler = nullptr;
@@ -46,6 +55,7 @@ struct ServiceState {
   void on_arrival(const Arrival& a);
   void admit(const Arrival& a);
   void finish(const Message& m, sim::Time when);
+  void release(const Message& m);
 };
 
 void ServiceState::on_arrival(const Arrival& a) {
@@ -63,8 +73,14 @@ void ServiceState::on_arrival(const Arrival& a) {
 void ServiceState::admit(const Arrival& a) {
   const ServiceTenant& tenant = config->tenants[a.tenant];
   const std::uint64_t key = msg_key(a.tenant, a.seq);
-  Window slot = slots[a.tenant];
-  slot.base += static_cast<std::int64_t>(a.seq * slot.bytes);
+  TenantSlots& pool = slots[a.tenant];
+  Window slot = pool.first;
+  if (pool.free.empty()) {
+    slot.base += static_cast<std::int64_t>(pool.fresh++ * slot.bytes);
+  } else {
+    slot.base = pool.free.back();
+    pool.free.pop_back();
+  }
   const std::uint64_t every = config->verify_every;
   const Landing to = driver->post(
       {.bits = key,
@@ -108,6 +124,13 @@ void ServiceState::finish(const Message& m, sim::Time when) {
   }
 }
 
+void ServiceState::release(const Message& m) {
+  if (m.held || m.failed) return;  // the drain: nothing left to admit
+  const Window& w = m.to.window;
+  std::memset(driver->host(1).memory().data() + w.base, 0, w.bytes);
+  slots[(m.id >> 40) - 1].free.push_back(w.base);
+}
+
 }  // namespace
 
 ServiceRun run_service(const ServiceConfig& config) {
@@ -138,8 +161,11 @@ ServiceRun run_service(const ServiceConfig& config) {
         std::max(slot.bytes, slot.shift + t.type->size() * t.count) + 64;
     slot.bytes = (need + 63) & ~std::uint64_t{63};
     slot.base = static_cast<std::int64_t>(host_bytes);
+    // Room for one slot per message, as a lossy run holds every slot to
+    // the drain; a lossless run touches only its admission window's
+    // worth, and calloc'd pages nothing touches cost nothing.
     host_bytes += slot.bytes * t.messages;
-    st.slots.push_back(slot);
+    st.slots.push_back({.first = slot});
     st.messages += t.messages;
   }
   st.stats.resize(config.tenants.size());
@@ -194,6 +220,7 @@ ServiceRun run_service(const ServiceConfig& config) {
   }
 
   driver.on_finish = std::bind_front(&ServiceState::finish, &st);
+  driver.on_release = std::bind_front(&ServiceState::release, &st);
 
   // Precompute every tenant's arrival schedule (single-threaded, tenant
   // order) and post the arrival events; the rest of the run is driven
@@ -247,6 +274,9 @@ ServiceRun run_service(const ServiceConfig& config) {
     run.goodput_gbps = static_cast<double>(total_bytes) * 8.0 * 1000.0 /
                        static_cast<double>(std::max<sim::Time>(run.makespan,
                                                                1));
+  }
+  for (std::size_t t = 0; t < st.stats.size(); ++t) {
+    st.stats[t].host_slots = st.slots[t].fresh;
   }
   run.tenants = std::move(st.stats);
   return run;

@@ -20,6 +20,16 @@
 // driven by the driver's completion hook, so the loop closes inside
 // the simulation with no wall-clock dependence.
 //
+// Receive slots: like a receiver reposting a bounded set of match-entry
+// buffers, each tenant recycles its host slots. A message takes the
+// most recently freed slot (or a fresh one) and returns it, zeroed, at
+// the driver's release, after verification. A lossless run so touches
+// at most one slot per tenant more than its peak in flight, however
+// many messages it offers; a lossy run holds each slot to the drain (a
+// late duplicate may still land), so it touches one per message. Slot
+// bases stay 64-byte aligned, as the host-unpack estimate depends on
+// the alignment mod 64.
+//
 // Determinism: arrival schedules are pure functions of (config, tenant
 // index) — see sim/arrivals.hpp — and everything else is the ordinary
 // deterministic DES machinery, so a ServiceRun is byte-identical across
@@ -89,6 +99,7 @@ struct TenantStats {
   std::uint64_t backpressured = 0;  // arrivals that waited for admission
   std::uint64_t host_fallbacks = 0;
   std::uint64_t bytes = 0;          // payload bytes completed
+  std::uint64_t host_slots = 0;     // receive slots ever held at once
   sim::Time first_arrival = 0;
   sim::Time last_done = 0;
   double goodput_gbps = 0.0;

@@ -5,15 +5,31 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::offload {
+namespace {
+
+// The detail of leaf_window's failed precondition. Out of line: built
+// inline, the message grew the per-packet walk sevenfold and slowed
+// fabric_alltoall's Specialized receives.
+[[gnu::cold, gnu::noinline]] std::string not_a_leaf(
+    const dataloop::CompiledDataloop& loops) {
+  return "leaf_window requires a single-leaf dataloop, not one of depth " +
+         std::to_string(loops.depth()) + " for a " +
+         std::string(loops.type()->kind_name()) + " type";
+}
+
+}  // namespace
 
 void leaf_window(const dataloop::CompiledDataloop& loops,
                  std::uint64_t first, std::uint64_t last,
                  const std::function<void(std::int64_t, std::uint64_t,
                                           std::uint32_t)>& fn) {
   const dataloop::Dataloop& leaf = loops.root();
-  assert(leaf.leaf && "leaf_window requires a single-leaf dataloop");
+  NETDDT_CHECK(leaf.leaf, not_a_leaf(loops));
   const std::uint64_t instance_size = leaf.size;
   const std::int64_t instance_ext = loops.root_extent();
 

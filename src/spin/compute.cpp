@@ -1,8 +1,10 @@
 #include "spin/compute.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <cstring>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::spin {
 namespace {
@@ -14,6 +16,13 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
+}
+
+// The detail of a failed whole-element check.
+std::string whole_elements(const char* fn, std::size_t bytes,
+                           std::size_t elem) {
+  return std::string(fn) + " needs whole elements: " + std::to_string(bytes) +
+         " bytes of " + std::to_string(elem) + "-byte elements";
 }
 
 template <typename T>
@@ -131,7 +140,7 @@ std::size_t quant_wire_elem(QuantScheme q) {
 void apply_reduce(std::byte* dst, const std::byte* src, std::size_t bytes,
                   ReduceOp op, ElemType elem) {
   const std::size_t e = elem_size(elem);
-  assert(bytes % e == 0 && "apply_reduce needs whole elements");
+  NETDDT_CHECK(bytes % e == 0, whole_elements("apply_reduce", bytes, e));
   const std::size_t n = bytes / e;
   switch (elem) {
     case ElemType::kInt8:
@@ -158,7 +167,7 @@ constexpr float kI8Scale = 0.5f;
 void quantize(std::byte* wire, const std::byte* host,
               std::size_t host_bytes, QuantScheme q) {
   const std::size_t h = quant_host_elem(q);
-  assert(host_bytes % h == 0 && "quantize needs whole elements");
+  NETDDT_CHECK(host_bytes % h == 0, whole_elements("quantize", host_bytes, h));
   const std::size_t n = host_bytes / h;
   if (q == QuantScheme::kF64ToF32) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -179,7 +188,8 @@ void quantize(std::byte* wire, const std::byte* host,
 void dequantize(std::byte* host, const std::byte* wire,
                 std::size_t wire_bytes, QuantScheme q) {
   const std::size_t w = quant_wire_elem(q);
-  assert(wire_bytes % w == 0 && "dequantize needs whole elements");
+  NETDDT_CHECK(wire_bytes % w == 0,
+               whole_elements("dequantize", wire_bytes, w));
   const std::size_t n = wire_bytes / w;
   if (q == QuantScheme::kF64ToF32) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -198,7 +208,7 @@ void dequantize(std::byte* host, const std::byte* wire,
 void fill_typed(std::byte* dst, std::size_t bytes, ElemType elem,
                 std::uint64_t seed, std::uint64_t first_elem) {
   const std::size_t e = elem_size(elem);
-  assert(bytes % e == 0 && "fill_typed needs whole elements");
+  NETDDT_CHECK(bytes % e == 0, whole_elements("fill_typed", bytes, e));
   const std::size_t n = bytes / e;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t h = mix64((first_elem + i) ^ (seed * 0x9E3779B9ull));

@@ -46,6 +46,18 @@ std::vector<T> typed_of(const std::vector<std::byte>& b) {
   return out;
 }
 
+// `call` must throw a Violation whose message names `detail`.
+template <typename F>
+void expect_violation(F call, const std::string& detail) {
+  try {
+    call();
+    ADD_FAILURE() << "expected a Violation naming " << detail;
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find(detail), std::string::npos)
+        << v.what();
+  }
+}
+
 TEST(ApplyReduce, IntegerSumMinMax) {
   const std::vector<std::int32_t> dst0{5, -7, 100, 0};
   const std::vector<std::int32_t> src{3, -9, 50, -1};
@@ -108,6 +120,42 @@ TEST(ApplyReduce, UnalignedElementPositions) {
   std::int64_t got = 0;
   std::memcpy(&got, raw.data() + 1, 8);
   EXPECT_EQ(got, v + 1);
+}
+
+TEST(ApplyReduce, PartialElementIsAViolation) {
+  std::vector<std::byte> dst(8), src(8);
+  expect_violation(
+      [&] {
+        spin::apply_reduce(dst.data(), src.data(), 6, ReduceOp::kSum,
+                           ElemType::kInt32);
+      },
+      "6 bytes of 4-byte elements");
+}
+
+TEST(Quantize, PartialHostElementIsAViolation) {
+  std::vector<std::byte> wire(8), host(16);
+  expect_violation(
+      [&] {
+        spin::quantize(wire.data(), host.data(), 12, QuantScheme::kF64ToF32);
+      },
+      "12 bytes of 8-byte elements");
+}
+
+TEST(Quantize, PartialWireElementIsAViolation) {
+  std::vector<std::byte> host(16), wire(8);
+  expect_violation(
+      [&] {
+        spin::dequantize(host.data(), wire.data(), 6,
+                         QuantScheme::kF64ToF32);
+      },
+      "6 bytes of 4-byte elements");
+}
+
+TEST(FillTyped, PartialElementIsAViolation) {
+  std::vector<std::byte> dst(16);
+  expect_violation(
+      [&] { spin::fill_typed(dst.data(), 12, ElemType::kInt64, 1); },
+      "12 bytes of 8-byte elements");
 }
 
 TEST(Quantize, RoundTripsFillTypedValues) {
@@ -312,6 +360,21 @@ TEST(ComputePlanEligibility, ScatterFamilyIsAViolation) {
                                    dataloop::PackEngine::kInterpreter, cc,
                                    scratch),
                sim::check::Violation);
+}
+
+TEST(ComputePlanReference, WrongStreamSizeIsAViolation) {
+  ComputeConfig cc;  // kReduce sum of int32
+  sim::MetricsRegistry scratch;
+  const auto plan = ComputePlan::create(
+      Datatype::contiguous(4, Datatype::int32()), 1, spin::CostModel{},
+      dataloop::PackEngine::kInterpreter, cc, scratch);
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::byte> buf(16), stream(32);
+  expect_violation(
+      [&] {
+        plan->host_reference(buf.data(), 0, stream.data(), 32, /*seed=*/1);
+      },
+      "a 32-byte stream for a 16-byte plan");
 }
 
 TEST(ComputeReceive, IneligibleConfigIsAViolation) {

@@ -60,6 +60,69 @@ TEST(MessageDriver, PackedLandingVerifiesAndReleasesAtDone) {
   EXPECT_EQ(driver.peak_payload_bytes(), 4096u);
 }
 
+// The release hook runs once per message, after the verify counters
+// moved: at done on a lossless wire, at the drain for a held (lossy) or
+// failed message. Each world's engine runs to the end before its drain,
+// so a release seen then happened at done.
+TEST(MessageDriver, ReleaseHookRunsAfterVerification) {
+  struct Seen {
+    std::vector<std::uint64_t> ids;
+    void watch(MessageDriver& d) {
+      d.on_release = [this, &d](const Message& m) {
+        ids.push_back(m.id);
+        EXPECT_EQ(d.verified() + d.mismatched() + d.skipped(), ids.size())
+            << "msg " << m.id << " released before its check counted";
+      };
+    }
+  };
+  const Landing good{.bits = 1, .window = {.base = 0, .bytes = 4096}};
+  // Lands at 4096 (its posted entry) but is checked at 8192.
+  const Landing moved{.bits = 2, .window = {.base = 8192, .bytes = 4096}};
+
+  MessageDriver lossless(point_to_point_world());
+  Seen at_done;
+  at_done.watch(lossless);
+  lossless.post(good);
+  lossless.post({.bits = 2, .window = {.base = 4096, .bytes = 4096}});
+  lossless.offer({.id = 1, .to = good, .seed = 3}, 4096);
+  lossless.offer({.id = 2, .to = moved, .seed = 4}, 4096);
+  lossless.engine().run();
+  EXPECT_EQ(at_done.ids, (std::vector<std::uint64_t>{1, 2}));
+  lossless.drain(2);
+  EXPECT_EQ(at_done.ids.size(), 2u) << "the drain released a message again";
+  EXPECT_EQ(lossless.verified(), 1u);
+  EXPECT_EQ(lossless.mismatched(), 1u);
+
+  World dup_world = point_to_point_world();
+  dup_world.faults = {.dup_rate = 0.5, .seed = 5};
+  MessageDriver held(dup_world);
+  Seen at_drain;
+  at_drain.watch(held);
+  held.post(good);
+  held.offer({.id = 1, .to = good, .seed = 3}, 4096);
+  held.engine().run();
+  EXPECT_EQ(held.completed(), 1u);
+  EXPECT_TRUE(at_drain.ids.empty()) << "a held message released at done";
+  held.drain(1);
+  EXPECT_EQ(at_drain.ids, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(held.verified(), 1u);
+
+  World drop_world = point_to_point_world();
+  drop_world.faults = {.drop_rate = 1.0, .seed = 5};
+  drop_world.retransmit.max_retries = 2;
+  MessageDriver failing(drop_world);
+  Seen failed;
+  failed.watch(failing);
+  failing.post(good);
+  failing.offer({.id = 1, .to = good, .seed = 3}, 4096);
+  failing.engine().run();
+  EXPECT_EQ(failing.failed(), 1u);
+  EXPECT_TRUE(failed.ids.empty()) << "a failed message released early";
+  failing.drain(1);
+  EXPECT_EQ(failed.ids, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(failing.skipped(), 1u);
+}
+
 // No other test runs a general strategy on more than two nodes: every
 // node of a 4-node fat-tree receives a Fig 16 app datatype from each
 // peer over a lossy wire, and every slot, gaps included, must hold the

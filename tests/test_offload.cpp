@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "dataloop/dataloop.hpp"
 #include "offload/general.hpp"
 #include "offload/runner.hpp"
 #include "offload/specialized.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::offload {
 namespace {
@@ -128,6 +131,35 @@ TEST(General, OutOfOrderCostsMoreForRwCp) {
   // Rollbacks add segment restores + catch-up: processing cannot be
   // cheaper than in-order.
   EXPECT_GE(b.result.msg_time, a.result.msg_time);
+}
+
+TEST(General, ByteMoverStrategyIsAViolation) {
+  GeneralConfig gc;
+  gc.kind = StrategyKind::kSpecialized;
+  const spin::CostModel cost;
+  try {
+    GeneralPlan plan(nested_type(), 1, gc, cost);
+    ADD_FAILURE() << "GeneralPlan accepted a specialized strategy";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find(
+                  std::string("not ") +
+                  std::string(strategy_name(StrategyKind::kSpecialized))),
+              std::string::npos)
+        << v.what();
+  }
+}
+
+TEST(LeafWindow, NestedTypeIsAViolation) {
+  const dataloop::CompiledDataloop loops(nested_type());
+  try {
+    leaf_window(loops, 0, loops.total_bytes(),
+                [](std::int64_t, std::uint64_t, std::uint32_t) {});
+    ADD_FAILURE() << "leaf_window walked a nested dataloop";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find("depth 2 for a vector type"),
+              std::string::npos)
+        << v.what();
+  }
 }
 
 TEST(Iovec, UnpacksCorrectly) {

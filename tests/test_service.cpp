@@ -31,6 +31,22 @@ ServiceConfig small_config(std::uint64_t messages = 48) {
   return cfg;
 }
 
+// small_config at 0.8 offered load over a wire that drops, duplicates
+// and reorders: every message goes through the reliable transport.
+ServiceConfig lossy_config() {
+  ServiceConfig cfg = small_config();
+  const double msg_bits = 4096 * 8.0;
+  for (auto& t : cfg.tenants) {
+    t.arrivals.rate = 0.8 * cfg.cost.line_rate_gbps * 1e9 / msg_bits / 2.0;
+  }
+  cfg.faults.drop_rate = 0.05;
+  cfg.faults.dup_rate = 0.05;
+  cfg.faults.reorder_rate = 0.1;
+  cfg.faults.seed = 31;
+  cfg.verify_every = 1;
+  return cfg;
+}
+
 bool runs_equal(const ServiceRun& a, const ServiceRun& b) {
   if (a.goodput_gbps != b.goodput_gbps || a.fairness != b.fairness ||
       a.makespan != b.makespan || a.peak_inflight != b.peak_inflight ||
@@ -152,17 +168,7 @@ TEST(Service, LossyWireAtHighLoadVerifiesEveryMessage) {
   // Reliable puts on the shared sender port: drops, duplicates and
   // reorder at 0.8 offered load. Every put completes and every message
   // lands byte-exact.
-  ServiceConfig cfg = small_config();
-  const double msg_bits = 4096 * 8.0;
-  for (auto& t : cfg.tenants) {
-    t.arrivals.rate = 0.8 * cfg.cost.line_rate_gbps * 1e9 / msg_bits / 2.0;
-  }
-  cfg.faults.drop_rate = 0.05;
-  cfg.faults.dup_rate = 0.05;
-  cfg.faults.reorder_rate = 0.1;
-  cfg.faults.seed = 31;
-  cfg.verify_every = 1;
-  const ServiceRun run = run_service(cfg);
+  const ServiceRun run = run_service(lossy_config());
   for (const auto& ts : run.tenants) {
     EXPECT_EQ(ts.completed, ts.offered);
     EXPECT_EQ(ts.failed, 0u);
@@ -173,6 +179,35 @@ TEST(Service, LossyWireAtHighLoadVerifiesEveryMessage) {
   EXPECT_GT(run.metrics.counter("p4.retransmits"), 0u);
   EXPECT_GT(run.metrics.counter("p4.dup_deliveries"), 0u);
   EXPECT_GT(run.peak_inflight, 1u) << "arrivals must actually overlap";
+}
+
+TEST(Service, LosslessRunRecyclesSlots) {
+  // A released slot is zeroed and reused, so a tenant's slots stay
+  // within the admission window while every message still verifies.
+  ServiceConfig cfg = small_config(/*messages=*/128);
+  cfg.max_inflight = 8;
+  cfg.verify_every = 1;
+  const ServiceRun run = run_service(cfg);
+  EXPECT_EQ(run.verified, 256u);
+  EXPECT_EQ(run.verify_failures, 0u);
+  EXPECT_LE(run.peak_inflight, 8u);
+  for (const auto& ts : run.tenants) {
+    EXPECT_EQ(ts.completed, 128u);
+    EXPECT_GT(ts.host_slots, 1u) << "arrivals must actually overlap";
+    EXPECT_LE(ts.host_slots, run.peak_inflight + 1);
+  }
+}
+
+TEST(Service, LossyRunKeepsEverySlot) {
+  // A lossy message releases only at the drain (a late duplicate may
+  // still write its slot), so no slot is ever reused.
+  const ServiceRun run = run_service(lossy_config());
+  for (const auto& ts : run.tenants) {
+    EXPECT_EQ(ts.host_slots, ts.offered);
+    EXPECT_EQ(ts.completed, ts.offered);
+  }
+  EXPECT_EQ(run.verified, 96u);
+  EXPECT_EQ(run.verify_failures, 0u);
 }
 
 }  // namespace
