@@ -288,104 +288,40 @@ void stride_run(std::byte* buf, std::int64_t stride, std::uint64_t block,
   }
 }
 
+// Visitor of FlatProgram::walk that moves the bytes: `stream` holds the
+// window (stream[0] is stream byte `first`).
+template <bool kPack>
+struct Mover {
+  std::byte* base;
+  std::byte* stream;
+
+  void region(std::int64_t off, std::uint64_t at, std::uint64_t len) const {
+    move_bytes<kPack>(base + off, stream + at, len);
+  }
+  void stride(std::int64_t off, std::int64_t stride, std::uint64_t block,
+              std::uint64_t at, std::uint64_t blocks) const {
+    stride_run<kPack>(base + off, stride, block, stream + at, blocks);
+  }
+};
+
+// Visitor of FlatProgram::walk that emits one region per block.
+struct RegionEmitter {
+  const std::function<void(std::int64_t, std::uint64_t)>& fn;
+
+  void region(std::int64_t off, std::uint64_t, std::uint64_t len) const {
+    fn(off, len);
+  }
+  void stride(std::int64_t off, std::int64_t stride, std::uint64_t block,
+              std::uint64_t, std::uint64_t blocks) const {
+    for (std::uint64_t i = 0; i < blocks; ++i, off += stride) fn(off, block);
+  }
+};
+
 }  // namespace
 
-template <bool kPack>
-void FlatProgram::run(std::byte* base, std::uint64_t first,
-                      std::uint64_t last, std::byte* stream) const {
-  if (first >= last || instance_bytes_ == 0) return;
-  std::uint64_t pos = first;
-  while (pos < last) {
-    const std::uint64_t inst = pos / instance_bytes_;
-    const std::uint64_t ibegin = inst * instance_bytes_;
-    const std::uint64_t ifirst = pos - ibegin;
-    const std::uint64_t ilast =
-        std::min<std::uint64_t>(instance_bytes_, last - ibegin);
-    std::byte* ibase =
-        base + static_cast<std::int64_t>(inst) * instance_extent_;
-    std::byte* istream = stream + (ibegin + ifirst - first);
-
-    std::size_t oi = 0;
-    if (ifirst != 0) {
-      auto it = std::upper_bound(
-          ops_.begin(), ops_.end(), ifirst,
-          [](std::uint64_t v, const CopyOp& op) { return v < op.stream_off; });
-      oi = static_cast<std::size_t>(it - ops_.begin());
-      if (oi > 0) --oi;
-    }
-    for (; oi < ops_.size(); ++oi) {
-      const CopyOp& op = ops_[oi];
-      if (op.stream_off >= ilast) break;
-      const std::uint64_t wf = std::max(ifirst, op.stream_off);
-      const std::uint64_t wl = std::min(ilast, op.stream_off + op.bytes);
-      if (wf >= wl) continue;
-      std::byte* st = istream + (wf - ifirst);
-      switch (op.kind) {
-        case CopyOpKind::kCopy:
-          move_bytes<kPack>(ibase + op.offset + (wf - op.stream_off), st,
-                            wl - wf);
-          break;
-        case CopyOpKind::kStride: {
-          const std::uint64_t rel = wf - op.stream_off;
-          std::uint64_t rem = wl - wf;
-          const std::uint64_t b = rel / op.block_bytes;
-          const std::uint64_t in_block = rel - b * op.block_bytes;
-          std::byte* buf =
-              ibase + op.offset + static_cast<std::int64_t>(b) * op.stride;
-          if (in_block != 0) {
-            const std::uint64_t n =
-                std::min(op.block_bytes - in_block, rem);
-            move_bytes<kPack>(buf + in_block, st, n);
-            st += n;
-            rem -= n;
-            buf += op.stride;
-          }
-          const std::uint64_t full = rem / op.block_bytes;
-          stride_run<kPack>(buf, op.stride, op.block_bytes, st, full);
-          buf += static_cast<std::int64_t>(full) * op.stride;
-          st += full * op.block_bytes;
-          rem -= full * op.block_bytes;
-          move_bytes<kPack>(buf, st, rem);
-          break;
-        }
-        case CopyOpKind::kGather: {
-          const GatherEntry* e = table_.data() + op.first;
-          const GatherEntry* end = e + op.count;
-          if (wf > op.stream_off) {
-            e = std::upper_bound(e, end, wf,
-                                 [](std::uint64_t v, const GatherEntry& g) {
-                                   return v < g.stream_off;
-                                 });
-            if (e != table_.data() + op.first) --e;
-          }
-          for (; e < end && e->stream_off < wl; ++e) {
-            const std::uint64_t ef = std::max(wf, e->stream_off);
-            const std::uint64_t el = std::min(wl, e->stream_off + e->bytes);
-            if (ef >= el) continue;
-            move_bytes<kPack>(ibase + e->offset + (ef - e->stream_off),
-                              istream + (ef - ifirst), el - ef);
-          }
-          break;
-        }
-      }
-    }
-    pos = ibegin + ilast;
-  }
-}
-
-void FlatProgram::pack(const std::byte* base, std::uint64_t first,
-                       std::uint64_t last, std::byte* out) const {
-  run<true>(const_cast<std::byte*>(base), first, last, out);
-}
-
-void FlatProgram::unpack(const std::byte* in, std::uint64_t first,
-                         std::uint64_t last, std::byte* base) const {
-  run<false>(base, first, last, const_cast<std::byte*>(in));
-}
-
-void FlatProgram::for_each_region(
-    std::uint64_t first, std::uint64_t last,
-    const std::function<void(std::int64_t, std::uint64_t)>& fn) const {
+template <typename Visitor>
+void FlatProgram::walk(std::uint64_t first, std::uint64_t last,
+                       const Visitor& v) const {
   if (first >= last || instance_bytes_ == 0) return;
   std::uint64_t pos = first;
   while (pos < last) {
@@ -396,6 +332,8 @@ void FlatProgram::for_each_region(
         std::min<std::uint64_t>(instance_bytes_, last - ibegin);
     const std::int64_t ioff =
         static_cast<std::int64_t>(inst) * instance_extent_;
+    // Window position of this instance's stream byte `ifirst`.
+    const std::uint64_t iat = pos - first;
 
     std::size_t oi = 0;
     if (ifirst != 0) {
@@ -411,10 +349,12 @@ void FlatProgram::for_each_region(
       const std::uint64_t wf = std::max(ifirst, op.stream_off);
       const std::uint64_t wl = std::min(ilast, op.stream_off + op.bytes);
       if (wf >= wl) continue;
+      std::uint64_t at = iat + (wf - ifirst);
       switch (op.kind) {
         case CopyOpKind::kCopy:
-          fn(ioff + op.offset + static_cast<std::int64_t>(wf - op.stream_off),
-             wl - wf);
+          v.region(ioff + op.offset +
+                       static_cast<std::int64_t>(wf - op.stream_off),
+                   at, wl - wf);
           break;
         case CopyOpKind::kStride: {
           const std::uint64_t rel = wf - op.stream_off;
@@ -426,16 +366,17 @@ void FlatProgram::for_each_region(
           if (in_block != 0) {
             const std::uint64_t n =
                 std::min(op.block_bytes - in_block, rem);
-            fn(buf + static_cast<std::int64_t>(in_block), n);
+            v.region(buf + static_cast<std::int64_t>(in_block), at, n);
+            at += n;
             rem -= n;
             buf += op.stride;
           }
-          for (std::uint64_t i = 0; i < rem / op.block_bytes; ++i) {
-            fn(buf, op.block_bytes);
-            buf += op.stride;
-          }
-          rem -= (rem / op.block_bytes) * op.block_bytes;
-          if (rem != 0) fn(buf, rem);
+          const std::uint64_t full = rem / op.block_bytes;
+          v.stride(buf, op.stride, op.block_bytes, at, full);
+          buf += static_cast<std::int64_t>(full) * op.stride;
+          at += full * op.block_bytes;
+          rem -= full * op.block_bytes;
+          if (rem != 0) v.region(buf, at, rem);
           break;
         }
         case CopyOpKind::kGather: {
@@ -452,8 +393,9 @@ void FlatProgram::for_each_region(
             const std::uint64_t ef = std::max(wf, e->stream_off);
             const std::uint64_t el = std::min(wl, e->stream_off + e->bytes);
             if (ef >= el) continue;
-            fn(ioff + e->offset + static_cast<std::int64_t>(ef - e->stream_off),
-               el - ef);
+            v.region(ioff + e->offset +
+                         static_cast<std::int64_t>(ef - e->stream_off),
+                     iat + (ef - ifirst), el - ef);
           }
           break;
         }
@@ -461,6 +403,22 @@ void FlatProgram::for_each_region(
     }
     pos = ibegin + ilast;
   }
+}
+
+void FlatProgram::pack(const std::byte* base, std::uint64_t first,
+                       std::uint64_t last, std::byte* out) const {
+  walk(first, last, Mover<true>{const_cast<std::byte*>(base), out});
+}
+
+void FlatProgram::unpack(const std::byte* in, std::uint64_t first,
+                         std::uint64_t last, std::byte* base) const {
+  walk(first, last, Mover<false>{base, const_cast<std::byte*>(in)});
+}
+
+void FlatProgram::for_each_region(
+    std::uint64_t first, std::uint64_t last,
+    const std::function<void(std::int64_t, std::uint64_t)>& fn) const {
+  walk(first, last, RegionEmitter{fn});
 }
 
 std::shared_ptr<const FlatProgram> compile_program(

@@ -151,9 +151,15 @@ class FlatProgram {
   friend std::shared_ptr<const FlatProgram> compile_program(
       const CompiledDataloop&, const ProgramLimits&);
 
-  template <bool kPack>
-  void run(std::byte* base, std::uint64_t first, std::uint64_t last,
-           std::byte* stream) const;
+  // The one window walk behind pack, unpack and for_each_region: the
+  // instance loop, the op resume search and the three op kinds, mapped
+  // onto two hooks of `v`, in stream order:
+  //   v.region(buf_off, at, len)                     one contiguous run
+  //   v.stride(buf_off, stride, block, at, blocks)   whole kStride blocks
+  // buf_off is the buffer offset (instance shift included), at the
+  // run's position in the window (0 is stream byte `first`).
+  template <typename Visitor>
+  void walk(std::uint64_t first, std::uint64_t last, const Visitor& v) const;
 
   std::vector<CopyOp> ops_;
   std::vector<GatherEntry> table_;

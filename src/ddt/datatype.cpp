@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "sim/check.hpp"
 #include "sim/rng.hpp"
@@ -32,6 +34,19 @@ std::uint64_t total_bytes(const std::vector<Region>& regions) {
                          [](std::uint64_t acc, const Region& r) {
                            return acc + r.size;
                          });
+}
+
+RegionList::RegionList(std::vector<Region> regions)
+    : regions_(std::move(regions)) {
+  prefix_.reserve(regions_.size() + 1);
+  std::uint64_t at = 0;
+  for (const Region& r : regions_) {
+    prefix_.push_back(at);
+    at += r.size;
+  }
+  prefix_.push_back(at);
+  search_steps_ = static_cast<std::uint32_t>(
+      std::ceil(std::log2(static_cast<double>(prefix_.size()))));
 }
 
 namespace {
@@ -338,6 +353,10 @@ std::vector<Region> Datatype::flatten(std::uint64_t count) const {
   }
   merge_adjacent(out);
   return out;
+}
+
+RegionList Datatype::region_list(std::uint64_t count) const {
+  return RegionList(flatten(count));
 }
 
 const RegionFacts& Datatype::region_facts() const {

@@ -101,6 +101,10 @@ class Datatype {
   /// merged region list in type-map order.
   std::vector<Region> flatten(std::uint64_t count = 1) const;
 
+  /// flatten(count) with its stream-prefix sums: the list every
+  /// region-list walker (offload handlers, outbound gather) builds from.
+  RegionList region_list(std::uint64_t count) const;
+
   /// Structural fingerprint, fixed at construction: a hash of kind(),
   /// size(), lb(), ub(), count(), blocklen(), stride_bytes(), blocklens(),
   /// displs_bytes() and the children's fingerprints. Elementary names are

@@ -31,6 +31,37 @@ const char* family_label(HandlerFamily f) {
   return "compute";
 }
 
+// The regions a plan of family `f` walks: the type's region list for
+// kAccumulate, one pseudo-region over the whole target for kReduce (its
+// identity mapping, which the destination pre-load and the host
+// reference walk too), none for kTransform.
+ddt::RegionList plan_regions(const ddt::Datatype& type, std::uint64_t count,
+                             HandlerFamily f) {
+  switch (f) {
+    case HandlerFamily::kReduce:
+      return ddt::RegionList({ddt::Region{0, type.size() * count}});
+    case HandlerFamily::kTransform:
+      return ddt::RegionList{};
+    case HandlerFamily::kAccumulate:
+    case HandlerFamily::kScatter:
+      break;
+  }
+  return type.region_list(count);
+}
+
+// True iff every region holds whole elements, so no element spans two
+// regions (kTransform: the target holds whole host elements). The
+// regions sum to the target, so that one divides as well.
+bool whole_elements(const ddt::RegionList& regions, std::uint64_t logical,
+                    const ComputeConfig& cc) {
+  if (cc.family == HandlerFamily::kTransform) {
+    return logical % spin::quant_host_elem(cc.quant) == 0;
+  }
+  const std::size_t e = spin::elem_size(cc.elem);
+  return std::all_of(regions.regions().begin(), regions.regions().end(),
+                     [e](const ddt::Region& r) { return r.size % e == 0; });
+}
+
 }  // namespace
 
 HostComputeEstimate host_compute_estimate(const ddt::TypePtr& type,
@@ -65,18 +96,8 @@ HostComputeEstimate host_compute_estimate(const ddt::TypePtr& type,
 bool ComputePlan::elem_eligible(const ddt::TypePtr& type,
                                 std::uint64_t count,
                                 const ComputeConfig& cc) {
-  const std::uint64_t logical = type->size() * count;
-  if (cc.family == HandlerFamily::kTransform) {
-    return logical % spin::quant_host_elem(cc.quant) == 0;
-  }
-  const std::size_t e = spin::elem_size(cc.elem);
-  if (logical % e != 0) return false;
-  if (cc.family == HandlerFamily::kReduce) return true;
-  // kAccumulate: no element may straddle a destination-region boundary.
-  for (const auto& r : type->flatten(count)) {
-    if (r.size % e != 0) return false;
-  }
-  return true;
+  return whole_elements(plan_regions(*type, count, cc.family),
+                        type->size() * count, cc);
 }
 
 std::unique_ptr<ComputePlan> ComputePlan::create(
@@ -85,17 +106,22 @@ std::unique_ptr<ComputePlan> ComputePlan::create(
     const ComputeConfig& cc, sim::MetricsRegistry& metrics) {
   NETDDT_CHECK(cc.family != HandlerFamily::kScatter,
                "kScatter is the byte-moving strategies' family, not a plan");
-  if (!elem_eligible(type, count, cc)) return nullptr;
-  return std::unique_ptr<ComputePlan>(
-      new ComputePlan(type, count, cost, engine, cc, metrics));
+  ddt::RegionList regions = plan_regions(*type, count, cc.family);
+  if (!whole_elements(regions, type->size() * count, cc)) return nullptr;
+  return std::unique_ptr<ComputePlan>(new ComputePlan(
+      type, count, cost, engine, cc, std::move(regions), metrics));
 }
 
 ComputePlan::ComputePlan(const ddt::TypePtr& type, std::uint64_t count,
                          const spin::CostModel& cost,
                          dataloop::PackEngine engine,
-                         const ComputeConfig& cc,
+                         const ComputeConfig& cc, ddt::RegionList regions,
                          sim::MetricsRegistry& metrics)
-    : type_(type), count_(count), cost_(&cost), cc_(cc) {
+    : type_(type),
+      count_(count),
+      cost_(&cost),
+      cc_(cc),
+      regions_(std::move(regions)) {
   logical_bytes_ = type->size() * count;
   stream_bytes_ = cc_.family == HandlerFamily::kTransform
                       ? logical_bytes_ / spin::quant_host_elem(cc_.quant) *
@@ -104,63 +130,17 @@ ComputePlan::ComputePlan(const ddt::TypePtr& type, std::uint64_t count,
   // Family header: family/op/elem params + base/length, 32 B.
   descriptor_bytes_ = 32;
   if (cc_.family == HandlerFamily::kAccumulate) {
-    regions_ = type->flatten(count);
-    prefix_.reserve(regions_.size() + 1);
-    std::uint64_t at = 0;
-    for (const auto& r : regions_) {
-      prefix_.push_back(at);
-      at += r.size;
-    }
-    prefix_.push_back(at);
     if (engine == dataloop::PackEngine::kProgram) {
       program_ = dataloop::plan_cached(type, count).program;
     }
     descriptor_bytes_ += program_ != nullptr
                              ? program_->descriptor_bytes()
                              : 16 + regions_.size() * 16;
-  } else if (cc_.family == HandlerFamily::kReduce) {
-    // Identity mapping, but the destination pre-load and the host
-    // reference still walk one pseudo-region covering the whole target.
-    regions_.push_back(ddt::Region{0, logical_bytes_});
-    prefix_ = {0, logical_bytes_};
   }
   elems_ = &metrics.counter("nic.compute.elems");
   rmw_writes_ = &metrics.counter("nic.compute.rmw_writes");
   rmw_bytes_ = &metrics.counter("nic.compute.rmw_bytes");
   frag_count_ = &metrics.counter("nic.compute.fragments");
-}
-
-template <typename Fn>
-void ComputePlan::walk_mapping(std::uint64_t first, std::uint64_t last,
-                               Fn&& fn) const {
-  if (cc_.family == HandlerFamily::kReduce) {
-    fn(static_cast<std::int64_t>(first), first, last - first);
-    return;
-  }
-  if (program_ != nullptr) {
-    // Fused-region walk: the program enumerates window regions in stream
-    // order, so the absolute stream offset is first + bytes seen so far.
-    std::uint64_t stream = first;
-    program_->for_each_region(
-        first, last, [&](std::int64_t host_off, std::uint64_t len) {
-          fn(host_off, stream, len);
-          stream += len;
-        });
-    return;
-  }
-  auto it = std::upper_bound(prefix_.begin(), prefix_.end(), first);
-  auto idx =
-      static_cast<std::uint64_t>(std::distance(prefix_.begin(), it)) - 1;
-  std::uint64_t pos = first;
-  while (pos < last) {
-    const auto& r = regions_[idx];
-    const std::uint64_t rem = pos - prefix_[idx];
-    const std::uint64_t take =
-        std::min<std::uint64_t>(r.size - rem, last - pos);
-    fn(r.offset + static_cast<std::int64_t>(rem), pos, take);
-    pos += take;
-    if (pos == prefix_[idx + 1]) ++idx;
-  }
 }
 
 void ComputePlan::stage_fragment(spin::HandlerArgs& args,
@@ -207,18 +187,10 @@ void ComputePlan::handle_window(spin::HandlerArgs& args) {
   args.meter.charge(spin::Phase::kInit, c.h_init);
   const std::uint64_t first = args.pkt.offset;
   const std::uint64_t last = first + args.pkt.payload_bytes;
-  // Resume lookup: binary search over the region prefix sums (or the
-  // program's op array) to find the packet's start, as in SpecializedPlan.
-  const std::size_t table =
-      program_ != nullptr ? program_->ops().size() + 1 : prefix_.size();
-  const auto steps = static_cast<sim::Time>(
-      std::ceil(std::log2(static_cast<double>(table))));
-  args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
-
   const std::size_t e = spin::elem_size(cc_.elem);
-  walk_mapping(first, last, [&](std::int64_t host_off,
-                                std::uint64_t stream_abs,
-                                std::uint64_t len) {
+  // One piece of the destination mapping, stream_abs absolute.
+  const auto piece = [&](std::int64_t host_off, std::uint64_t stream_abs,
+                         std::uint64_t len) {
     while (len > 0) {
       const auto phase = static_cast<std::uint32_t>(stream_abs % e);
       if (phase != 0 || len < e) {
@@ -250,7 +222,29 @@ void ComputePlan::handle_window(spin::HandlerArgs& args) {
       stream_abs += core;
       len -= core;
     }
-  });
+  };
+  // Resume lookup: binary search over the program's op array (or the
+  // region prefix sums) to find the packet's start, as in
+  // SpecializedPlan.
+  if (program_ != nullptr) {
+    const auto steps = static_cast<sim::Time>(std::ceil(
+        std::log2(static_cast<double>(program_->ops().size() + 1))));
+    args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
+    // The program emits the window's regions in stream order.
+    std::uint64_t stream = first;
+    program_->for_each_region(
+        first, last, [&](std::int64_t host_off, std::uint64_t len) {
+          piece(host_off, stream, len);
+          stream += len;
+        });
+    return;
+  }
+  args.meter.charge(spin::Phase::kSetup,
+                    regions_.search_steps() * sim::ns(8));
+  regions_.walk(first, last,
+                [&](std::size_t, std::int64_t host_off,
+                    std::uint64_t stream_off,
+                    std::uint64_t len) { piece(host_off, stream_off, len); });
 }
 
 void ComputePlan::handle_transform(spin::HandlerArgs& args) {
@@ -329,9 +323,9 @@ void ComputePlan::init_fill(std::byte* buf, std::int64_t shift,
   if (cc_.family == HandlerFamily::kTransform) return;
   const std::size_t e = spin::elem_size(cc_.elem);
   for (std::size_t i = 0; i < regions_.size(); ++i) {
-    const auto& r = regions_[i];
+    const ddt::Region& r = regions_.regions()[i];
     spin::fill_typed(buf + shift + r.offset, r.size, cc_.elem,
-                     seed ^ kInitSeedSalt, prefix_[i] / e);
+                     seed ^ kInitSeedSalt, regions_.prefix()[i] / e);
   }
 }
 
@@ -353,9 +347,10 @@ void ComputePlan::host_reference(std::byte* buf, std::int64_t shift,
       // One combined contribution per element; order is irrelevant
       // because each destination element receives exactly one combine.
       for (std::size_t i = 0; i < regions_.size(); ++i) {
-        const auto& r = regions_[i];
-        spin::apply_reduce(buf + shift + r.offset, stream + prefix_[i],
-                           r.size, cc_.op, cc_.elem);
+        const ddt::Region& r = regions_.regions()[i];
+        spin::apply_reduce(buf + shift + r.offset,
+                           stream + regions_.prefix()[i], r.size, cc_.op,
+                           cc_.elem);
       }
       break;
     case HandlerFamily::kScatter: break;

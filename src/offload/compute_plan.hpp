@@ -3,12 +3,14 @@
 //
 //  * kReduce — streaming reduction: stream byte s lands at destination
 //    byte s, combined elementwise (dst = dst op src) with whatever the
-//    receive buffer already holds. The mapping is the identity, so any
-//    packet resumes at its own stream offset with no inter-packet state.
+//    receive buffer already holds. The mapping is the identity (walked
+//    as one region over the whole target), so any packet resumes at its
+//    own stream offset with no inter-packet state.
 //  * kAccumulate — the MPI_Accumulate shape: the same elementwise combine
-//    scattered through the datatype's region list (or, with
-//    PackEngine::kProgram, the compiled flat program's fused regions —
-//    the plan rides the same dataloop walk as SpecializedPlan).
+//    scattered through the datatype's region list, walked by the one
+//    region-list walker (ddt::RegionList, as in SpecializedPlan's
+//    region-list mode), or, with PackEngine::kProgram, through the
+//    compiled flat program's fused regions.
 //  * kTransform — element-wise wire transform: the sender quantized, the
 //    wire carries narrow elements, the handler dequantizes and issues
 //    plain (idempotent) writes into a contiguous destination.
@@ -101,14 +103,8 @@ class ComputePlan {
  private:
   ComputePlan(const ddt::TypePtr& type, std::uint64_t count,
               const spin::CostModel& cost, dataloop::PackEngine engine,
-              const spin::ComputeConfig& cc, sim::MetricsRegistry& metrics);
-
-  /// Enumerate the destination mapping of stream window [first, last) in
-  /// stream order: fn(host_off, stream_off, len) with stream_off
-  /// absolute. Identity for kReduce/kTransform (kTransform in *wire*
-  /// coordinates scaled to host bytes); region walk for kAccumulate.
-  template <typename Fn>
-  void walk_mapping(std::uint64_t first, std::uint64_t last, Fn&& fn) const;
+              const spin::ComputeConfig& cc, ddt::RegionList regions,
+              sim::MetricsRegistry& metrics);
 
   void handle_window(spin::HandlerArgs& args);
   void handle_transform(spin::HandlerArgs& args);
@@ -123,11 +119,11 @@ class ComputePlan {
   std::uint64_t logical_bytes_ = 0;  // destination bytes
   std::uint64_t stream_bytes_ = 0;   // bytes on the wire
 
-  // kAccumulate walk state: region list + stream-offset prefix sums
-  // (always built — also the eligibility witness), or the compiled flat
-  // program when the pack engine selected it.
-  std::vector<ddt::Region> regions_;
-  std::vector<std::uint64_t> prefix_;
+  // The mapping's regions (built once in create(), where they are also
+  // the eligibility witness): kAccumulate's region list, kReduce's one
+  // pseudo-region, none for kTransform. kAccumulate walks the compiled
+  // flat program instead when the pack engine selected it.
+  ddt::RegionList regions_;
   std::shared_ptr<const dataloop::FlatProgram> program_;
 
   // Fragment staging (split elements): keyed by global element index.

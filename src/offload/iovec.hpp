@@ -5,7 +5,9 @@
 // ConnectX-3 limit); consuming past the window triggers a PCIe read of
 // 500 ns to fetch the next v entries from host memory. Processing is
 // in-order and serial (it is the inbound engine, not a handler pool),
-// which we model as a blocked-RR policy with a single vHPU.
+// which we model as a blocked-RR policy with a single vHPU. The entries
+// are a ddt::RegionList (ddt/region.hpp); its window walk hands each
+// piece's entry index to the handler, which refills the window from it.
 
 #include <cstdint>
 #include <vector>
@@ -33,9 +35,8 @@ class IovecPlan {
  private:
   const spin::CostModel* cost_;
   std::uint32_t window_;
-  std::vector<ddt::Region> regions_;
-  std::vector<std::uint64_t> prefix_;  // stream offset of each region
-  std::uint64_t fetched_ = 0;          // entries already on the NIC
+  ddt::RegionList regions_;
+  std::uint64_t fetched_ = 0;  // entries already on the NIC
   sim::Time host_setup_time_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "ddt/pack.hpp"
 #include "fabric/fabric.hpp"
 #include "offload/driver.hpp"
 #include "offload/host_model.hpp"
@@ -28,7 +29,8 @@ SendResult run_send(const SendConfig& config) {
                "run_send needs a datatype and a positive count");
   const spin::CostModel& c = config.cost;
   const std::uint64_t msg = config.type->size() * config.count;
-  const auto regions = config.type->flatten(config.count);
+  const ddt::RegionList list = config.type->region_list(config.count);
+  const std::vector<ddt::Region>& regions = list.regions();
 
   SendResult res;
   res.strategy = config.strategy;
@@ -48,10 +50,12 @@ SendResult run_send(const SendConfig& config) {
       }
     }
   }
-  // What the Pack+Send CPU would stream, in the same resumable windows.
+  // What the Pack+Send CPU would stream.
   std::vector<std::byte> expected(msg);
-  pack_stream(source.data() + shift, config.type, config.count,
-              config.pack_engine, c.pkt_payload, expected.data());
+  if (msg != 0) {  // expected.data() may be null
+    ddt::pack(source.data() + shift, *config.type, config.count,
+              expected.data());
+  }
 
   sim::Engine engine;
   spin::Host host(msg + 64);
@@ -112,44 +116,22 @@ SendResult run_send(const SendConfig& config) {
       // packet's regions and DMA-reads them from host memory.
       outbound = std::make_unique<spin::OutboundEngine>(
           engine, c, config.hpus, link, /*src=*/0, /*dst=*/1);
-      // Stream prefix of each region, for the per-packet window search.
-      std::vector<std::uint64_t> prefix;
-      prefix.reserve(regions.size() + 1);
-      std::uint64_t at = 0;
-      for (const auto& r : regions) {
-        prefix.push_back(at);
-        at += r.size;
-      }
-      prefix.push_back(at);
-
       outbound->process_put(
           1, me.match_bits, msg, spin::SchedulingPolicy::Default(),
-          [&c, &source, &regions, shift, prefix = std::move(prefix)](
-              const p4::Packet& pkt, std::byte* staging,
-              spin::ChargeMeter& meter) {
+          [&c, &source, &list, shift](const p4::Packet& pkt,
+                                      std::byte* staging,
+                                      spin::ChargeMeter& meter) {
             meter.charge(spin::Phase::kInit,
                          c.h_init + c.pcie_read_latency);
             const std::uint64_t first = pkt.offset;
-            const std::uint64_t last = first + pkt.payload_bytes;
-            auto it = std::upper_bound(prefix.begin(), prefix.end(), first);
-            auto idx = static_cast<std::uint64_t>(
-                           std::distance(prefix.begin(), it)) -
-                       1;
-            std::uint64_t pos = first;
-            while (pos < last) {
-              const auto& r = regions[idx];
-              const std::uint64_t rem = pos - prefix[idx];
-              const std::uint64_t take =
-                  std::min<std::uint64_t>(r.size - rem, last - pos);
-              meter.charge(spin::Phase::kProcessing,
-                           c.h_block + c.h_dma_issue);
-              std::memcpy(staging + (pos - first),
-                          source.data() + shift + r.offset +
-                              static_cast<std::ptrdiff_t>(rem),
-                          take);
-              pos += take;
-              if (pos == prefix[idx + 1]) ++idx;
-            }
+            list.walk(first, first + pkt.payload_bytes,
+                      [&](std::size_t, std::int64_t host_off,
+                          std::uint64_t stream_off, std::uint64_t len) {
+                        meter.charge(spin::Phase::kProcessing,
+                                     c.h_block + c.h_dma_issue);
+                        std::memcpy(staging + (stream_off - first),
+                                    source.data() + shift + host_off, len);
+                      });
           });
       res.cpu_busy_time = c.h_init;  // the PtlProcessPut control op only
       break;

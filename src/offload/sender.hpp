@@ -16,8 +16,8 @@
 //                     operation (right tile).
 
 #include <cstdint>
+#include <string_view>
 
-#include "dataloop/program.hpp"
 #include "ddt/datatype.hpp"
 #include "sim/time.hpp"
 #include "spin/cost_model.hpp"
@@ -34,11 +34,6 @@ struct SendConfig {
   SendStrategy strategy = SendStrategy::kStreamingPut;
   spin::CostModel cost{};
   std::uint32_t hpus = 16;  // sender-side HPUs (outbound sPIN)
-  /// Byte engine for the functional pack (the Pack+Send bounce-buffer
-  /// fill and the expected-stream construction). Results are
-  /// byte-identical across engines; kProgram exercises the compiled
-  /// flat-program path.
-  dataloop::PackEngine pack_engine = dataloop::PackEngine::kInterpreter;
   bool verify = true;
 };
 

@@ -28,22 +28,11 @@ struct Arrival {
   sim::Time at = 0;
 };
 
-/// One tenant's receive slots (see "Receive slots" in service.hpp). A
-/// released slot is zeroed: every post then sees the all-zero window a
-/// fresh calloc'd slot shows, so stale bytes of an earlier occupant
-/// (packed_message_pattern repeats with the seed mod 256) cannot mask
-/// a missing write.
-struct TenantSlots {
-  Window first;  // slot k sits k * first.bytes past this one
-  std::uint64_t fresh = 0;           // slots handed out so far
-  std::vector<std::int64_t> free{};  // released bases, most recent last
-};
-
 struct ServiceState {
   const ServiceConfig* config = nullptr;
   MessageDriver* driver = nullptr;
   DdtEngine* facade = nullptr;
-  std::vector<TenantSlots> slots;
+  std::vector<SlotPool> slots;
   std::vector<DdtEngine::TypeHandle> handles;
   std::vector<TenantStats> stats;
   sim::TelemetrySampler* sampler = nullptr;
@@ -73,14 +62,7 @@ void ServiceState::on_arrival(const Arrival& a) {
 void ServiceState::admit(const Arrival& a) {
   const ServiceTenant& tenant = config->tenants[a.tenant];
   const std::uint64_t key = msg_key(a.tenant, a.seq);
-  TenantSlots& pool = slots[a.tenant];
-  Window slot = pool.first;
-  if (pool.free.empty()) {
-    slot.base += static_cast<std::int64_t>(pool.fresh++ * slot.bytes);
-  } else {
-    slot.base = pool.free.back();
-    pool.free.pop_back();
-  }
+  const Window slot = slots[a.tenant].take();
   const std::uint64_t every = config->verify_every;
   const Landing to = driver->post(
       {.bits = key,
@@ -126,12 +108,26 @@ void ServiceState::finish(const Message& m, sim::Time when) {
 
 void ServiceState::release(const Message& m) {
   if (m.held || m.failed) return;  // the drain: nothing left to admit
-  const Window& w = m.to.window;
-  std::memset(driver->host(1).memory().data() + w.base, 0, w.bytes);
-  slots[(m.id >> 40) - 1].free.push_back(w.base);
+  slots[(m.id >> 40) - 1].release(m.to.window, driver->host(1).memory());
 }
 
 }  // namespace
+
+Window SlotPool::take() {
+  Window slot = first_;
+  if (free_.empty()) {
+    slot.base += static_cast<std::int64_t>(fresh_++ * slot.bytes);
+  } else {
+    slot.base = free_.back();
+    free_.pop_back();
+  }
+  return slot;
+}
+
+void SlotPool::release(const Window& slot, std::span<std::byte> memory) {
+  std::memset(memory.data() + slot.base, 0, slot.bytes);
+  free_.push_back(slot.base);
+}
 
 ServiceRun run_service(const ServiceConfig& config) {
   if (config.tenants.empty()) {
@@ -165,7 +161,7 @@ ServiceRun run_service(const ServiceConfig& config) {
     // the drain; a lossless run touches only its admission window's
     // worth, and calloc'd pages nothing touches cost nothing.
     host_bytes += slot.bytes * t.messages;
-    st.slots.push_back({.first = slot});
+    st.slots.emplace_back(slot);
     st.messages += t.messages;
   }
   st.stats.resize(config.tenants.size());
@@ -276,7 +272,7 @@ ServiceRun run_service(const ServiceConfig& config) {
                                                                1));
   }
   for (std::size_t t = 0; t < st.stats.size(); ++t) {
-    st.stats[t].host_slots = st.slots[t].fresh;
+    st.stats[t].host_slots = st.slots[t].fresh();
   }
   run.tenants = std::move(st.stats);
   return run;

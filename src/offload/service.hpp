@@ -37,9 +37,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ddt/datatype.hpp"
+#include "offload/driver.hpp"
 #include "offload/facade.hpp"
 #include "p4/put.hpp"
 #include "sim/arrivals.hpp"
@@ -129,5 +131,28 @@ struct ServiceRun {
 };
 
 ServiceRun run_service(const ServiceConfig& config);
+
+/// One tenant's receive slots (see "Receive slots" above): slots laid
+/// end to end from `first`, reused most recently released first.
+class SlotPool {
+ public:
+  explicit SlotPool(const Window& first) : first_(first) {}
+
+  /// The most recently released slot, or the next fresh one.
+  Window take();
+  /// Zero `slot`'s whole window in `memory` (host memory from address
+  /// 0) and make it the next take(). Every post then sees the all-zero
+  /// window a fresh calloc'd slot shows, so stale bytes of an earlier
+  /// occupant (packed_message_pattern repeats with the seed mod 256)
+  /// cannot mask a missing write.
+  void release(const Window& slot, std::span<std::byte> memory);
+  /// Fresh slots handed out: the most the tenant ever held at once.
+  std::uint64_t fresh() const { return fresh_; }
+
+ private:
+  Window first_;  // slot k sits k * first_.bytes past this one
+  std::uint64_t fresh_ = 0;
+  std::vector<std::int64_t> free_;  // released bases, most recent last
+};
 
 }  // namespace netddt::offload

@@ -10,26 +10,17 @@
 #include "sim/check.hpp"
 
 namespace netddt::offload {
-namespace {
-
-// The detail of leaf_window's failed precondition. Out of line: built
-// inline, the message grew the per-packet walk sevenfold and slowed
-// fabric_alltoall's Specialized receives.
-[[gnu::cold, gnu::noinline]] std::string not_a_leaf(
-    const dataloop::CompiledDataloop& loops) {
-  return "leaf_window requires a single-leaf dataloop, not one of depth " +
-         std::to_string(loops.depth()) + " for a " +
-         std::string(loops.type()->kind_name()) + " type";
-}
-
-}  // namespace
 
 void leaf_window(const dataloop::CompiledDataloop& loops,
                  std::uint64_t first, std::uint64_t last,
                  const std::function<void(std::int64_t, std::uint64_t,
                                           std::uint32_t)>& fn) {
   const dataloop::Dataloop& leaf = loops.root();
-  NETDDT_CHECK(leaf.leaf, not_a_leaf(loops));
+  NETDDT_CHECK(leaf.leaf,
+               "leaf_window requires a single-leaf dataloop, not one of "
+               "depth " +
+                   std::to_string(loops.depth()) + " for a " +
+                   std::string(loops.type()->kind_name()) + " type");
   const std::uint64_t instance_size = leaf.size;
   const std::int64_t instance_ext = loops.root_extent();
 
@@ -115,14 +106,7 @@ SpecializedPlan::SpecializedPlan(const ddt::TypePtr& type,
   if (!leaf.leaf) {
     // Region-list fallback: offset + size per region, 16 B entries.
     closed_form_ = false;
-    regions_ = type->flatten(count);
-    prefix_.reserve(regions_.size() + 1);
-    std::uint64_t at = 0;
-    for (const auto& r : regions_) {
-      prefix_.push_back(at);
-      at += r.size;
-    }
-    prefix_.push_back(at);
+    regions_ = type->region_list(count);
     descriptor_bytes_ = 16 + regions_.size() * 16;
     return;
   }
@@ -198,32 +182,19 @@ spin::ExecutionContext SpecializedPlan::context(spin::NicModel& nic) {
     // entries sequentially.
     ctx.payload = [this, &c](spin::HandlerArgs& args) {
       args.meter.charge(spin::Phase::kInit, c.h_init);
+      args.meter.charge(spin::Phase::kSetup,
+                        regions_.search_steps() * sim::ns(8));
       const std::uint64_t first = args.pkt.offset;
-      const std::uint64_t last = first + args.pkt.payload_bytes;
-      const auto steps = static_cast<sim::Time>(std::ceil(
-          std::log2(static_cast<double>(prefix_.size()))));
-      args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
-
-      auto it = std::upper_bound(prefix_.begin(), prefix_.end(), first);
-      auto idx =
-          static_cast<std::uint64_t>(std::distance(prefix_.begin(), it)) - 1;
-      std::uint64_t pos = first;
-      std::uint64_t stream = 0;
-      while (pos < last) {
-        const auto& r = regions_[idx];
-        const std::uint64_t rem = pos - prefix_[idx];
-        const std::uint64_t take =
-            std::min<std::uint64_t>(r.size - rem, last - pos);
-        args.meter.charge(spin::Phase::kProcessing,
-                          c.h_block_specialized + c.h_dma_issue);
-        args.dma.write(args.meter.total(),
-                       args.buffer_offset + r.offset +
-                           static_cast<std::int64_t>(rem),
-                       {args.pkt.data + stream, take});
-        pos += take;
-        stream += take;
-        if (pos == prefix_[idx + 1]) ++idx;
-      }
+      regions_.walk(first, first + args.pkt.payload_bytes,
+                    [&](std::size_t, std::int64_t host_off,
+                        std::uint64_t stream_off, std::uint64_t len) {
+                      args.meter.charge(spin::Phase::kProcessing,
+                                        c.h_block_specialized + c.h_dma_issue);
+                      args.dma.write(args.meter.total(),
+                                     args.buffer_offset + host_off,
+                                     {args.pkt.data + (stream_off - first),
+                                      len});
+                    });
     };
   }
 

@@ -17,12 +17,16 @@
 // way ("a modified binary search on these lists that have size linear in
 // the number of non-contiguous regions", Sec 3.2.3), trading NIC memory
 // linear in the region count for stateless O(gamma + log n) handlers.
+// The lists and their one window walk are a ddt::RegionList
+// (ddt/region.hpp), the same walker the iovec comparator, the compute
+// plan's accumulate mapping and the outbound gather handler use.
 
 // A third mode rides on the compiled flat programs (dataloop/program.hpp):
 // with PackEngine::kProgram the handler walks the program's fused copy
-// ops instead of the leaf/region lists — adjacent runs are already
-// merged at compile time, so the handler issues one DMA write per fused
-// region and the descriptor is the program itself (ops + gather table).
+// ops (FlatProgram::for_each_region, over the program's one window walk)
+// instead of the leaf/region lists — adjacent runs are already merged at
+// compile time, so the handler issues one DMA write per fused region and
+// the descriptor is the program itself (ops + gather table).
 
 #include <cstdint>
 #include <memory>
@@ -76,8 +80,7 @@ class SpecializedPlan {
   std::uint64_t descriptor_bytes_ = 0;
   bool closed_form_ = true;
   // Region-list mode state (the lists living in NIC memory).
-  std::vector<ddt::Region> regions_;
-  std::vector<std::uint64_t> prefix_;
+  ddt::RegionList regions_;
 };
 
 /// Walk the destination regions of stream window [first, last) of a

@@ -69,10 +69,16 @@ class Violation : public std::runtime_error {
 
 /// Checked invariant, compiled into every build type: throws
 /// check::Violation (with `detail`, which is only evaluated on failure)
-/// when the condition is false.
-#define NETDDT_CHECK(cond, detail)                                     \
-  do {                                                                 \
-    if (!(cond)) [[unlikely]] {                                        \
-      ::netddt::sim::check::fail(#cond, __FILE__, __LINE__, (detail)); \
-    }                                                                  \
+/// when the condition is false. The failure path is a cold, never
+/// inlined lambda, so a detail string built from to_string and
+/// concatenation adds one call to the checking function, not its code.
+/// (GNU attribute spelling: a standard attribute after a lambda's
+/// parameter list applies to its type until C++23.)
+#define NETDDT_CHECK(cond, detail)                                       \
+  do {                                                                   \
+    if (!(cond)) [[unlikely]] {                                          \
+      [&]() __attribute__((cold, noinline, noreturn)) {                  \
+        ::netddt::sim::check::fail(#cond, __FILE__, __LINE__, (detail)); \
+      }();                                                               \
+    }                                                                    \
   } while (0)

@@ -1,13 +1,16 @@
 // Tests for the steady-state service driver: completion and verified
 // correctness under concurrency, admission-window backpressure,
-// determinism across repeats, engine-equivalence, and fairness for
-// symmetric tenants.
+// determinism across repeats, engine-equivalence, fairness for
+// symmetric tenants, and receive-slot recycling.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ddt/datatype.hpp"
 #include "offload/service.hpp"
@@ -208,6 +211,35 @@ TEST(Service, LossyRunKeepsEverySlot) {
   }
   EXPECT_EQ(run.verified, 96u);
   EXPECT_EQ(run.verify_failures, 0u);
+}
+
+TEST(SlotPool, ReleasedSlotIsZeroedAndTakenFirst) {
+  // Zeroing is what keeps a stale occupant's bytes (the same pattern
+  // when seeds agree mod 256) from masking a write that never landed.
+  SlotPool pool(Window{.base = 64, .shift = 8, .bytes = 128});
+  std::vector<std::byte> memory(64 + 3 * 128, std::byte{0});
+  const Window a = pool.take();
+  const Window b = pool.take();
+  EXPECT_EQ(a.base, 64);
+  EXPECT_EQ(b.base, 192);
+  EXPECT_EQ(b.shift, 8u);
+  std::fill(memory.begin() + a.base, memory.begin() + a.base + 128,
+            std::byte{0xA5});
+  std::fill(memory.begin() + b.base, memory.begin() + b.base + 128,
+            std::byte{0x5A});
+  pool.release(a, memory);
+  const Window c = pool.take();
+  EXPECT_EQ(c.base, a.base);
+  EXPECT_EQ(c.shift, a.shift);
+  EXPECT_EQ(c.bytes, a.bytes);
+  for (std::int64_t i = c.base; i < c.base + 128; ++i) {
+    ASSERT_EQ(memory[i], std::byte{0}) << "stale byte at " << i;
+  }
+  for (std::int64_t i = b.base; i < b.base + 128; ++i) {
+    ASSERT_EQ(memory[i], std::byte{0x5A}) << "neighbour zeroed at " << i;
+  }
+  EXPECT_EQ(pool.take().base, 320);  // free list empty: a fresh slot
+  EXPECT_EQ(pool.fresh(), 3u);
 }
 
 }  // namespace
