@@ -1,14 +1,17 @@
 // Wall-clock microbenchmarks (google-benchmark) of the library's hot
 // primitives: type-map flattening, reference pack/unpack, dataloop
 // segment streaming, chunked Packer/Unpacker streaming (both byte
-// engines), and checkpoint-table construction. These guard the
-// simulator's own performance (the figure benches replay millions of
-// regions through these paths). Layout shapes come from
+// engines), checkpoint-table construction, and the typed element
+// kernels of the in-NIC compute path (apply_reduce at every
+// read-modify-write landing, fill_typed for every compute payload).
+// These guard the simulator's own performance (the figure benches replay
+// millions of regions through these paths). Layout shapes come from
 // bench/lib/layouts.hpp, shared with pack_kernels so engine
 // comparisons measure identical types.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "bench/lib/layouts.hpp"
@@ -19,6 +22,7 @@
 #include "dataloop/segment.hpp"
 #include "ddt/datatype.hpp"
 #include "ddt/pack.hpp"
+#include "spin/compute.hpp"
 
 using namespace netddt;
 using bench::layouts::indexed_type;
@@ -219,6 +223,60 @@ void BM_CompileProgram(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CompileProgram)->Arg(1024)->Arg(16384);
+
+// Nanoseconds per element over the whole run: the inverted rate of
+// `elems` per iteration, scaled from seconds.
+benchmark::Counter ns_per_elem(std::size_t elems) {
+  return benchmark::Counter(
+      static_cast<double>(elems) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// dst (op)= src over range(0) bytes of fill_typed elements; range(1) is
+// the ReduceOp, range(2) the ElemType.
+void BM_ApplyReduce(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const auto op = static_cast<spin::ReduceOp>(state.range(1));
+  const auto elem = static_cast<spin::ElemType>(state.range(2));
+  std::vector<std::byte> dst(bytes);
+  std::vector<std::byte> src(bytes);
+  spin::fill_typed(dst.data(), bytes, elem, 1);
+  spin::fill_typed(src.data(), bytes, elem, 2);
+  for (auto _ : state) {
+    spin::apply_reduce(dst.data(), src.data(), bytes, op, elem);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  const std::size_t elems = bytes / spin::elem_size(elem);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(elems));
+  state.counters["ns_per_elem"] = ns_per_elem(elems);
+  state.SetLabel(std::string(spin::op_name(op)) + "/" +
+                 spin::elem_name(elem));
+}
+BENCHMARK(BM_ApplyReduce)->ArgsProduct({{2048, 8192}, {0, 1, 2},
+                                        {0, 1, 2, 3, 4}});
+
+// 8 KiB of fill_typed elements; range(0) is the ElemType.
+void BM_FillTyped(benchmark::State& state) {
+  constexpr std::size_t kBytes = 8192;
+  const auto elem = static_cast<spin::ElemType>(state.range(0));
+  std::vector<std::byte> dst(kBytes);
+  std::uint64_t first = 0;
+  const std::size_t elems = kBytes / spin::elem_size(elem);
+  for (auto _ : state) {
+    spin::fill_typed(dst.data(), kBytes, elem, 7, first);
+    first += elems;
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(elems));
+  state.counters["ns_per_elem"] = ns_per_elem(elems);
+  state.SetLabel(spin::elem_name(elem));
+}
+BENCHMARK(BM_FillTyped)->DenseRange(0, 4);
 
 }  // namespace
 

@@ -206,6 +206,7 @@ const Dataloop* CompiledDataloop::compile(const ddt::TypePtr& t,
           at += bytes;
         }
         dl->stream_prefix.push_back(at);
+        dl->prefix_search_steps = ddt::search_steps(dl->stream_prefix.size());
       } else {
         for (std::size_t i = 0; i < blocklens.size(); ++i) {
           if (blocklens[i] == 0) continue;

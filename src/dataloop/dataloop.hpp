@@ -55,6 +55,7 @@ struct Dataloop {
   std::vector<std::int64_t> blocklens;
   std::vector<std::uint64_t> block_bytes_list;    // indexed leaf
   std::vector<std::uint64_t> stream_prefix;       // indexed leaf: prefix sums
+  std::uint32_t prefix_search_steps = 0;  // ddt::search_steps(stream_prefix)
   std::vector<StructMember> members;
 
   const Dataloop* child = nullptr;    // non-leaf, non-struct

@@ -441,6 +441,7 @@ std::shared_ptr<const FlatProgram> compile_program(
 
   prog->ops_ = builder.take_ops();
   prog->table_ = builder.take_table();
+  prog->search_steps_ = ddt::search_steps(prog->ops_.size() + 1);
   prog->stats_.leaf_runs = builder.leaf_runs();
   prog->stats_.fused_runs = builder.fused_runs();
   prog->stats_.ops = prog->ops_.size();

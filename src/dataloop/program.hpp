@@ -118,6 +118,10 @@ class FlatProgram {
   std::uint64_t count() const { return count_; }
   std::uint64_t total_bytes() const { return instance_bytes_ * count_; }
 
+  /// Binary-search iterations a handler charges to find a window's
+  /// resume op: ddt::search_steps(ops().size() + 1).
+  std::uint32_t search_steps() const { return search_steps_; }
+
   /// Modeled NIC-memory footprint of the program (op array + gather
   /// table + header), the descriptor-bytes analogue of
   /// Dataloop::serialized_bytes().
@@ -167,6 +171,7 @@ class FlatProgram {
   std::uint64_t instance_bytes_ = 0;
   std::int64_t instance_extent_ = 0;
   std::uint64_t count_ = 1;
+  std::uint32_t search_steps_ = 0;
 };
 
 /// Lower `loops` into a flat program: walk one instance's leaf runs,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -45,8 +44,7 @@ RegionList::RegionList(std::vector<Region> regions)
     at += r.size;
   }
   prefix_.push_back(at);
-  search_steps_ = static_cast<std::uint32_t>(
-      std::ceil(std::log2(static_cast<double>(prefix_.size()))));
+  search_steps_ = ddt::search_steps(prefix_.size());
 }
 
 namespace {

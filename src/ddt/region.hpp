@@ -4,6 +4,7 @@
 // them incrementally), and the NIC model (which DMAs them).
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -27,6 +28,14 @@ void merge_adjacent(std::vector<Region>& regions);
 /// Total bytes covered by a region list.
 std::uint64_t total_bytes(const std::vector<Region>& regions);
 
+/// Binary-search iterations over `entries` sorted keys: ceil(log2(entries))
+/// for entries >= 1, computed in integers as bit_width(entries - 1); 0 for
+/// an empty list.
+constexpr std::uint32_t search_steps(std::uint64_t entries) {
+  return entries == 0 ? 0
+                      : static_cast<std::uint32_t>(std::bit_width(entries - 1));
+}
+
 /// A region list with its stream-prefix sums: the (offset, size) lists
 /// the region-list handlers binary-search (paper Sec 3.2.3, "a modified
 /// binary search on these lists"), the iovec comparator's entries (Sec
@@ -47,7 +56,7 @@ class RegionList {
   std::size_t size() const { return regions_.size(); }
 
   /// Binary-search iterations a handler charges to locate a window's
-  /// first region: ceil(log2(prefix().size())).
+  /// first region: search_steps(prefix().size()).
   std::uint32_t search_steps() const { return search_steps_; }
 
   /// Map stream window [first, last) onto the regions, in stream order:

@@ -1,7 +1,6 @@
 #include "offload/compute_plan.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "dataloop/cache.hpp"
@@ -227,9 +226,8 @@ void ComputePlan::handle_window(spin::HandlerArgs& args) {
   // region prefix sums) to find the packet's start, as in
   // SpecializedPlan.
   if (program_ != nullptr) {
-    const auto steps = static_cast<sim::Time>(std::ceil(
-        std::log2(static_cast<double>(program_->ops().size() + 1))));
-    args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
+    args.meter.charge(spin::Phase::kSetup,
+                      program_->search_steps() * sim::ns(8));
     // The program emits the window's regions in stream order.
     std::uint64_t stream = first;
     program_->for_each_region(

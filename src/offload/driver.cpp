@@ -81,6 +81,7 @@ const Plan& MessageDriver::install(std::uint32_t node,
                                    const ReceiveConfig& spec) {
   spin::NicModel& nic = this->nic(node);
   Plan& p = plans_.emplace_back();
+  p.node = node;
   p.label = spec.compute ? "compute" : strategy_name(spec.strategy).data();
   if (spec.compute) {
     p.compute = ComputePlan::create(spec.type, spec.count, nic.cost(),
@@ -132,14 +133,20 @@ void MessageDriver::post(const Landing& landing) {
   me.buffer_offset = landing.window.at();
   me.length = landing.window.bytes;
   if (const Plan* p = landing.plan; p != nullptr) {
-    spin::ExecutionContext ctx =
-        p->compute != nullptr       ? p->compute->context(nic)
-        : p->specialized != nullptr ? p->specialized->context(nic)
-        : p->general != nullptr     ? p->general->context(nic)
-                                    : p->iovec->context(nic);
-    // Compute contexts name themselves after their family.
-    if (p->compute == nullptr) ctx.label = p->label;
-    me.context = nic.register_context(std::move(ctx));
+    NETDDT_CHECK(p->node == landing.node,
+                 "a plan installed on node " + std::to_string(p->node) +
+                     " posted on node " + std::to_string(landing.node));
+    if (p->context == nullptr) {
+      spin::ExecutionContext ctx =
+          p->compute != nullptr       ? p->compute->context(nic)
+          : p->specialized != nullptr ? p->specialized->context(nic)
+          : p->general != nullptr     ? p->general->context(nic)
+                                      : p->iovec->context(nic);
+      // Compute contexts name themselves after their family.
+      if (p->compute == nullptr) ctx.label = p->label;
+      p->context = nic.register_context(std::move(ctx));
+    }
+    me.context = p->context;
   }
   nic.match_list().append(p4::ListKind::kPriority, me);
 }

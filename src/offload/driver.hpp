@@ -48,8 +48,10 @@ struct Window {
 /// count*extent) and shifted up by a negative lb.
 Window receive_window(const ddt::Datatype& type, std::uint64_t count);
 
-/// A strategy or compute plan built once on one node; every post that
-/// lands through it registers its own context.
+/// A strategy or compute plan built once on one node. Its handlers keep
+/// their state in the plan, not per message, so the plan's first post
+/// registers one execution context with the node's NIC and every later
+/// post reuses it.
 struct Plan {
   std::unique_ptr<SpecializedPlan> specialized;
   std::unique_ptr<GeneralPlan> general;
@@ -59,6 +61,8 @@ struct Plan {
   bool rmw = false;             // read-modify-write landing
   std::uint64_t descriptor_bytes = 0;
   sim::Time host_setup_time = 0;
+  std::uint32_t node = 0;  // where it was installed
+  mutable spin::ExecutionContext* context = nullptr;  // set at first post
 };
 
 /// Where a posted receive lands, and how its message is verified.

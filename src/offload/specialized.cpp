@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <string>
 
 #include "sim/check.hpp"
@@ -54,10 +53,7 @@ void leaf_window(const dataloop::CompiledDataloop& loops,
                     std::distance(leaf.stream_prefix.begin(), it)) -
                 1;
         block_start = leaf.stream_prefix[static_cast<std::size_t>(block)];
-        if (block != prev_block + 1) {
-          steps = static_cast<std::uint32_t>(std::ceil(
-              std::log2(static_cast<double>(leaf.stream_prefix.size()))));
-        }
+        if (block != prev_block + 1) steps = leaf.prefix_search_steps;
         break;
       }
       case dataloop::LoopKind::kStruct:
@@ -144,9 +140,8 @@ spin::ExecutionContext SpecializedPlan::context(spin::NicModel& nic) {
       args.meter.charge(spin::Phase::kInit, c.h_init);
       const std::uint64_t first = args.pkt.offset;
       const std::uint64_t last = first + args.pkt.payload_bytes;
-      const auto steps = static_cast<sim::Time>(std::ceil(std::log2(
-          static_cast<double>(program_->ops().size()) + 1.0)));
-      args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
+      args.meter.charge(spin::Phase::kSetup,
+                        program_->search_steps() * sim::ns(8));
       std::uint64_t stream = 0;
       program_->for_each_region(
           first, last, [&](std::int64_t host_off, std::uint64_t len) {

@@ -9,14 +9,16 @@
 //    shape). `apply_reduce` is the single read-modify-write kernel shared
 //    by the DMA engine (functional landing), the host-side baseline, and
 //    every verification reference, so "offloaded result == host result"
-//    is bit-exact by construction.
+//    is bit-exact by construction. It picks one loop per (element type,
+//    op) once per call, with no branch inside, which an -O3 build
+//    vectorizes at baseline flags without changing a result bit.
 //  * QuantScheme — element-wise wire transforms: the sender quantizes,
 //    the wire carries the narrow form, the receiving handler dequantizes.
 //    Both directions live here for the same shared-kernel reason.
 //  * fill_typed — a deterministic generator of *valid* element values
 //    (finite floats, small integers) used for message payloads and for
 //    pre-loading destination buffers, so reductions never hit NaNs or
-//    signed-overflow UB.
+//    signed-overflow UB. One loop per element type, chosen per call.
 //
 // Everything in this file is pure byte manipulation: loads and stores go
 // through std::memcpy, so element positions need no alignment (dataloop
@@ -66,8 +68,9 @@ std::size_t quant_host_elem(QuantScheme q);
 std::size_t quant_wire_elem(QuantScheme q);
 
 /// dst[i] = dst[i] (op) src[i] over bytes/elem_size(elem) elements.
-/// `bytes` must be a whole number of elements; dst/src may be unaligned.
-/// Integer sums wrap (performed on the unsigned counterpart — never UB).
+/// `bytes` must be a whole number of elements; dst/src may be unaligned
+/// and may alias. Integer sums wrap (performed on the unsigned
+/// counterpart — never UB); min/max keep dst's bits on a tie.
 void apply_reduce(std::byte* dst, const std::byte* src, std::size_t bytes,
                   ReduceOp op, ElemType elem);
 

@@ -98,6 +98,7 @@ class NicModel {
   /// Register an execution context; the returned pointer goes into
   /// MatchEntry::context and stays valid for the NIC's lifetime.
   ExecutionContext* register_context(ExecutionContext ctx);
+  std::size_t registered_contexts() const { return contexts_.size(); }
 
   /// Deliver one packet at the current simulated time (called by the
   /// fabric's ejection port).

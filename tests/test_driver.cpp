@@ -123,6 +123,51 @@ TEST(MessageDriver, ReleaseHookRunsAfterVerification) {
   EXPECT_EQ(failing.skipped(), 1u);
 }
 
+// A plan registers one execution context with its node's NIC, however
+// many receives land through it, and may be posted on that node only.
+TEST(MessageDriver, PostsOfOnePlanShareOneContext) {
+  constexpr std::uint32_t K = 8;
+  const auto type = ddt::Datatype::vector(16, 2, 4, ddt::Datatype::int32());
+  const Window slot = receive_window(*type, 1);
+  World world = point_to_point_world();
+  world.host_bytes = {1 << 16, 1 << 16};  // node 0 receives too
+  MessageDriver driver(world);
+  ReceiveConfig spec;
+  spec.type = type;
+  spec.strategy = StrategyKind::kSpecialized;
+  const Plan& plan = driver.install(1, spec);
+  const std::size_t before = driver.nic(1).registered_contexts();
+  std::vector<Landing> landings;
+  for (std::uint32_t k = 0; k < K; ++k) {
+    Landing to{.bits = k + 1,
+               .window = slot,
+               .plan = &plan,
+               .check = Landing::Check::kSlot,
+               .type = type};
+    to.window.base = static_cast<std::int64_t>(k * slot.bytes);
+    driver.post(to);
+    landings.push_back(to);
+  }
+  EXPECT_EQ(driver.nic(1).registered_contexts(), before + 1);
+  for (std::uint32_t k = 0; k < K; ++k) {
+    driver.offer({.id = k + 1, .to = landings[k], .seed = k}, type->size());
+  }
+  driver.drain(K);
+  EXPECT_EQ(driver.verified(), K);
+  EXPECT_EQ(driver.nic(1).registered_contexts(), before + 1);
+
+  Landing elsewhere = landings[0];
+  elsewhere.node = 0;
+  try {
+    driver.post(elsewhere);
+    FAIL() << "a plan installed on node 1 was posted on node 0";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find("posted on node 0"),
+              std::string::npos)
+        << v.what();
+  }
+}
+
 // No other test runs a general strategy on more than two nodes: every
 // node of a 4-node fat-tree receives a Fig 16 app datatype from each
 // peer over a lossy wire, and every slot, gaps included, must hold the

@@ -3,11 +3,13 @@
 // kAccumulate compute plan, the outbound gather): for random stream
 // windows over the Fig 16 application types, hand-built edge cases and
 // the fuzz generator's types, walk(first, last) must emit exactly the
-// pieces a hand slice of flatten(count) gives.
+// pieces a hand slice of flatten(count) gives. Also the search-step
+// count the handlers charge to find a window's start.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <random>
@@ -176,6 +178,20 @@ TEST(RegionList, FuzzTypesMatchFlatten) {
     expect_walk_matches(t, 1 + seed % 3, seed,
                         "fuzz seed " + std::to_string(seed));
   }
+}
+
+// The integer search-step count every region-list, program and indexed-
+// leaf handler charges agrees with the floating-point ceil(log2(m)) the
+// handlers once computed per packet.
+TEST(SearchSteps, BitWidthMatchesCeilLog2) {
+  for (std::uint64_t m = 1; m <= (std::uint64_t{1} << 20); ++m) {
+    const auto want = static_cast<std::uint32_t>(
+        std::ceil(std::log2(static_cast<double>(m))));
+    ASSERT_EQ(ddt::search_steps(m), want) << "m = " << m;
+  }
+  EXPECT_EQ(ddt::search_steps(0), 0u);
+  EXPECT_EQ(RegionList().search_steps(), 0u);
+  EXPECT_EQ(RegionList({{0, 4}, {8, 4}, {16, 4}}).search_steps(), 2u);
 }
 
 }  // namespace
