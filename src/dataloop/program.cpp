@@ -317,6 +317,22 @@ struct RegionEmitter {
   }
 };
 
+// Visitor of FlatProgram::walk that passes whole kStride blocks on as
+// one train.
+struct TrainEmitter {
+  const std::function<void(std::int64_t, std::uint64_t)>& fn;
+  const std::function<void(std::int64_t, std::int64_t, std::uint64_t,
+                           std::uint64_t)>& train;
+
+  void region(std::int64_t off, std::uint64_t, std::uint64_t len) const {
+    fn(off, len);
+  }
+  void stride(std::int64_t off, std::int64_t stride, std::uint64_t block,
+              std::uint64_t, std::uint64_t blocks) const {
+    if (blocks > 0) train(off, stride, block, blocks);
+  }
+};
+
 }  // namespace
 
 template <typename Visitor>
@@ -419,6 +435,14 @@ void FlatProgram::for_each_region(
     std::uint64_t first, std::uint64_t last,
     const std::function<void(std::int64_t, std::uint64_t)>& fn) const {
   walk(first, last, RegionEmitter{fn});
+}
+
+void FlatProgram::for_each_train(
+    std::uint64_t first, std::uint64_t last,
+    const std::function<void(std::int64_t, std::uint64_t)>& fn,
+    const std::function<void(std::int64_t, std::int64_t, std::uint64_t,
+                             std::uint64_t)>& train) const {
+  walk(first, last, TrainEmitter{fn, train});
 }
 
 std::shared_ptr<const FlatProgram> compile_program(

@@ -151,11 +151,22 @@ class FlatProgram {
       std::uint64_t first, std::uint64_t last,
       const std::function<void(std::int64_t, std::uint64_t)>& fn) const;
 
+  /// The same walk, with the whole blocks of a kStride op inside the
+  /// window as one call: train(buffer_offset, stride, block, count)
+  /// stands for `count` regions fn(buffer_offset + i * stride, block).
+  /// Partial blocks and kCopy/kGather runs still come through `fn`.
+  /// Expanding every train gives exactly for_each_region's sequence.
+  void for_each_train(
+      std::uint64_t first, std::uint64_t last,
+      const std::function<void(std::int64_t, std::uint64_t)>& fn,
+      const std::function<void(std::int64_t, std::int64_t, std::uint64_t,
+                               std::uint64_t)>& train) const;
+
  private:
   friend std::shared_ptr<const FlatProgram> compile_program(
       const CompiledDataloop&, const ProgramLimits&);
 
-  // The one window walk behind pack, unpack and for_each_region: the
+  // The one window walk behind pack, unpack and the two emitters: the
   // instance loop, the op resume search and the three op kinds, mapped
   // onto two hooks of `v`, in stream order:
   //   v.region(buf_off, at, len)                     one contiguous run

@@ -127,7 +127,7 @@ void Segment::pop_and_advance() {
 }
 
 void Segment::advance_stream(std::uint64_t limit, const RegionEmit* emit,
-                             ProcessStats& stats) {
+                             const TrainEmit* train, ProcessStats& stats) {
   NETDDT_CHECK(limit <= total_bytes_,
                "window limit " + std::to_string(limit) +
                    " past the packed stream end " +
@@ -195,6 +195,24 @@ void Segment::advance_stream(std::uint64_t limit, const RegionEmit* emit,
       }
     }
 
+    if (train != nullptr && leaf_byte_ == 0 &&
+        leaf.kind == LoopKind::kVector && leaf.block_bytes > 0) {
+      // Whole blocks of a vector leaf: one train, not one region each.
+      const auto blocks = static_cast<std::uint64_t>(std::min<std::int64_t>(
+          leaf.count - top.block_idx,
+          static_cast<std::int64_t>((limit - stream_pos_) /
+                                    leaf.block_bytes)));
+      if (blocks > 0) {
+        (*train)(top.base + leaf.leaf_block_offset(top.block_idx),
+                 leaf.stride, leaf.block_bytes, blocks);
+        stats.regions_emitted += blocks;
+        stream_pos_ += blocks * leaf.block_bytes;
+        top.block_idx += static_cast<std::int64_t>(blocks);
+        if (top.block_idx == leaf.count) pop_and_advance();
+        continue;
+      }
+    }
+
     const std::uint64_t bytes = leaf.leaf_block_bytes(top.block_idx);
     const std::int64_t offset =
         top.base + leaf.leaf_block_offset(top.block_idx);
@@ -225,7 +243,7 @@ void Segment::advance_stream(std::uint64_t limit, const RegionEmit* emit,
 }
 
 ProcessStats Segment::process(std::uint64_t first, std::uint64_t last,
-                              const RegionEmit& emit) {
+                              const RegionEmit& emit, const TrainEmit& train) {
   NETDDT_CHECK(first <= last, "inverted stream window [" +
                                   std::to_string(first) + ", " +
                                   std::to_string(last) + ")");
@@ -241,9 +259,9 @@ ProcessStats Segment::process(std::uint64_t first, std::uint64_t last,
     stats.reset = true;
   }
   if (first > stream_pos_) {
-    advance_stream(first, nullptr, stats);
+    advance_stream(first, nullptr, nullptr, stats);
   }
-  advance_stream(last, &emit, stats);
+  advance_stream(last, &emit, train ? &train : nullptr, stats);
   return stats;
 }
 
@@ -253,7 +271,7 @@ ProcessStats Segment::advance_to(std::uint64_t pos) {
     reset();
     stats.reset = true;
   }
-  advance_stream(pos, nullptr, stats);
+  advance_stream(pos, nullptr, nullptr, stats);
   return stats;
 }
 

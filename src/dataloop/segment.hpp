@@ -44,6 +44,13 @@ namespace netddt::dataloop {
 using RegionEmit =
     std::function<void(std::int64_t offset, std::uint64_t size)>;
 
+/// Receives a train of `count` whole blocks of one vector leaf: block i
+/// is `block` bytes at buffer offset `offset + i * stride`, stream-
+/// adjacent to block i - 1. Stands for `count` RegionEmit calls.
+using TrainEmit = std::function<void(std::int64_t offset, std::int64_t stride,
+                                     std::uint64_t block,
+                                     std::uint64_t count)>;
+
 /// Statistics of one process() call, consumed by the offload cost models.
 struct ProcessStats {
   std::uint64_t regions_emitted = 0;   // contiguous regions produced
@@ -67,8 +74,13 @@ class Segment {
 
   /// Emit destination regions for the packed-stream window [first, last),
   /// catching up or resetting as needed. Returns per-call statistics.
+  /// With a `train` hook, where the cursor rests at the start of a
+  /// vector leaf's block, the whole blocks of that leaf inside the
+  /// window come as one `train` call instead of one `emit` per block.
+  /// Expanding each train into its blocks gives exactly the regions, in
+  /// order, and the stats of the walk without the hook.
   ProcessStats process(std::uint64_t first, std::uint64_t last,
-                       const RegionEmit& emit);
+                       const RegionEmit& emit, const TrainEmit& train = {});
 
   /// Advance to `pos` without emitting (checkpoint creation).
   ProcessStats advance_to(std::uint64_t pos);
@@ -99,7 +111,7 @@ class Segment {
   void pop_and_advance();
   std::int64_t child_base(const Cursor& c) const;
   void advance_stream(std::uint64_t limit, const RegionEmit* emit,
-                      ProcessStats& stats);
+                      const TrainEmit* train, ProcessStats& stats);
 
   const CompiledDataloop* loops_;
   std::uint64_t total_bytes_ = 0;

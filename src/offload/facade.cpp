@@ -146,9 +146,12 @@ DdtEngine::PostResult DdtEngine::post_receive(TypeHandle handle,
     result.evicted_others = nic_->memory().evictions() > evictions_before;
 
     if (plan->mem != spin::NicMemory::kInvalid) {
-      me.context = nic_->register_context(
-          plan->specialized != nullptr ? plan->specialized->context(*nic_)
-                                       : plan->general->context(*nic_));
+      if (plan->context == nullptr) {
+        plan->context = nic_->register_context(
+            plan->specialized != nullptr ? plan->specialized->context(*nic_)
+                                         : plan->general->context(*nic_));
+      }
+      me.context = plan->context;
       nic_->match_list().append(p4::ListKind::kPriority, me);
       result.strategy = plan->specialized != nullptr
                             ? StrategyKind::kSpecialized

@@ -98,6 +98,10 @@ class DdtEngine {
     spin::NicMemory::Handle mem = spin::NicMemory::kInvalid;
     std::uint64_t nic_bytes = 0;
     int priority = 0;
+    // Registered with the NIC at the plan's first offloaded post and
+    // reused by every later one, across evictions too: the handlers
+    // reference the plan, not its NIC-memory allocation.
+    spin::ExecutionContext* context = nullptr;
   };
 
   CachedPlan* find_plan(TypeHandle handle, std::uint64_t count);

@@ -167,13 +167,13 @@ void GeneralPlan::scatter(spin::HandlerArgs& args, dataloop::Segment& seg) {
                                     cstats.catchup_blocks) *
                                     c.h_catchup_block);
 
-  std::uint64_t stream = 0;
-  seg.process(first, last, [&](std::int64_t off, std::uint64_t sz) {
-    args.meter.charge(spin::Phase::kProcessing, c.h_block + c.h_dma_issue);
-    args.dma.write(args.meter.total(), args.buffer_offset + off,
-                   {args.pkt.data + stream, sz});
-    stream += sz;
-  });
+  // A vector leaf's whole blocks go to the DMA engine as one train.
+  spin::BlockWriter out(args, c.h_block + c.h_dma_issue);
+  seg.process(
+      first, last,
+      [&](std::int64_t off, std::uint64_t sz) { out.region(off, sz); },
+      [&](std::int64_t off, std::int64_t stride, std::uint64_t block,
+          std::uint64_t count) { out.train(off, stride, block, count); });
 }
 
 void GeneralPlan::payload_hpu_local(spin::HandlerArgs& args) {

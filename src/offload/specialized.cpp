@@ -3,7 +3,6 @@
 #include "dataloop/cache.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 #include "sim/check.hpp"
@@ -57,8 +56,10 @@ void leaf_window(const dataloop::CompiledDataloop& loops,
         break;
       }
       case dataloop::LoopKind::kStruct:
-        assert(false && "struct is never a leaf");
-        return;
+        NETDDT_CHECK(false, "leaf_window met a leaf dataloop of kind "
+                            "struct (kind " +
+                                std::to_string(static_cast<int>(leaf.kind)) +
+                                "); a struct is never a leaf");
     }
     prev_block = block;
 
@@ -131,65 +132,65 @@ spin::ExecutionContext SpecializedPlan::context(spin::NicModel& nic) {
   ctx.policy = spin::SchedulingPolicy::Default();
   const spin::CostModel& c = *cost_;
 
+  // One block or run costs `step` and is issued when it is charged; a
+  // constant-stride train of whole blocks (a kStride op, a vector
+  // instance) goes to the DMA engine in one call.
+  const sim::Time step = c.h_block_specialized + c.h_dma_issue;
   if (program_ != nullptr) {
     // Flat-program handler: the compile step already fused adjacent
     // runs, so every emitted region becomes exactly one DMA write; the
     // only per-packet lookup is one binary search over the op array to
     // find the resume point.
-    ctx.payload = [this, &c](spin::HandlerArgs& args) {
+    ctx.payload = [this, &c, step](spin::HandlerArgs& args) {
       args.meter.charge(spin::Phase::kInit, c.h_init);
       const std::uint64_t first = args.pkt.offset;
-      const std::uint64_t last = first + args.pkt.payload_bytes;
       args.meter.charge(spin::Phase::kSetup,
                         program_->search_steps() * sim::ns(8));
-      std::uint64_t stream = 0;
-      program_->for_each_region(
-          first, last, [&](std::int64_t host_off, std::uint64_t len) {
-            args.meter.charge(spin::Phase::kProcessing,
-                              c.h_block_specialized + c.h_dma_issue);
-            args.dma.write(args.meter.total(),
-                           args.buffer_offset + host_off,
-                           {args.pkt.data + stream, len});
-            stream += len;
-          });
+      spin::BlockWriter out(args, step);
+      program_->for_each_train(
+          first, first + args.pkt.payload_bytes,
+          [&](std::int64_t off, std::uint64_t len) { out.region(off, len); },
+          [&](std::int64_t off, std::int64_t stride, std::uint64_t block,
+              std::uint64_t count) { out.train(off, stride, block, count); });
     };
-  } else if (closed_form_) {
-    ctx.payload = [this, &c](spin::HandlerArgs& args) {
+  } else if (closed_form_ &&
+             loops_->root().kind == dataloop::LoopKind::kVector) {
+    ctx.payload = [this, &c, step](spin::HandlerArgs& args) {
       args.meter.charge(spin::Phase::kInit, c.h_init);
       const std::uint64_t first = args.pkt.offset;
-      const std::uint64_t last = first + args.pkt.payload_bytes;
-      std::uint64_t stream = 0;
-      leaf_window(*loops_, first, last,
-                  [&](std::int64_t host_off, std::uint64_t len,
+      spin::BlockWriter out(args, step);
+      vector_window(
+          loops_->root(), loops_->root_extent(), first,
+          first + args.pkt.payload_bytes,
+          [&](std::int64_t off, std::uint64_t len) { out.region(off, len); },
+          [&](std::int64_t off, std::int64_t stride, std::uint64_t block,
+              std::uint64_t count) { out.train(off, stride, block, count); });
+    };
+  } else if (closed_form_) {
+    ctx.payload = [this, &c, step](spin::HandlerArgs& args) {
+      args.meter.charge(spin::Phase::kInit, c.h_init);
+      const std::uint64_t first = args.pkt.offset;
+      spin::BlockWriter out(args, step);
+      leaf_window(*loops_, first, first + args.pkt.payload_bytes,
+                  [&](std::int64_t off, std::uint64_t len,
                       std::uint32_t search_steps) {
                     args.meter.charge(spin::Phase::kSetup,
                                       search_steps * sim::ns(8));
-                    args.meter.charge(spin::Phase::kProcessing,
-                                      c.h_block_specialized + c.h_dma_issue);
-                    args.dma.write(args.meter.total(),
-                                   args.buffer_offset + host_off,
-                                   {args.pkt.data + stream, len});
-                    stream += len;
+                    out.region(off, len);
                   });
     };
   } else {
     // Region-list handler: binary-search the packet start, then walk
     // entries sequentially.
-    ctx.payload = [this, &c](spin::HandlerArgs& args) {
+    ctx.payload = [this, &c, step](spin::HandlerArgs& args) {
       args.meter.charge(spin::Phase::kInit, c.h_init);
       args.meter.charge(spin::Phase::kSetup,
                         regions_.search_steps() * sim::ns(8));
       const std::uint64_t first = args.pkt.offset;
+      spin::BlockWriter out(args, step);
       regions_.walk(first, first + args.pkt.payload_bytes,
-                    [&](std::size_t, std::int64_t host_off,
-                        std::uint64_t stream_off, std::uint64_t len) {
-                      args.meter.charge(spin::Phase::kProcessing,
-                                        c.h_block_specialized + c.h_dma_issue);
-                      args.dma.write(args.meter.total(),
-                                     args.buffer_offset + host_off,
-                                     {args.pkt.data + (stream_off - first),
-                                      len});
-                    });
+                    [&](std::size_t, std::int64_t off, std::uint64_t,
+                        std::uint64_t len) { out.region(off, len); });
     };
   }
 

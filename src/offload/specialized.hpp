@@ -8,7 +8,10 @@
 // computes destination offsets directly from the packet's stream offset:
 // a division for vector/indexed-block, a binary search over the block-
 // size prefix sums for indexed. No inter-packet state exists, so any HPU
-// can process any packet with no catch-up and no checkpoints.
+// can process any packet with no catch-up and no checkpoints. The vector
+// handler works per instance: a head fragment, the instance's whole
+// blocks as one constant-stride DMA train (spin::DmaIssuer::train), and
+// a tail fragment.
 //
 // For nested types with no closed form, the plan falls back to a
 // *region-list* handler: the host flattens the type into (offset, size)
@@ -23,11 +26,13 @@
 
 // A third mode rides on the compiled flat programs (dataloop/program.hpp):
 // with PackEngine::kProgram the handler walks the program's fused copy
-// ops (FlatProgram::for_each_region, over the program's one window walk)
+// ops (FlatProgram::for_each_train, over the program's one window walk)
 // instead of the leaf/region lists — adjacent runs are already merged at
-// compile time, so the handler issues one DMA write per fused region and
-// the descriptor is the program itself (ops + gather table).
+// compile time, so the handler issues one DMA write per fused region
+// (a kStride op's whole blocks as one train) and the descriptor is the
+// program itself (ops + gather table).
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -92,5 +97,44 @@ void leaf_window(const dataloop::CompiledDataloop& loops,
                  std::uint64_t first, std::uint64_t last,
                  const std::function<void(std::int64_t, std::uint64_t,
                                           std::uint32_t)>& fn);
+
+/// Walk stream window [first, last) of a single vector leaf in closed
+/// form, per instance: region(host_offset, len) for a head fragment of a
+/// block, train(host_offset, stride, block, count) for the instance's
+/// whole blocks in the window, region() for a tail fragment. Expanding
+/// each train into its blocks gives exactly leaf_window's regions, in
+/// order (a vector never charges search steps).
+template <typename Region, typename Train>
+void vector_window(const dataloop::Dataloop& leaf, std::int64_t instance_ext,
+                   std::uint64_t first, std::uint64_t last,
+                   const Region& region, const Train& train) {
+  const std::uint64_t block = leaf.block_bytes;
+  std::uint64_t pos = first;
+  while (pos < last) {
+    const std::uint64_t instance = pos / leaf.size;
+    const std::uint64_t local = pos - instance * leaf.size;
+    const std::uint64_t end = std::min(last, (instance + 1) * leaf.size);
+    const std::uint64_t rem = local % block;
+    std::int64_t at =
+        static_cast<std::int64_t>(instance) * instance_ext +
+        static_cast<std::int64_t>(local / block) * leaf.stride;
+    if (rem != 0) {
+      const std::uint64_t take = std::min(block - rem, end - pos);
+      region(at + static_cast<std::int64_t>(rem), take);
+      pos += take;
+      at += leaf.stride;
+    }
+    const std::uint64_t whole = (end - pos) / block;
+    if (whole > 0) {
+      train(at, leaf.stride, block, whole);
+      pos += whole * block;
+      at += static_cast<std::int64_t>(whole) * leaf.stride;
+    }
+    if (pos < end) {
+      region(at, end - pos);
+      pos = end;
+    }
+  }
+}
 
 }  // namespace netddt::offload

@@ -59,6 +59,12 @@ class Engine {
   /// stamps each item with a ticket, so (when, ticket) orders the item
   /// exactly as an event scheduled at that moment would be ordered.
   std::uint64_t ticket() { return next_seq_++; }
+  /// Draw `n` consecutive tickets; returns the first.
+  std::uint64_t tickets(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
 
   /// Seq of the event being dispatched: an item stamped (when, seq) was
   /// due before it iff (when, seq) < (now(), current_seq()). Between

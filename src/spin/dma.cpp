@@ -1,7 +1,6 @@
 #include "spin/dma.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <string>
 
@@ -132,13 +131,72 @@ void DmaEngine::enqueue_at(sim::Time when, const Request& req) {
       open_run_ = free_runs_.back();
       free_runs_.pop_back();
     }
-    heads_.push_back(Head{when, seq, open_run_});
+    heads_.push_back(Head{when, seq, open_run_, false});
     std::push_heap(heads_.begin(), heads_.end(), later_head);
   }
   runs_[open_run_].writes.push_back(Pending{when, seq, req});
   last_arrival_ = std::max(last_arrival_, when);
   drain();
   arm_sweep();
+}
+
+void DmaEngine::write_train(sim::Time when, sim::Time step,
+                            std::int64_t host_off, std::int64_t stride,
+                            const std::byte* src, std::uint64_t block,
+                            std::uint64_t count, std::uint64_t msg_id) {
+  if (count == 0) return;
+  if (count == 1) {
+    write_at(when, host_off, {src, block}, false, msg_id);
+    return;
+  }
+  NETDDT_CHECK(when >= engine_->now(),
+               "DMA write train for msg " + std::to_string(msg_id) +
+                   " issued for t=" + std::to_string(when) +
+                   " ps, before now=" + std::to_string(engine_->now()) +
+                   " ps");
+  NETDDT_CHECK(step >= 0, "DMA write train for msg " +
+                              std::to_string(msg_id) + " has issue step " +
+                              std::to_string(step) + " ps < 0");
+  const std::int64_t last_off =
+      host_off + static_cast<std::int64_t>(count - 1) * stride;
+  const auto fits = [&](std::int64_t off) {
+    return off >= 0 && static_cast<std::size_t>(off) + block <= host_.size();
+  };
+  NETDDT_CHECK(block == 0 || (fits(host_off) && fits(last_off)),
+               "DMA write train for msg " + std::to_string(msg_id) + " of " +
+                   std::to_string(count) + " x " + std::to_string(block) +
+                   " bytes at host offsets " + std::to_string(host_off) +
+                   " .. " + std::to_string(last_off) + " overruns the " +
+                   std::to_string(host_.size()) + "-byte host buffer");
+
+  // Draw tickets and arm the sweep as the writes would have one by one:
+  // write 0's ticket, then (if write 0 arms it) the sweep's seq, then
+  // the other writes'. Write i is stamped seq + i all the same: if the
+  // sweep took seq + 1, write 1 ties with it, and a write is due only
+  // strictly before the dispatching (now, seq), so the tie orders it
+  // exactly as its own later ticket would. drain() cannot serve the
+  // train's writes here: their seqs are past the dispatching event's.
+  const std::uint64_t seq = engine_->ticket();
+  last_arrival_ = std::max(last_arrival_, when);
+  drain();
+  arm_sweep();
+  engine_->tickets(count - 1);
+  last_arrival_ = std::max(
+      last_arrival_, when + static_cast<sim::Time>(count - 1) * step);
+
+  std::uint32_t t;
+  if (trains_.capacity() == 0) trains_.reserve(kInitialTrains);
+  if (free_trains_.empty()) {
+    t = static_cast<std::uint32_t>(trains_.size());
+    trains_.emplace_back();
+  } else {
+    t = free_trains_.back();
+    free_trains_.pop_back();
+  }
+  trains_[t] = Train{when, step, seq,   host_off, stride,
+                     src,  block, count, msg_id};
+  heads_.push_back(Head{when, seq, t, true});
+  std::push_heap(heads_.begin(), heads_.end(), later_head);
 }
 
 void DmaEngine::drain() {
@@ -148,10 +206,10 @@ void DmaEngine::drain() {
   while (!heads_.empty() &&
          before(heads_.front().when, heads_.front().seq, now, cur)) {
     std::pop_heap(heads_.begin(), heads_.end(), later_head);
-    const std::uint32_t r = heads_.back().run;
+    const Head head = heads_.back();
     heads_.pop_back();
-    // Serve the leading run while it stays ahead of both the runner-up
-    // and the dispatching event.
+    // Serve the leading entry while it stays ahead of both the
+    // runner-up and the dispatching event.
     sim::Time until_when = now;
     std::uint64_t until_seq = cur;
     if (!heads_.empty() && before(heads_.front().when, heads_.front().seq,
@@ -159,24 +217,56 @@ void DmaEngine::drain() {
       until_when = heads_.front().when;
       until_seq = heads_.front().seq;
     }
-    Run& run = runs_[r];
-    do {
-      const Pending& p = run.writes[run.next++];
-      arrive(p.req, p.when);
-    } while (run.next < run.writes.size() &&
-             before(run.writes[run.next].when, run.writes[run.next].seq,
-                    until_when, until_seq));
-    if (run.next < run.writes.size()) {
-      heads_.push_back(
-          Head{run.writes[run.next].when, run.writes[run.next].seq, r});
+    if (head.train) {
+      if (serve_train(head.index, until_when, until_seq)) {
+        const Train& t = trains_[head.index];
+        heads_.push_back(Head{t.when, t.seq, head.index, true});
+        std::push_heap(heads_.begin(), heads_.end(), later_head);
+      } else {
+        free_trains_.push_back(head.index);
+      }
+    } else if (serve_run(head.index, until_when, until_seq)) {
+      const Run& run = runs_[head.index];
+      const Pending& p = run.writes[run.next];
+      heads_.push_back(Head{p.when, p.seq, head.index, false});
       std::push_heap(heads_.begin(), heads_.end(), later_head);
-    } else {
-      run.writes.clear();
-      run.next = 0;
-      free_runs_.push_back(r);
-      if (open_run_ == r) open_run_ = kNoRun;
     }
   }
+}
+
+bool DmaEngine::serve_run(std::uint32_t r, sim::Time until_when,
+                          std::uint64_t until_seq) {
+  Run& run = runs_[r];
+  do {
+    const Pending& p = run.writes[run.next++];
+    arrive(p.req, p.when);
+  } while (run.next < run.writes.size() &&
+           before(run.writes[run.next].when, run.writes[run.next].seq,
+                  until_when, until_seq));
+  if (run.next < run.writes.size()) return true;
+  run.writes.clear();
+  run.next = 0;
+  free_runs_.push_back(r);
+  if (open_run_ == r) open_run_ = kNoRun;
+  return false;
+}
+
+bool DmaEngine::serve_train(std::uint32_t i, sim::Time until_when,
+                            std::uint64_t until_seq) {
+  Train& t = trains_[i];
+  Request req;
+  req.signal_event = false;
+  req.msg_id = t.msg_id;
+  do {
+    req.host_off = t.host_off;
+    req.src = {t.src, t.block};
+    arrive(req, t.when);
+    t.when += t.step;
+    ++t.seq;
+    t.host_off += t.stride;
+    t.src += t.block;
+  } while (--t.left > 0 && before(t.when, t.seq, until_when, until_seq));
+  return t.left > 0;
 }
 
 void DmaEngine::arrive(const Request& req, sim::Time now) {
@@ -249,7 +339,11 @@ void DmaEngine::retire(sim::Time now) {
                      : plain_landings_;
     const Landing landed = fifo.front();
     fifo.pop_front();
-    assert(depth_->value() > 0);
+    NETDDT_CHECK(depth_->value() > 0,
+                 "DMA landing for msg " + std::to_string(landed.msg_id) +
+                     " at t=" + std::to_string(landed.at) +
+                     " ps retires from queue depth " +
+                     std::to_string(depth_->value()));
     depth_->sub(1);
     sample(landed.at);
     if (tracer_ != nullptr && tracer_->events_on()) {

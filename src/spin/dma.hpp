@@ -38,10 +38,24 @@
 // keeps Engine::run() ending at the last landing. Tie rule: landings at
 // time t retire before an arrival at t is counted.
 //
+// Write trains: write_train() stands for `count` plain writes with a
+// constant issue step, host stride and block size (a handler walking a
+// vector's whole blocks). It checks the first and last write once,
+// takes `count` tickets and becomes its own entry in the run-merge heap
+// — a train is already sorted by (when, seq) — so it merges with every
+// other run and train exactly as its writes would have one by one, and
+// drain() serves each write through the same arrive(): begin, landing,
+// depth, blame, "dma write" span and bytes are those of single writes.
+// The sweep is armed as the train's first write would have armed it (at
+// that write's arrival, with write 0's ticket drawn before the sweep's
+// seq and the others' after), so the engine's events are unchanged too.
+// Single writes keep their own record and path.
+//
 // Because arrivals are served at the next touch point, host memory
 // shows a write once the DMA has been touched at or after its arrival:
 // always before a completion fires and before Engine::run() returns.
-// A write's source bytes must stay valid until then.
+// A write's source bytes must stay valid until then; a train's, until
+// its last write has arrived.
 //
 // Tracing: with a Tracer attached (and events on) every occupancy
 // change is sampled into the "nic.dma.queue_depth.trace" Series and a
@@ -110,6 +124,19 @@ class DmaEngine {
                     std::span<const std::byte> src, ReduceOp op,
                     ElemType elem, std::uint64_t msg_id);
 
+  /// A constant-stride train of `count` plain, non-signalled writes:
+  /// write i is issued at `when + i * step` and copies `block` bytes
+  /// from `src + i * block` to host offset `host_off + i * stride`.
+  /// Served, timed, traced and counted exactly like those `count`
+  /// write_at() calls. Preconditions, checked once at issue
+  /// (NETDDT_CHECK): `when >= now()`, `step >= 0`, and the first and
+  /// last write fit the host buffer (so every write between does).
+  /// `src` must stay valid until the last write has arrived.
+  void write_train(sim::Time when, sim::Time step, std::int64_t host_off,
+                   std::int64_t stride, const std::byte* src,
+                   std::uint64_t block, std::uint64_t count,
+                   std::uint64_t msg_id);
+
   std::uint64_t total_writes() const { return writes_->value(); }
   std::uint64_t total_bytes() const { return bytes_->value(); }
   /// Requests arrived but not yet landed as of now(); serves the writes
@@ -164,17 +191,43 @@ class DmaEngine {
     std::vector<Pending> writes;
     std::size_t next = 0;
   };
-  /// Merge-heap entry: the (when, seq) of a run's next write.
+  /// A write_train() not yet fully served: its next write's fields,
+  /// advanced in place as writes arrive.
+  struct Train {
+    sim::Time when;
+    sim::Time step;
+    std::uint64_t seq;
+    std::int64_t host_off;
+    std::int64_t stride;
+    const std::byte* src;
+    std::uint64_t block;
+    std::uint64_t left;  // writes not yet served, the next one included
+    std::uint64_t msg_id;
+  };
+  /// Merge-heap entry: the (when, seq) of a run's or a train's next
+  /// write; `index` points into runs_ or trains_.
   struct Head {
     sim::Time when;
     std::uint64_t seq;
-    std::uint32_t run;
+    std::uint32_t index;
+    bool train;
   };
   static constexpr std::uint32_t kNoRun = ~0u;
+  // Live trains peak at 32 in the benchmark configs (the Fig 16 app
+  // types under RW-CP). The first train reserves that many slots, so a
+  // run allocates them once, and an engine that issues no train
+  // allocates none.
+  static constexpr std::size_t kInitialTrains = 32;
 
   void enqueue_at(sim::Time when, const Request& req);
   /// Serve every pending write ordered before the dispatching event.
   void drain();
+  /// Serve `run`'s or `train`'s writes ordered before (until_when,
+  /// until_seq), at least one; return false once the entry is empty.
+  bool serve_run(std::uint32_t run, sim::Time until_when,
+                 std::uint64_t until_seq);
+  bool serve_train(std::uint32_t train, sim::Time until_when,
+                   std::uint64_t until_seq);
   void arrive(const Request& req, sim::Time now);
   /// Retire every in-flight landing due by `now`, in landing order.
   void retire(sim::Time now);
@@ -194,7 +247,9 @@ class DmaEngine {
 
   std::vector<Run> runs_;                // live and recycled write runs
   std::vector<std::uint32_t> free_runs_;
-  std::vector<Head> heads_;              // min-heap over live runs
+  std::vector<Train> trains_;            // live and recycled trains
+  std::vector<std::uint32_t> free_trains_;
+  std::vector<Head> heads_;              // min-heap over live entries
   std::uint32_t open_run_ = kNoRun;      // run the next write may extend
   std::uint64_t open_owner_ = 0;         // seq of the event that opened it
   sim::Time last_arrival_ = 0;           // latest pending arrival queued

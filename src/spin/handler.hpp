@@ -16,6 +16,7 @@
 #include "p4/packet.hpp"
 #include "sim/time.hpp"
 #include "spin/compute.hpp"
+#include "spin/dma.hpp"
 
 namespace netddt::spin {
 
@@ -38,8 +39,21 @@ class ChargeMeter {
 };
 
 /// Handler-side DMA interface: issue fire-and-forget writes to host
-/// memory. `signal_event` corresponds to omitting the paper's NO_EVENT
-/// option (only the final zero-byte write signals).
+/// memory. Issue offsets are relative to the handler's start; the
+/// issuer adds it and the message id and calls the NIC's DmaEngine
+/// directly, so building one per handler invocation allocates nothing.
+/// `signal_event` corresponds to omitting the paper's NO_EVENT option
+/// (only the final zero-byte write signals).
+///
+/// `train()` issues `count` plain writes of one constant-stride block
+/// train in one call — what a handler walking a vector's whole blocks
+/// would otherwise issue one `write()` at a time, each one `step` of
+/// charged time after the last. The DMA engine keeps the train as one
+/// entry of its run-merge heap, arms its sweep as the first write would
+/// have, and serves, times and traces every write exactly like those
+/// single writes (dma.hpp). The source bytes `src[0, count * block)`
+/// must stay valid until the last write has arrived (the packet buffer
+/// does).
 ///
 /// Compute families additionally issue read-modify-write requests via
 /// `rmw()`: the DMA engine reads the destination, applies the elementwise
@@ -49,33 +63,37 @@ class ChargeMeter {
 /// packets before the handler re-runs.
 class DmaIssuer {
  public:
-  using IssueFn = std::function<void(sim::Time issue_offset,
-                                     std::int64_t host_off,
-                                     std::span<const std::byte> src,
-                                     bool signal_event)>;
-  using RmwFn = std::function<void(sim::Time issue_offset,
-                                   std::int64_t host_off,
-                                   std::span<const std::byte> src,
-                                   ReduceOp op, ElemType elem)>;
-  explicit DmaIssuer(IssueFn fn) : fn_(std::move(fn)) {}
-  DmaIssuer(IssueFn fn, RmwFn rmw)
-      : fn_(std::move(fn)), rmw_(std::move(rmw)) {}
+  DmaIssuer(DmaEngine& engine, sim::Time start, std::uint64_t msg_id)
+      : engine_(&engine), start_(start), msg_id_(msg_id) {}
 
   void write(sim::Time issue_offset, std::int64_t host_off,
              std::span<const std::byte> src, bool signal_event = false) {
-    fn_(issue_offset, host_off, src, signal_event);
+    engine_->write_at(start_ + issue_offset, host_off, src, signal_event,
+                      msg_id_);
+  }
+
+  /// Write i (of `count`) is issued at `issue_offset + i * step` and
+  /// copies `block` bytes from `src + i * block` to host offset
+  /// `host_off + i * stride`.
+  void train(sim::Time issue_offset, sim::Time step, std::int64_t host_off,
+             std::int64_t stride, const std::byte* src, std::uint64_t block,
+             std::uint64_t count) {
+    engine_->write_train(start_ + issue_offset, step, host_off, stride, src,
+                         block, count, msg_id_);
   }
 
   /// dst[i] = dst[i] (op) src[i] at landing time; src must stay alive
   /// until the write lands (same contract as `write`).
   void rmw(sim::Time issue_offset, std::int64_t host_off,
            std::span<const std::byte> src, ReduceOp op, ElemType elem) {
-    rmw_(issue_offset, host_off, src, op, elem);
+    engine_->write_rmw_at(start_ + issue_offset, host_off, src, op, elem,
+                          msg_id_);
   }
 
  private:
-  IssueFn fn_;
-  RmwFn rmw_;
+  DmaEngine* engine_;
+  sim::Time start_;
+  std::uint64_t msg_id_;
 };
 
 struct HandlerArgs {
@@ -83,6 +101,38 @@ struct HandlerArgs {
   std::int64_t buffer_offset;  // destination base from the matched ME
   ChargeMeter& meter;
   DmaIssuer& dma;
+};
+
+/// The scatter loop of a byte-moving payload handler: each destination
+/// block costs `step` of processing time and is issued once charged,
+/// reading the packet payload in stream order. `region` issues one
+/// write; `train` issues a constant-stride train of whole blocks in one
+/// DmaIssuer::train call, with the same issue instants and charges as
+/// `count` region calls. Offsets are relative to the matched buffer.
+class BlockWriter {
+ public:
+  BlockWriter(HandlerArgs& args, sim::Time step) : args_(&args), step_(step) {}
+
+  void region(std::int64_t off, std::uint64_t len) {
+    args_->meter.charge(Phase::kProcessing, step_);
+    args_->dma.write(args_->meter.total(), args_->buffer_offset + off,
+                     {args_->pkt.data + stream_, len});
+    stream_ += len;
+  }
+  void train(std::int64_t off, std::int64_t stride, std::uint64_t block,
+             std::uint64_t count) {
+    args_->dma.train(args_->meter.total() + step_, step_,
+                     args_->buffer_offset + off, stride,
+                     args_->pkt.data + stream_, block, count);
+    args_->meter.charge(Phase::kProcessing,
+                        static_cast<sim::Time>(count) * step_);
+    stream_ += count * block;
+  }
+
+ private:
+  HandlerArgs* args_;
+  sim::Time step_;
+  std::uint64_t stream_ = 0;  // payload bytes issued so far
 };
 
 using PacketHandler = std::function<void(HandlerArgs&)>;

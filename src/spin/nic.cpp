@@ -230,21 +230,7 @@ void NicModel::deliver_spin(MsgState& st, const p4::Packet& pkt) {
                                           cost_.pkt_payload),
                 -1});
             ChargeMeter meter;
-            DmaIssuer issuer(
-                [this, &pkt_copy, start](sim::Time issue_offset,
-                                         std::int64_t host_off,
-                                         std::span<const std::byte> src,
-                                         bool signal_event) {
-                  dma_.write_at(start + issue_offset, host_off, src,
-                                signal_event, pkt_copy.msg_id);
-                },
-                [this, &pkt_copy, start](sim::Time issue_offset,
-                                         std::int64_t host_off,
-                                         std::span<const std::byte> src,
-                                         ReduceOp op, ElemType elem) {
-                  dma_.write_rmw_at(start + issue_offset, host_off, src, op,
-                                    elem, pkt_copy.msg_id);
-                });
+            DmaIssuer issuer(dma_, start, pkt_copy.msg_id);
             HandlerArgs args{pkt_copy, st.entry.buffer_offset, meter,
                              issuer};
             if (run_header) st.ctx->header(args);
@@ -318,13 +304,7 @@ void NicModel::maybe_dispatch_completion(MsgState& st) {
       completion_pkt.msg_id, SchedulingPolicy::Default(), 0, "completion", -1,
       [this, &st, completion_pkt](sim::Time start) -> sim::Time {
         ChargeMeter meter;
-        DmaIssuer issuer([this, &completion_pkt, start](
-                             sim::Time issue_offset, std::int64_t host_off,
-                             std::span<const std::byte> src,
-                             bool signal_event) {
-          dma_.write_at(start + issue_offset, host_off, src, signal_event,
-                        completion_pkt.msg_id);
-        });
+        DmaIssuer issuer(dma_, start, completion_pkt.msg_id);
         HandlerArgs args{completion_pkt, st.entry.buffer_offset, meter,
                          issuer};
         st.ctx->completion(args);

@@ -224,5 +224,63 @@ TEST_F(FacadeFixture, PostOnUncommittedHandleIsAViolation) {
                sim::check::Violation);
 }
 
+// Every post of one cached plan attaches the same execution context,
+// also after the plan was evicted from NIC memory and re-allocated: the
+// handlers reference the plan, and the NIC keeps each registered
+// context for its lifetime.
+TEST(DdtEngine, PostsOfOnePlanShareOneContext) {
+  sim::Engine eng;
+  spin::Host host(1 << 22);
+  spin::NicModel nic(eng, host, spin::CostModel{},
+                     spin::NicConfig{16, 64 << 10});
+  fabric::Fabric link(eng, fabric::point_to_point(nic.cost()));
+  link.attach(1, nic);
+  DdtEngine engine(nic);
+
+  TypeAttributes attrs;
+  attrs.prefer_specialized = false;  // RW-CP plans: large, evictable
+  const TypePtr type = vec(2048);
+  const auto a = engine.commit(type, attrs);
+  const std::size_t before = nic.registered_contexts();
+  for (std::uint64_t bits = 1; bits <= 3; ++bits) {
+    EXPECT_EQ(engine.post_receive(a, 1, 0, 1 << 22, bits).strategy,
+              StrategyKind::kRwCp);
+  }
+  EXPECT_EQ(nic.registered_contexts(), before + 1);
+
+  // Colder plans fill the 64 KiB NIC memory and evict `a` (the least
+  // recently used); each registers its own context once.
+  for (int i = 1; i < 6; ++i) {
+    const auto other = engine.commit(vec(2048 + 64 * i), attrs);
+    engine.post_receive(other, 1, 0, 1 << 22, 100 + i);
+    engine.post_receive(other, 1, 0, 1 << 22, 200 + i);
+  }
+  ASSERT_GT(engine.evictions(), 0u);
+  EXPECT_EQ(nic.registered_contexts(), before + 6);
+
+  // Re-posting `a` re-allocates its NIC memory (evicting another plan)
+  // and reuses its context; a message then lands through it.
+  const auto again = engine.post_receive(a, 1, 0, 1 << 22, 0x77);
+  EXPECT_EQ(again.strategy, StrategyKind::kRwCp);
+  EXPECT_TRUE(again.evicted_others) << "`a` was still resident";
+  EXPECT_EQ(nic.registered_contexts(), before + 6);
+
+  std::vector<std::byte> packed(type->size());
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    packed[i] = static_cast<std::byte>(i * 13 + 1);
+  }
+  link.send(0, 1, p4::packetize(1, 0x77, packed), 0);
+  eng.run();
+  ASSERT_NE(host.events().find(p4::EventKind::kUnpackComplete), nullptr);
+  std::vector<std::byte> expected(1 << 22, std::byte{0});
+  ddt::unpack(packed.data(), *type, 1, expected.data());
+  for (const auto& r : type->flatten(1)) {
+    ASSERT_EQ(std::memcmp(host.memory().data() + r.offset,
+                          expected.data() + r.offset, r.size),
+              0)
+        << "region at " << r.offset;
+  }
+}
+
 }  // namespace
 }  // namespace netddt::offload

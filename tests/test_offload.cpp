@@ -162,6 +162,24 @@ TEST(LeafWindow, NestedTypeIsAViolation) {
   }
 }
 
+TEST(LeafWindow, StructLeafIsAViolation) {
+  // No compiled type has a struct leaf; forge one to reach the check.
+  const dataloop::CompiledDataloop loops(vec_type(4, 8, 16));
+  ASSERT_TRUE(loops.root().leaf);
+  const_cast<dataloop::Dataloop&>(loops.root()).kind =
+      dataloop::LoopKind::kStruct;
+  try {
+    leaf_window(loops, 0, loops.total_bytes(),
+                [](std::int64_t, std::uint64_t, std::uint32_t) {});
+    ADD_FAILURE() << "leaf_window walked a struct leaf";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find(
+                  "leaf_window met a leaf dataloop of kind struct (kind 4)"),
+              std::string::npos)
+        << v.what();
+  }
+}
+
 TEST(Iovec, UnpacksCorrectly) {
   auto run = run_receive(
       base_config(vec_type(2048, 128, 256), StrategyKind::kIovec));

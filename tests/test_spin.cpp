@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -521,6 +525,269 @@ TEST(DmaFifo, BadWriteIsAViolationAtTheIssuingCall) {
   }
   eng.run();
   EXPECT_EQ(dma.total_writes(), 0u);
+}
+
+// One DMA request as a handler issues it: a train of `count` plain
+// writes, or a single plain, RMW or signalled write (count 1).
+struct Issue {
+  enum class Kind { kTrain, kPlain, kRmw, kSignal } kind = Kind::kPlain;
+  sim::Time when = 0;
+  sim::Time step = 0;
+  std::int64_t host_off = 0;
+  std::int64_t stride = 0;
+  std::size_t src_off = 0;
+  std::uint64_t block = 0;
+  std::uint64_t count = 1;
+  std::uint64_t msg = 0;
+};
+
+// Everything the DMA engine and its sim::Engine publish, for a
+// differential between two engines fed the same writes.
+struct DmaOutcome {
+  std::vector<std::tuple<char, std::string, sim::Time, std::int64_t, double>>
+      events;  // every traced event: spans, landings, depth counter
+  std::vector<std::pair<sim::Time, double>> depth;
+  std::vector<std::pair<std::uint64_t, sim::Time>> completions;
+  std::vector<std::byte> host;
+  std::map<std::string, std::uint64_t> counters;
+  std::int64_t depth_peak = 0;
+  sim::Time end = 0;
+  std::array<std::uint64_t, sim::Engine::kSizeBuckets> callbacks{};
+  std::uint64_t executed = 0;
+};
+
+// Run `events` (event time, the issues it makes) through a fresh DMA
+// engine; `as_trains` hands each train to write_train, otherwise its
+// writes go one by one through write_at.
+DmaOutcome run_issues(
+    const std::vector<std::pair<sim::Time, std::vector<Issue>>>& events,
+    const std::vector<std::byte>& src, bool as_trains) {
+  sim::Engine eng;
+  CostModel cost;
+  sim::MetricsRegistry metrics;
+  DmaOutcome out;
+  out.host.assign(1 << 14, std::byte{5});
+  DmaEngine dma(eng, cost, out.host, &metrics);
+  sim::trace::TraceConfig tc;
+  tc.events = true;
+  sim::trace::Tracer tracer(tc);
+  dma.set_tracer(&tracer);
+  dma.set_completion_callback([&](std::uint64_t id, sim::Time when) {
+    out.completions.emplace_back(id, when);
+  });
+  for (const auto& [at, issues] : events) {
+    eng.schedule_at(at, [&, &issues = issues] {
+      for (const Issue& w : issues) {
+        const std::byte* from = src.data() + w.src_off;
+        switch (w.kind) {
+          case Issue::Kind::kTrain:
+            if (as_trains) {
+              dma.write_train(w.when, w.step, w.host_off, w.stride, from,
+                              w.block, w.count, w.msg);
+              break;
+            }
+            for (std::uint64_t i = 0; i < w.count; ++i) {
+              const auto k = static_cast<std::int64_t>(i);
+              dma.write_at(w.when + k * w.step, w.host_off + k * w.stride,
+                           {from + i * w.block, w.block}, false, w.msg);
+            }
+            break;
+          case Issue::Kind::kPlain:
+          case Issue::Kind::kSignal:
+            dma.write_at(w.when, w.host_off, {from, w.block},
+                         w.kind == Issue::Kind::kSignal, w.msg);
+            break;
+          case Issue::Kind::kRmw:
+            dma.write_rmw_at(w.when, w.host_off, {from, w.block},
+                             ReduceOp::kSum, ElemType::kInt8, w.msg);
+            break;
+        }
+      }
+    });
+  }
+  out.end = eng.run();
+  EXPECT_TRUE(dma.drained());
+  for (const auto& ev : tracer.events()) {
+    out.events.emplace_back(ev.ph, ev.name, ev.ts, ev.msg, ev.value);
+  }
+  out.depth = dma.depth_trace();
+  const sim::MetricsSnapshot snap = metrics.snapshot();
+  out.counters = snap.counters;
+  out.depth_peak = snap.gauge_peak("nic.dma.queue_depth");
+  out.callbacks = eng.callback_size_hist();
+  out.executed = eng.executed();
+  return out;
+}
+
+TEST(DmaFifo, TrainMatchesSingleWrites) {
+  const std::vector<std::byte> src = pattern(1 << 13);
+  const std::int64_t host = 1 << 14;
+  std::uint64_t trains = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    std::vector<std::pair<sim::Time, std::vector<Issue>>> events;
+    std::uint64_t msg = 1;
+    for (int e = 0; e < 6; ++e) {
+      // Few distinct instants, so events, trains and landings tie; some
+      // 200 us later, after the DMA went idle, so a train's first write
+      // arms the sweep at its own arrival.
+      const sim::Time at =
+          sim::us(static_cast<std::int64_t>(pick(2)) * 200) +
+          sim::ns(static_cast<std::int64_t>(pick(4)) * 40);
+      std::vector<Issue> issues;
+      sim::Time t = at + static_cast<sim::Time>(pick(3)) * sim::ns(7);
+      const std::uint64_t n = 1 + pick(6);
+      for (std::uint64_t j = 0; j < n; ++j, ++msg) {
+        Issue w;
+        w.msg = msg;
+        w.when = t;
+        w.block = 1 + pick(64);
+        w.src_off = pick(src.size() - 64 * 24);
+        const std::uint64_t kind = pick(10);
+        if (kind < 6) {
+          w.kind = Issue::Kind::kTrain;
+          w.count = 1 + pick(24);
+          w.step = pick(3) == 0 ? 0
+                                : static_cast<sim::Time>(pick(3)) * sim::ns(3) +
+                                      static_cast<sim::Time>(pick(2));
+          w.stride = static_cast<std::int64_t>(pick(257)) - 128;
+          const std::int64_t span =
+              static_cast<std::int64_t>(w.count - 1) * w.stride;
+          const std::int64_t lo = std::max<std::int64_t>(0, -span);
+          const std::int64_t hi =
+              host - static_cast<std::int64_t>(w.block) -
+              std::max<std::int64_t>(0, span);
+          w.host_off = lo + static_cast<std::int64_t>(
+                                pick(static_cast<std::uint64_t>(hi - lo)));
+          t += static_cast<sim::Time>(w.count) * w.step;
+          trains += w.count > 1;
+        } else {
+          w.kind = kind < 8 ? Issue::Kind::kPlain : Issue::Kind::kRmw;
+          w.host_off = static_cast<std::int64_t>(
+              pick(static_cast<std::uint64_t>(host) - w.block));
+          t += static_cast<sim::Time>(pick(2)) * sim::ns(5);
+        }
+        issues.push_back(w);
+      }
+      Issue done;
+      done.kind = Issue::Kind::kSignal;
+      done.when = t;
+      done.block = 0;
+      done.msg = msg++;
+      issues.push_back(done);
+      events.emplace_back(at, std::move(issues));
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DmaOutcome trained = run_issues(events, src, true);
+    const DmaOutcome single = run_issues(events, src, false);
+    EXPECT_EQ(trained.events, single.events);
+    EXPECT_EQ(trained.depth, single.depth);
+    EXPECT_EQ(trained.completions, single.completions);
+    EXPECT_TRUE(trained.host == single.host);
+    EXPECT_EQ(trained.counters, single.counters);
+    EXPECT_EQ(trained.depth_peak, single.depth_peak);
+    EXPECT_EQ(trained.end, single.end);
+    EXPECT_EQ(trained.callbacks, single.callbacks);
+    EXPECT_EQ(trained.executed, single.executed);
+    EXPECT_EQ(trained.completions.size(), 6u);
+  }
+  EXPECT_GT(trains, 400u);
+}
+
+// On an idle engine a train's first write arms the sweep at its own
+// arrival, and with a zero issue step the sweep then ties with the
+// later writes: it must serve write 0 alone, as it would have served
+// the writes one by one, and take the same number of events.
+TEST(DmaFifo, TrainArmsTheSweepLikeItsFirstWrite) {
+  const std::vector<std::byte> src = pattern(256);
+  for (const sim::Time step : {sim::Time{0}, sim::ns(2)}) {
+    Issue train;
+    train.kind = Issue::Kind::kTrain;
+    train.when = sim::ns(10);
+    train.step = step;
+    train.block = 16;
+    train.count = 3;
+    train.stride = 32;
+    train.msg = 1;
+    const std::vector<std::pair<sim::Time, std::vector<Issue>>> events = {
+        {sim::ns(10), {train}}};
+    const DmaOutcome trained = run_issues(events, src, true);
+    const DmaOutcome single = run_issues(events, src, false);
+    EXPECT_EQ(trained.events, single.events) << "step " << step;
+    EXPECT_EQ(trained.executed, single.executed) << "step " << step;
+    EXPECT_EQ(trained.callbacks, single.callbacks) << "step " << step;
+    EXPECT_EQ(trained.end, single.end) << "step " << step;
+  }
+}
+
+TEST(DmaFifo, BadTrainIsAViolationAtTheIssuingCall) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(256);
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(64);
+  try {
+    // Writes at 0, 64, 128, 192, 256: the last one overruns.
+    dma.write_train(0, sim::ns(1), 0, 64, src.data(), 8, 5, 42);
+    FAIL() << "a train past the host buffer was accepted";
+  } catch (const sim::check::Violation& v) {
+    const std::string what = v.what();
+    EXPECT_NE(what.find("msg 42 of 5 x 8 bytes at host offsets 0 .. 256 "
+                        "overruns the 256-byte host buffer"),
+              std::string::npos)
+        << what;
+  }
+  try {
+    dma.write_train(0, sim::ns(1), 64, -32, src.data(), 8, 4, 43);
+    FAIL() << "a train below host offset 0 was accepted";
+  } catch (const sim::check::Violation& v) {
+    const std::string what = v.what();
+    EXPECT_NE(what.find("at host offsets 64 .. -32 overruns"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(dma.write_train(0, -1, 0, 8, src.data(), 8, 2, 45),
+               sim::check::Violation);
+  eng.run_until(sim::ns(5));
+  try {
+    dma.write_train(sim::ns(1), sim::ns(1), 0, 8, src.data(), 8, 4, 44);
+    FAIL() << "a train in the past was accepted";
+  } catch (const sim::check::Violation& v) {
+    const std::string what = v.what();
+    EXPECT_NE(what.find("msg 44 issued for t=1000 ps, before now=5000 ps"),
+              std::string::npos)
+        << what;
+  }
+  eng.run();
+  EXPECT_EQ(dma.total_writes(), 0u);
+  EXPECT_TRUE(dma.drained());
+}
+
+TEST(DmaFifo, LandingBelowZeroDepthIsAViolation) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(256);
+  sim::MetricsRegistry metrics;
+  DmaEngine dma(eng, cost, host, &metrics);
+  const auto src = pattern(64);
+  dma.write_at(0, 0, src, false, 7);
+  eng.run_until(0);
+  ASSERT_EQ(dma.queue_depth(), 1u);
+  // Corrupt the occupancy gauge: the landing then has nothing to retire.
+  metrics.gauge("nic.dma.queue_depth").sub(1);
+  try {
+    eng.run();
+    FAIL() << "a landing retired from an empty queue";
+  } catch (const sim::check::Violation& v) {
+    const std::string what = v.what();
+    EXPECT_NE(what.find("DMA landing for msg 7 at t=" +
+                        std::to_string(cost.dma_service(64) +
+                                       cost.pcie_write_latency) +
+                        " ps retires from queue depth 0"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Scheduler, DefaultPolicyUsesAllHpus) {
