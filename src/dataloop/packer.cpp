@@ -1,9 +1,26 @@
 #include "dataloop/packer.hpp"
 
-#include <cassert>
 #include <cstring>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::dataloop {
+
+namespace {
+
+std::string outside(std::int64_t off, std::uint64_t sz, std::size_t bytes) {
+  return "region [" + std::to_string(off) + ", +" + std::to_string(sz) +
+         ") outside a " + std::to_string(bytes) + "-byte buffer";
+}
+
+std::string overrun(std::uint64_t first, std::uint64_t last,
+                    std::uint64_t total) {
+  return "chunk [" + std::to_string(first) + ", " + std::to_string(last) +
+         ") overruns a " + std::to_string(total) + "-byte stream";
+}
+
+}  // namespace
 
 std::uint64_t Packer::pack(std::span<std::byte> out) {
   if (program_) {
@@ -19,8 +36,10 @@ std::uint64_t Packer::pack(std::span<std::byte> out) {
       std::min<std::uint64_t>(first + out.size(), segment_.total_bytes());
   std::uint64_t written = 0;
   segment_.process(first, last, [&](std::int64_t off, std::uint64_t sz) {
-    assert(off >= 0 &&
-           static_cast<std::uint64_t>(off) + sz <= source_.size());
+    NETDDT_CHECK(off >= 0 &&
+                     static_cast<std::uint64_t>(off) + sz <= source_.size(),
+                 "Packer::pack: source " +
+                     outside(off, sz, source_.size()));
     std::memcpy(out.data() + written, source_.data() + off, sz);
     written += sz;
   });
@@ -30,21 +49,30 @@ std::uint64_t Packer::pack(std::span<std::byte> out) {
 void Unpacker::unpack(std::span<const std::byte> in) {
   if (program_) {
     const std::uint64_t last = pos_ + in.size();
-    assert(last <= program_->total_bytes() && "chunk overruns the stream");
+    NETDDT_CHECK(last <= program_->total_bytes(),
+                 "Unpacker::unpack: " +
+                     overrun(pos_, last, program_->total_bytes()));
     program_->unpack(in.data(), pos_, last, dest_.data());
     pos_ = last;
     return;
   }
   const std::uint64_t first = segment_.position();
   const std::uint64_t last = first + in.size();
-  assert(last <= segment_.total_bytes() && "chunk overruns the stream");
+  NETDDT_CHECK(last <= segment_.total_bytes(),
+               "Unpacker::unpack: " +
+                   overrun(first, last, segment_.total_bytes()));
   std::uint64_t consumed = 0;
   segment_.process(first, last, [&](std::int64_t off, std::uint64_t sz) {
-    assert(off >= 0 && static_cast<std::uint64_t>(off) + sz <= dest_.size());
+    NETDDT_CHECK(off >= 0 &&
+                     static_cast<std::uint64_t>(off) + sz <= dest_.size(),
+                 "Unpacker::unpack: destination " +
+                     outside(off, sz, dest_.size()));
     std::memcpy(dest_.data() + off, in.data() + consumed, sz);
     consumed += sz;
   });
-  assert(consumed == in.size());
+  NETDDT_CHECK(consumed == in.size(),
+               "Unpacker::unpack: scattered " + std::to_string(consumed) +
+                   " of a " + std::to_string(in.size()) + "-byte chunk");
 }
 
 }  // namespace netddt::dataloop

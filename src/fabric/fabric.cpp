@@ -14,7 +14,7 @@ using sim::trace::BlameStage;
 
 /// "src S -> dst D, msg M": the context every precondition names.
 std::string route_context(std::uint32_t src, std::uint32_t dst,
-                          const std::vector<p4::Packet>& packets) {
+                          std::span<const p4::Packet> packets) {
   return "src " + std::to_string(src) + " -> dst " + std::to_string(dst) +
          (packets.empty() ? ", no packets"
                           : ", msg " + std::to_string(packets[0].msg_id));
@@ -22,7 +22,7 @@ std::string route_context(std::uint32_t src, std::uint32_t dst,
 
 /// Preconditions of send / send_reliable.
 void check_send(const std::vector<spin::NicModel*>& nics, std::uint32_t src,
-                std::uint32_t dst, const std::vector<p4::Packet>& packets) {
+                std::uint32_t dst, std::span<const p4::Packet> packets) {
   NETDDT_CHECK(src < nics.size() && dst < nics.size() && src != dst,
                route_context(src, dst, packets) + " on a " +
                    std::to_string(nics.size()) + "-node fabric");
@@ -157,7 +157,7 @@ void Fabric::advance(const p4::Packet* pkt, const Route* route,
 }
 
 void Fabric::send(std::uint32_t src, std::uint32_t dst,
-                  const std::vector<p4::Packet>& packets, sim::Time earliest,
+                  std::span<const p4::Packet> packets, sim::Time earliest,
                   const std::vector<sim::Time>& ready) {
   check_send(nics_, src, dst, packets);
   NETDDT_CHECK(ready.empty() || ready.size() == packets.size(),

@@ -49,6 +49,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fabric/topology.hpp"
@@ -106,8 +107,9 @@ class Fabric {
 
   /// Inject `packets` (wire order) at `src` for `dst`'s NIC; lossless
   /// and exactly-once. Packet i departs when the injection port is free,
-  /// no earlier than `earliest` or, if given, `ready[i]` (streaming puts
-  /// / outbound pacing). Every send from `src` queues behind that one
+  /// no earlier than `earliest` or, if given, `ready[i]` (host-issued
+  /// sends, outbound pacing); its sender-queue blame counts from
+  /// `earliest` either way. Every send from `src` queues behind that one
   /// port, and FIFO ports keep the header-first / completion-last order
   /// along the route. The caller keeps `packets` and their data alive
   /// until `dst`'s NIC reports the message done (its msg-done callback),
@@ -117,7 +119,7 @@ class Fabric {
   /// signalled write. On a one-hop route the headers are copied at
   /// injection, so only the data must outlive the call.
   void send(std::uint32_t src, std::uint32_t dst,
-            const std::vector<p4::Packet>& packets, sim::Time earliest,
+            std::span<const p4::Packet> packets, sim::Time earliest,
             const std::vector<sim::Time>& ready = {});
 
   /// Reliable put (see the lossy-path contract in the header comment).

@@ -2,8 +2,10 @@
 
 #include <cassert>
 #include <deque>
+#include <string>
 #include <unordered_map>
 
+#include "sim/check.hpp"
 #include "sim/engine.hpp"
 
 namespace netddt::goal {
@@ -187,7 +189,10 @@ RunResult run_loggp(const std::vector<Schedule>& schedules,
     rank.dependents.assign(ops.size(), {});
     for (std::uint32_t i = 0; i < ops.size(); ++i) {
       for (std::uint32_t d : ops[i].deps) {
-        assert(d < i && "dependencies must reference earlier ops");
+        NETDDT_CHECK(d < i, "rank " + std::to_string(r) + " op " +
+                                std::to_string(i) + " depends on op " +
+                                std::to_string(d) +
+                                ", not an earlier op");
         rank.dependents[d].push_back(i);
         ++rank.pending_deps[i];
       }

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "ddt/pack.hpp"
+#include "offload/host_model.hpp"
 #include "sim/check.hpp"
 
 namespace netddt::offload {
@@ -19,6 +20,30 @@ Window receive_window(const ddt::Datatype& type, std::uint64_t count) {
   w.bytes = w.shift + static_cast<std::uint64_t>(type.extent()) * (count - 1) +
             static_cast<std::uint64_t>(hi);
   return w;
+}
+
+std::vector<sim::Time> send_issue(const Source& source,
+                                  const spin::CostModel& cost) {
+  NETDDT_CHECK(source.strategy != SendStrategy::kOutboundSpin,
+               "outbound sPIN packets are gathered by the NIC, not issued "
+               "by the host");
+  const std::uint64_t bytes = source.type->size() * source.count;
+  const std::uint64_t npkt = p4::packet_count(bytes, cost.pkt_payload);
+  if (source.strategy == SendStrategy::kPackSend) {
+    return std::vector<sim::Time>(
+        npkt, host_pack_time(*source.type, source.count, cost));
+  }
+  // prefix[r] is the stream end of the first r regions (none are empty).
+  const ddt::RegionList list = source.type->region_list(source.count);
+  const std::vector<std::uint64_t>& prefix = list.prefix();
+  std::vector<sim::Time> ready(npkt);
+  std::size_t r = 0;
+  for (std::uint64_t k = 0; k < npkt; ++k) {
+    const std::uint64_t end = std::min(bytes, (k + 1) * cost.pkt_payload);
+    while (r < prefix.size() && prefix[r] < end) ++r;
+    ready[k] = static_cast<sim::Time>(r) * (cost.host_block_overhead * 4);
+  }
+  return ready;
 }
 
 namespace {
@@ -163,7 +188,8 @@ Landing MessageDriver::post(Landing landing, DdtEngine& facade,
 }
 
 std::span<const std::byte> MessageDriver::offer(
-    Message m, std::uint64_t bytes, const spin::ComputeConfig* compute) {
+    Message m, std::uint64_t bytes, const spin::ComputeConfig* compute,
+    const Source* source) {
   const sim::Time now = engine_.now();
   const std::uint64_t id = m.id;
   if (m.arrival < 0) m.arrival = now;
@@ -179,9 +205,30 @@ std::span<const std::byte> MessageDriver::offer(
   const auto [it, fresh] = live_.emplace(id, std::move(m));
   NETDDT_CHECK(fresh, "msg " + std::to_string(id) + " offered twice");
   Message& msg = it->second;
+  const sim::faults::FaultPlan plan(world_.faults, id);
+  if (source != nullptr) {
+    NETDDT_CHECK(!plan.active() && world_.ooo_window == 0,
+                 "msg " + std::to_string(id) +
+                     ": a typed source needs a lossless in-order send, not "
+                     "faults or ooo_window " +
+                     std::to_string(world_.ooo_window));
+    NETDDT_CHECK(msg.payload.size() == source->type->size() * source->count,
+                 "msg " + std::to_string(id) + ": " +
+                     std::to_string(msg.payload.size()) +
+                     "-byte payload for a source of " +
+                     std::to_string(source->type->size()) + " bytes x " +
+                     std::to_string(source->count));
+    if (!msg.payload.empty()) {  // payload.data() may be null
+      ddt::unpack(msg.payload.data(), *source->type, source->count,
+                  host(msg.src).memory().data() + source->window.at());
+    }
+    if (source->strategy == SendStrategy::kOutboundSpin) {
+      send_outbound(msg, *source);
+      return msg.payload;
+    }
+  }
   std::vector<p4::Packet> packets = p4::packetize(
       id, msg.to.bits, msg.payload, world_.fabric.cost.pkt_payload);
-  const sim::faults::FaultPlan plan(world_.faults, id);
   msg.held = plan.active() && !(msg.to.plan != nullptr && msg.to.plan->rmw);
   if (plan.active()) {
     fabric_.send_reliable(msg.src, msg.to.node, std::move(packets), now, plan,
@@ -195,10 +242,45 @@ std::span<const std::byte> MessageDriver::offer(
     const bool forwarded =
         fabric_.topology().kind() != fabric::TopologyKind::kPointToPoint;
     if (forwarded) msg.packets = std::move(packets);
+    std::vector<sim::Time> ready;
+    if (source != nullptr) {
+      ready = send_issue(*source, world_.fabric.cost);
+      for (sim::Time& t : ready) t += now;
+    }
     fabric_.send(msg.src, msg.to.node, forwarded ? msg.packets : packets,
-                 now);
+                 now, ready);
   }
   return msg.payload;
+}
+
+void MessageDriver::send_outbound(const Message& m, const Source& source) {
+  if (outbound_.empty()) outbound_.resize(nics_.size());
+  auto& out = outbound_[m.src];
+  if (out == nullptr) {
+    out = std::make_unique<spin::OutboundEngine>(
+        engine_, world_.fabric.cost, world_.nic.hpus, fabric_, m.src);
+  }
+  // One HER per packet; the handler locates the packet's regions and
+  // DMA-reads them from the source window into the packet.
+  const spin::CostModel& c = world_.fabric.cost;
+  out->process_put(
+      m.to.node, m.id, m.to.bits, m.payload.size(),
+      spin::SchedulingPolicy::Default(),
+      [list = source.type->region_list(source.count),
+       base = host(m.src).memory().data() + source.window.at(),
+       init = c.h_init + c.pcie_read_latency,
+       per_region = c.h_block + c.h_dma_issue](const p4::Packet& pkt,
+                                               std::byte* staging,
+                                               spin::ChargeMeter& meter) {
+        meter.charge(spin::Phase::kInit, init);
+        list.walk(pkt.offset, pkt.offset + pkt.payload_bytes,
+                  [&](std::size_t, std::int64_t host_off,
+                      std::uint64_t stream_off, std::uint64_t len) {
+                    meter.charge(spin::Phase::kProcessing, per_region);
+                    std::memcpy(staging + (stream_off - pkt.offset),
+                                base + host_off, len);
+                  });
+      });
 }
 
 void MessageDriver::done(std::uint32_t node, std::uint64_t id,
@@ -272,13 +354,27 @@ bool MessageDriver::holds(const Message& m) {
   return std::memcmp(mem + to.window.base, ref, to.window.bytes) == 0;
 }
 
+std::string MessageDriver::unfinished() const {
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, m] : live_) {
+    const spin::NicModel::MsgInfo* info = nics_[m.to.node]->info(id);
+    if (!m.failed && (info == nullptr || !info->done)) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  std::string out;
+  for (std::size_t i = 0; i < std::min<std::size_t>(ids.size(), 8); ++i) {
+    out += ", msg " + std::to_string(ids[i]);
+  }
+  return ids.size() > 8 ? out + ", ..." : out;
+}
+
 void MessageDriver::drain(std::uint64_t expected) {
   engine_.run();
   NETDDT_CHECK(offered_ == expected && completed_ + failed_ == offered_,
                std::to_string(expected) + " messages expected, " +
                    std::to_string(offered_) + " offered, " +
                    std::to_string(completed_) + " completed, " +
-                   std::to_string(failed_) + " failed");
+                   std::to_string(failed_) + " failed" + unfinished());
   for (auto it = live_.begin(); it != live_.end();) {
     NETDDT_CHECK(it->second.held || it->second.failed,
                  "msg " + std::to_string(it->first) + " retained past done");

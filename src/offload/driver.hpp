@@ -1,10 +1,12 @@
 #pragma once
 // The message driver: one world of nodes on a fabric, and the one path
 // every message takes through it (docs/ARCHITECTURE.md, "Message
-// driver"). run_receive, run_service and fabric::run_collective are
-// schedules of posts and offers on it: the driver sends each offer,
-// dispatches its completion or failure, verifies its landing, frees its
-// payload, and at the drain checks completed + failed == offered.
+// driver"). run_receive, run_send, run_service and fabric::run_collective
+// are schedules of posts and offers on it: the driver sends each offer
+// (from a typed source on the sending node with one of the paper's
+// sender strategies, or packed), dispatches its completion or failure,
+// verifies its landing, frees its payload, and at the drain checks
+// completed + failed == offered.
 //
 // Release rule: a payload is freed at done when no later copy can read
 // it: on lossless sends (oblivious routes and FIFO ports land every
@@ -22,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +35,8 @@
 #include "offload/iovec.hpp"
 #include "offload/runner.hpp"
 #include "offload/specialized.hpp"
+#include "offload/strategy.hpp"
+#include "spin/outbound.hpp"
 
 namespace netddt::offload {
 
@@ -47,6 +52,24 @@ struct Window {
 /// the upper bound (with lb > 0 the last instance reaches past
 /// count*extent) and shifted up by a negative lb.
 Window receive_window(const ddt::Datatype& type, std::uint64_t count);
+
+/// A typed send buffer: `count` instances of `type` in the sending node's
+/// host memory, type offset 0 at window.at(), sent with `strategy`
+/// (paper Sec 3.1, Fig 4).
+struct Source {
+  ddt::TypePtr type;
+  std::uint64_t count = 1;
+  Window window{};
+  SendStrategy strategy = SendStrategy::kPackSend;
+};
+
+/// When each packet of `source`'s message is ready for the wire, counted
+/// from the offer: pack+send after the CPU packed the whole message
+/// (host_pack_time); a streaming put once the CPU has found and issued
+/// the region holding the packet's last byte (4 host_block_overhead per
+/// region). Outbound sPIN has no host-issued packets and is rejected.
+std::vector<sim::Time> send_issue(const Source& source,
+                                  const spin::CostModel& cost);
 
 /// A strategy or compute plan built once on one node. Its handlers keep
 /// their state in the plan, not per message, so the plan's first post
@@ -134,11 +157,17 @@ class MessageDriver {
   /// Offer `m` (id, src, to, seed, arrival) now, with a payload of
   /// `bytes`: packed_message_pattern, or with `compute` typed elements
   /// (quantized for kTransform). Returns the payload, valid until the
-  /// message's release.
+  /// message's release. Without `source` the payload leaves packed at
+  /// once. With one, it is first unpacked into the source's window on
+  /// node m.src, then sent with the source's strategy: host-issued
+  /// packets at their send_issue times, or an outbound put whose gather
+  /// handlers read the window. A source needs a lossless, in-order send.
   std::span<const std::byte> offer(Message m, std::uint64_t bytes,
-                                   const spin::ComputeConfig* compute = {});
+                                   const spin::ComputeConfig* compute = {},
+                                   const Source* source = {});
 
-  /// Run to the end; `expected` is the schedule's message count.
+  /// Run to the end; `expected` is the schedule's message count. Throws
+  /// a Violation naming the messages that neither completed nor failed.
   void drain(std::uint64_t expected);
 
   /// The schedule's hook: once per message when it completes or its put
@@ -163,6 +192,8 @@ class MessageDriver {
   void put_failed(std::uint64_t id, sim::Time when);
   Live::iterator release(Live::iterator it);
   bool holds(const Message& m);
+  void send_outbound(const Message& m, const Source& source);
+  std::string unfinished() const;
 
   World world_;
   sim::Engine engine_;
@@ -172,6 +203,7 @@ class MessageDriver {
   std::deque<Plan> plans_;
   std::vector<std::unique_ptr<spin::Host>> hosts_;
   std::vector<std::unique_ptr<spin::NicModel>> nics_;
+  std::vector<std::unique_ptr<spin::OutboundEngine>> outbound_;  // lazy
   Live live_;
   std::vector<std::byte> reference_;  // kSlot / kCompute reference window
   std::uint64_t offered_ = 0, completed_ = 0, failed_ = 0;

@@ -47,9 +47,14 @@ DdtEngine::TypeHandle DdtEngine::commit(ddt::TypePtr type,
 }
 
 void DdtEngine::free_type(TypeHandle handle) {
+  // The NIC memory and the lookup go now. The plan object stays: its
+  // context stays registered with the NIC, and a receive posted before
+  // the free still runs its handlers, which reference the plan.
   for (auto it = plans_.begin(); it != plans_.end();) {
     if ((*it)->handle == handle) {
       nic_->memory().free((*it)->mem);
+      (*it)->mem = spin::NicMemory::kInvalid;
+      retired_.push_back(std::move(*it));
       it = plans_.erase(it);
     } else {
       ++it;

@@ -52,7 +52,10 @@ class DdtEngine {
   /// the type becomes usable in post_receive.
   TypeHandle commit(ddt::TypePtr type, TypeAttributes attrs = {});
 
-  /// Drop a committed type and release any cached NIC state.
+  /// Drop a committed type and release its cached NIC memory. Receives
+  /// already posted with the type still complete: their plans live as
+  /// long as the engine (MPI allows freeing a type with pending
+  /// receives).
   void free_type(TypeHandle handle);
 
   struct PostResult {
@@ -113,6 +116,9 @@ class DdtEngine {
   spin::NicModel* nic_;
   std::map<TypeHandle, Committed> types_;
   std::vector<std::unique_ptr<CachedPlan>> plans_;
+  // Plans of freed types, kept until the engine is destroyed: contexts
+  // are never unregistered, so a pending receive may still run them.
+  std::vector<std::unique_ptr<CachedPlan>> retired_;
   TypeHandle next_handle_ = 1;
   sim::Counter* evictions_;
   sim::Counter* host_fallbacks_;

@@ -1,13 +1,15 @@
 #pragma once
 // Sender-side non-contiguous transfer strategies (paper Sec 3.1 and the
-// three tiles of Fig 4):
+// three tiles of Fig 4), as one schedule on the message driver
+// (offload/driver.hpp): node 0 holds the typed source, node 1 lands the
+// packed stream contiguously, and one offer sends it.
 //
 //  - kPackSend      : the CPU packs the full message into a bounce
 //                     buffer, then the NIC streams it (left tile).
 //  - kStreamingPut  : the CPU walks the datatype and issues
 //                     PtlSPutStart/PtlSPutStream per contiguous region;
-//                     packets leave as soon as a packet's worth of bytes
-//                     is identified, overlapping region discovery with
+//                     a packet leaves once the region holding its last
+//                     byte is issued, overlapping region discovery with
 //                     transmission (middle tile).
 //  - kOutboundSpin  : PtlProcessPut — the NIC's outbound engine emits
 //                     one HER per would-be packet; sender-side handlers
@@ -16,24 +18,20 @@
 //                     operation (right tile).
 
 #include <cstdint>
-#include <string_view>
 
 #include "ddt/datatype.hpp"
+#include "offload/strategy.hpp"
 #include "sim/time.hpp"
 #include "spin/cost_model.hpp"
 
 namespace netddt::offload {
-
-enum class SendStrategy { kPackSend, kStreamingPut, kOutboundSpin };
-
-std::string_view send_strategy_name(SendStrategy s);
 
 struct SendConfig {
   ddt::TypePtr type;
   std::uint64_t count = 1;
   SendStrategy strategy = SendStrategy::kStreamingPut;
   spin::CostModel cost{};
-  std::uint32_t hpus = 16;  // sender-side HPUs (outbound sPIN)
+  std::uint32_t hpus = 16;  // per NIC: the sender's outbound handler units
   bool verify = true;
 };
 
@@ -54,8 +52,9 @@ struct SendResult {
   }
 };
 
-/// Simulate sending `count` instances of `type` from a patterned source
-/// buffer to a receiver that lands the packed stream contiguously.
+/// Simulate sending `count` instances of `type` from the sender's host
+/// memory to a receiver that lands the packed stream contiguously.
+/// Throws a Violation naming the message when it never completes.
 SendResult run_send(const SendConfig& config);
 
 }  // namespace netddt::offload

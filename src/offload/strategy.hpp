@@ -1,5 +1,6 @@
 #pragma once
-// Common vocabulary for the datatype-offload strategies (paper Sec 3.2).
+// Common vocabulary for the datatype-offload strategies: the receive
+// side's (paper Sec 3.2) and the sender side's (Sec 3.1, Fig 4).
 
 #include <cstdint>
 #include <string>
@@ -18,6 +19,17 @@ enum class StrategyKind {
 };
 
 std::string_view strategy_name(StrategyKind kind);
+
+/// How the sending node turns a typed source into packets (the three
+/// tiles of Fig 4; offload/driver.hpp's Source and send_issue).
+enum class SendStrategy {
+  kPackSend,      // the CPU packs the whole message, then the NIC streams it
+  kStreamingPut,  // the CPU issues one PtlSPutStream per region; a packet
+                  // leaves once the region holding its last byte is issued
+  kOutboundSpin,  // PtlProcessPut: sender-side handlers gather each packet
+};
+
+std::string_view send_strategy_name(SendStrategy s);
 
 /// Outcome of one offloaded (or baseline) receive.
 struct ReceiveResult {

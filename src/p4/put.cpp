@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -78,70 +77,6 @@ void shuffle_payload(std::vector<Packet>& packets, std::uint32_t window,
       std::swap(packets[i], packets[j]);
     }
   }
-}
-
-StreamingPut::StreamingPut(std::uint64_t msg_id, std::uint64_t match_bits,
-                           std::uint64_t total_bytes, std::uint32_t payload)
-    : msg_id_(msg_id),
-      match_bits_(match_bits),
-      total_(total_bytes),
-      payload_(payload) {
-  NETDDT_CHECK(payload > 0, "StreamingPut: payload " +
-                                std::to_string(payload) + " bytes for msg " +
-                                std::to_string(msg_id));
-  // Reserve upfront: emitted packets hold pointers into this buffer, so
-  // it must never reallocate.
-  buffer_.resize(total_bytes);
-}
-
-std::vector<Packet> StreamingPut::stream(std::span<const std::byte> chunk,
-                                         bool end_of_message) {
-  NETDDT_CHECK(!finished_, "StreamingPut::stream: msg " +
-                               std::to_string(msg_id_) +
-                               " already completed");
-  NETDDT_CHECK(chunk.size() <= total_ - staged_,
-               "StreamingPut::stream: chunk of " +
-                   std::to_string(chunk.size()) + " bytes overflows msg " +
-                   std::to_string(msg_id_) + " (" + std::to_string(staged_) +
-                   " of " + std::to_string(total_) + " bytes staged)");
-  if (!chunk.empty()) {
-    std::memcpy(buffer_.data() + staged_, chunk.data(), chunk.size());
-    staged_ += chunk.size();
-  }
-  if (end_of_message) {
-    NETDDT_CHECK(staged_ == total_,
-                 "StreamingPut::stream: end of msg " +
-                     std::to_string(msg_id_) + " after " +
-                     std::to_string(staged_) + " of " +
-                     std::to_string(total_) + " bytes");
-    finished_ = true;
-    if (total_ == 0) {
-      // A 0-byte put still needs its single header+completion packet so
-      // the receiver can match the entry and complete the message. The
-      // emit loop below never runs (emitted_ == staged_ == 0), and
-      // stream() cannot be called again once finished.
-      return packetize_empty(msg_id_, match_bits_);
-    }
-  }
-
-  std::vector<Packet> out;
-  while (emitted_ < staged_) {
-    const std::uint64_t remaining = staged_ - emitted_;
-    if (remaining < payload_ && !finished_) break;  // wait for more bytes
-
-    Packet pkt;
-    pkt.msg_id = msg_id_;
-    pkt.match_bits = match_bits_;
-    pkt.offset = emitted_;
-    pkt.payload_bytes = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(payload_, remaining));
-    pkt.first = (emitted_ == 0);
-    pkt.last = finished_ && (emitted_ + pkt.payload_bytes == total_);
-    pkt.data = buffer_.data() + emitted_;
-    emitted_ += pkt.payload_bytes;
-    out.push_back(pkt);
-  }
-  return out;
 }
 
 }  // namespace netddt::p4

@@ -1,13 +1,10 @@
 #pragma once
-// Put-operation packetization and sender-side reliability, including the
-// paper's Portals 4 extensions (Sec 3.1):
-//  - plain puts: one packed buffer split into header/payload/completion
-//    packets;
-//  - *streaming puts* (PtlSPutStart / PtlSPutStream): the message data is
-//    supplied across multiple calls as contiguous chunks, but the target
-//    sees ONE message — packets are cut as soon as enough bytes have
-//    accumulated, which is what lets the sender overlap region discovery
-//    with transmission;
+// Put-operation packetization and sender-side reliability:
+//  - puts: one packed buffer split into header/payload/completion
+//    packets. Every sender strategy of the paper (Sec 3.1) sends such a
+//    put; a streaming put (PtlSPutStream) differs only in when each
+//    packet is ready, which offload::send_issue computes from the
+//    datatype's regions;
 //  - the per-packet acknowledgement / retransmission bookkeeping
 //    (RetransmitConfig, ReliablePutState) a lossy wire needs. The
 //    protocol machine itself runs in fabric::Fabric::send_reliable;
@@ -49,38 +46,6 @@ std::vector<Packet> packetize_empty(std::uint64_t msg_id,
 /// rollback). A window of 0 or 1 keeps stream order.
 void shuffle_payload(std::vector<Packet>& packets, std::uint32_t window,
                      std::uint64_t seed);
-
-/// A streaming put in progress: chunks appended via stream() are staged
-/// into a packed buffer and emitted as packets of the SAME message the
-/// moment a packet's worth of bytes is available.
-class StreamingPut {
- public:
-  /// `total_bytes` is the final message size (the sender knows it from
-  /// the datatype); needed so packet flags and staging are exact.
-  StreamingPut(std::uint64_t msg_id, std::uint64_t match_bits,
-               std::uint64_t total_bytes,
-               std::uint32_t payload = kPacketPayload);
-
-  /// Append one contiguous chunk (a PtlSPutStream call). Returns the
-  /// packets completed by this chunk; `end_of_message` must be set on the
-  /// final call and flushes the trailing partial packet.
-  std::vector<Packet> stream(std::span<const std::byte> chunk,
-                             bool end_of_message);
-
-  std::uint64_t bytes_staged() const { return staged_; }
-  std::uint64_t bytes_emitted() const { return emitted_; }
-  bool complete() const { return finished_; }
-
- private:
-  std::uint64_t msg_id_;
-  std::uint64_t match_bits_;
-  std::uint64_t total_;
-  std::uint32_t payload_;
-  std::vector<std::byte> buffer_;  // reserved upfront: packets point here
-  std::uint64_t staged_ = 0;
-  std::uint64_t emitted_ = 0;
-  bool finished_ = false;
-};
 
 /// Retransmission policy of a reliable put: per-packet timeout with
 /// exponential backoff and capped retries.

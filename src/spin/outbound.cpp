@@ -4,12 +4,14 @@
 
 namespace netddt::spin {
 
-void OutboundEngine::process_put(std::uint64_t msg_id,
+void OutboundEngine::process_put(std::uint32_t dst, std::uint64_t msg_id,
                                  std::uint64_t match_bits,
                                  std::uint64_t total_bytes,
                                  SchedulingPolicy policy, GatherFn gather) {
   puts_.push_back(std::make_unique<Put>());
   Put& put = *puts_.back();
+  put.dst = dst;
+  put.issued = engine_->now();
   put.gather = std::move(gather);
   put.staging.resize(total_bytes);
   put.packets = p4::packetize(msg_id, match_bits, put.staging,
@@ -37,13 +39,14 @@ void OutboundEngine::process_put(std::uint64_t msg_id,
 
 void OutboundEngine::mark_ready(Put& put, std::size_t index) {
   put.ready[index] = true;
-  // Streaming-put semantics: the target must see ONE in-order message,
-  // so packet i is handed to the fabric only after packets 0..i-1; the
-  // injection port queues it behind them.
+  // The target must see ONE in-order message, so packet i is handed to
+  // the fabric only after packets 0..i-1; the injection port queues it
+  // behind them. Its sender-queue wait counts from the put's issue, so
+  // a traced put's blame also covers the gather.
   while (put.next_to_send < put.packets.size() &&
          put.ready[put.next_to_send]) {
-    fabric_->send(src_, dst_, {put.packets[put.next_to_send]},
-                  engine_->now());
+    fabric_->send(src_, put.dst, {&put.packets[put.next_to_send], 1},
+                  put.issued, {engine_->now()});
     ++put.next_to_send;
   }
 }

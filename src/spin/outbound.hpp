@@ -5,10 +5,11 @@
 // would-be packet of the message to the packet scheduler as a HER. The
 // handler gathers the packet's payload from host memory (the outbound
 // engine "does not fill the packet with data but delegates this task to
-// the packet handler") and the packet departs as part of ONE streaming
-// put the moment it is ready — in message order, handed to the fabric,
-// whose injection port paces it at line rate. Built into
-// netddt_transport, above the fabric it sends on.
+// the packet handler") and the packet departs as part of ONE put the
+// moment it and every packet before it are ready — in message order,
+// handed to the fabric, whose injection port paces it at line rate. The
+// packet headers stay in the engine, so a multi-hop route may forward
+// them. Built into netddt_transport, above the fabric it sends on.
 
 #include <cstdint>
 #include <functional>
@@ -16,9 +17,9 @@
 #include <vector>
 
 #include "p4/packet.hpp"
+#include "p4/put.hpp"
 #include "sim/engine.hpp"
 #include "spin/cost_model.hpp"
-#include "p4/put.hpp"
 #include "spin/handler.hpp"
 #include "spin/scheduler.hpp"
 
@@ -37,35 +38,27 @@ class OutboundEngine {
                                       std::byte* staging,
                                       ChargeMeter& meter)>;
 
-  /// `hpus` are the sender NIC's handler units; the generated message
-  /// goes from node `src` to node `dst` of `fabric`.
+  /// `hpus` are the sender NIC's handler units; its messages leave from
+  /// node `src` of `fabric`.
   OutboundEngine(sim::Engine& engine, CostModel cost, std::uint32_t hpus,
-                 fabric::Fabric& fabric, std::uint32_t src, std::uint32_t dst)
+                 fabric::Fabric& fabric, std::uint32_t src)
       : engine_(&engine),
         cost_(cost),
         scheduler_(engine, hpus, cost_),
         fabric_(&fabric),
-        src_(src),
-        dst_(dst) {}
+        src_(src) {}
 
   /// Issue a PtlProcessPut of `total_bytes` (the packed size of the
-  /// datatype): per-packet HERs run `gather` under `policy`; packets
-  /// depart in order as they become ready. Returns the message id.
-  void process_put(std::uint64_t msg_id, std::uint64_t match_bits,
-                   std::uint64_t total_bytes, SchedulingPolicy policy,
-                   GatherFn gather);
-
-  Scheduler& scheduler() { return scheduler_; }
-
-  /// Attach an event tracer to the sender-side scheduler. The sender and
-  /// receiver NICs should not share one tracer — the per-HPU track names
-  /// would collide.
-  void set_tracer(sim::trace::Tracer* tracer) {
-    scheduler_.set_tracer(tracer);
-  }
+  /// datatype) to node `dst`: per-packet HERs run `gather` under
+  /// `policy`; packets depart in order as they become ready.
+  void process_put(std::uint32_t dst, std::uint64_t msg_id,
+                   std::uint64_t match_bits, std::uint64_t total_bytes,
+                   SchedulingPolicy policy, GatherFn gather);
 
  private:
   struct Put {
+    std::uint32_t dst = 0;
+    sim::Time issued = 0;  // the PtlProcessPut call
     std::vector<std::byte> staging;
     std::vector<p4::Packet> packets;
     std::vector<bool> ready;
@@ -80,7 +73,6 @@ class OutboundEngine {
   Scheduler scheduler_;
   fabric::Fabric* fabric_;
   std::uint32_t src_;
-  std::uint32_t dst_;
   std::vector<std::unique_ptr<Put>> puts_;
 };
 

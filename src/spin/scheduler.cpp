@@ -3,6 +3,8 @@
 #include <cassert>
 #include <string>
 
+#include "sim/check.hpp"
+
 namespace netddt::spin {
 
 void Scheduler::set_tracer(sim::trace::Tracer* tracer) {
@@ -30,7 +32,10 @@ void Scheduler::enqueue(std::uint64_t msg_id, const SchedulingPolicy& policy,
     return;
   }
 
-  assert(policy.num_vhpus > 0 && policy.delta_p > 0);
+  NETDDT_CHECK(policy.num_vhpus > 0 && policy.delta_p > 0,
+               "msg " + std::to_string(msg_id) + ": scheduling policy with " +
+                   std::to_string(policy.num_vhpus) + " vHPUs and delta_p " +
+                   std::to_string(policy.delta_p));
   auto& list = vhpus_[msg_id];
   if (list.size() < policy.num_vhpus) list.resize(policy.num_vhpus);
   const std::uint64_t seq = pkt_index / policy.delta_p;

@@ -209,6 +209,39 @@ TEST_F(FacadeFixture, FreeTypeReleasesNicMemory) {
   EXPECT_LT(nic.memory().used(), used);
 }
 
+TEST_F(FacadeFixture, FreeingATypeKeepsItsPendingReceive) {
+  // MPI allows freeing a type with receives still pending: each posted
+  // receive below, one per strategy the facade picks, must still land
+  // its message through the freed type's plan.
+  const TypePtr types[] = {vec(256, 64), nested()};
+  std::int64_t base = 0;
+  std::uint64_t id = 1;
+  for (const TypePtr& type : types) {
+    const auto h = engine.commit(type);
+    const auto post = engine.post_receive(h, 1, base, 1 << 20, 0x50 + id);
+    ASSERT_NE(post.strategy, StrategyKind::kHostUnpack);
+    engine.free_type(h);
+    EXPECT_EQ(nic.memory().used(), 0u);
+
+    std::vector<std::byte> packed(type->size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      packed[i] = static_cast<std::byte>(i * 7 + id);
+    }
+    link.send(0, 1, p4::packetize(id, 0x50 + id, packed), eng.now());
+    eng.run();
+    std::vector<std::byte> expected(1 << 20, std::byte{0});
+    ddt::unpack(packed.data(), *type, 1, expected.data());
+    for (const auto& r : type->flatten(1)) {
+      ASSERT_EQ(std::memcmp(host.memory().data() + base + r.offset,
+                            expected.data() + r.offset, r.size),
+                0)
+          << strategy_name(post.strategy) << " region at " << r.offset;
+    }
+    base += 1 << 20;
+    ++id;
+  }
+}
+
 TEST_F(FacadeFixture, CommitOfNullOrEmptyTypeIsAViolation) {
   EXPECT_THROW(engine.commit(nullptr), sim::check::Violation);
   EXPECT_THROW(engine.commit(Datatype::contiguous(0, Datatype::int8())),

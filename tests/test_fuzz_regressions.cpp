@@ -67,15 +67,6 @@ TEST(ZeroSize, SendCompletesOnEveryStrategy) {
   }
 }
 
-TEST(ZeroSize, StreamingPutEmitsTheEmptyPacket) {
-  netddt::p4::StreamingPut sput(7, 0x55, 0);
-  const auto out = sput.stream({}, /*end_of_message=*/true);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].first);
-  EXPECT_TRUE(out[0].last);
-  EXPECT_EQ(out[0].payload_bytes, 0u);
-}
-
 TEST(ZeroSize, CompiledDataloopIsBornFinished) {
   const auto type = Datatype::struct_type(
       std::vector<std::int64_t>{0}, std::vector<std::int64_t>{16},

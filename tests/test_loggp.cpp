@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "goal/fft2d.hpp"
 #include "goal/loggp.hpp"
+#include "sim/check.hpp"
 
 namespace netddt::goal {
 namespace {
@@ -39,6 +42,21 @@ TEST(LogGp, CalcDelaysDependents) {
   (void)b;
   const auto run = run_loggp(ranks, fast_params());
   EXPECT_EQ(run.makespan, sim::us(15));
+}
+
+TEST(LogGp, DependencyOnALaterOpIsAViolation) {
+  std::vector<Schedule> ranks(2);
+  ranks[0].calc(sim::us(1));
+  ranks[1].calc(sim::us(1));
+  ranks[1].calc(sim::us(1), {5});  // op 5 does not exist yet
+  try {
+    run_loggp(ranks, fast_params());
+    FAIL() << "a dependency on a later op was accepted";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find("rank 1 op 1 depends on op 5"),
+              std::string::npos)
+        << v.what();
+  }
 }
 
 TEST(LogGp, IndependentCalcsSerializeOnCpu) {

@@ -37,13 +37,13 @@ class OutboundFixture : public ::testing::Test {
 };
 
 TEST_F(OutboundFixture, GatheredMessageArrivesIntact) {
-  OutboundEngine out(eng, CostModel{}, 8, link, 0, 1);
+  OutboundEngine out(eng, CostModel{}, 8, link, 0);
   const std::uint64_t total = 10000;
   std::vector<std::byte> source(total);
   for (std::uint64_t i = 0; i < total; ++i) {
     source[i] = static_cast<std::byte>(i * 13 + 1);
   }
-  out.process_put(1, 7, total, SchedulingPolicy::Default(),
+  out.process_put(/*dst=*/1, 1, 7, total, SchedulingPolicy::Default(),
                   [&source](const p4::Packet& pkt, std::byte* staging,
                             ChargeMeter& meter) {
                     meter.charge(Phase::kProcessing, sim::ns(200));
@@ -60,7 +60,7 @@ TEST_F(OutboundFixture, GatheredMessageArrivesIntact) {
 TEST_F(OutboundFixture, PacketsDepartInMessageOrder) {
   // Make even packets slow to gather: departures must still be in
   // order (streaming-put semantics: one message, header first).
-  OutboundEngine out(eng, CostModel{}, 8, link, 0, 1);
+  OutboundEngine out(eng, CostModel{}, 8, link, 0);
   std::vector<std::uint64_t> arrival_order;
   // Observe order via a processing context on the receiver.
   ExecutionContext ctx;
@@ -75,7 +75,7 @@ TEST_F(OutboundFixture, PacketsDepartInMessageOrder) {
   nic.match_list().append(p4::ListKind::kPriority, me);
 
   const std::uint64_t total = 8 * 2048;
-  out.process_put(2, 8, total, SchedulingPolicy::Default(),
+  out.process_put(/*dst=*/1, 2, 8, total, SchedulingPolicy::Default(),
                   [](const p4::Packet& pkt, std::byte*, ChargeMeter& m) {
                     const bool slow = (pkt.offset / 2048) % 2 == 0;
                     m.charge(Phase::kProcessing,
@@ -88,9 +88,9 @@ TEST_F(OutboundFixture, PacketsDepartInMessageOrder) {
 }
 
 TEST_F(OutboundFixture, FastGatherSustainsLineRate) {
-  OutboundEngine out(eng, CostModel{}, 16, link, 0, 1);
+  OutboundEngine out(eng, CostModel{}, 16, link, 0);
   const std::uint64_t total = 1 << 20;
-  out.process_put(3, 7, total, SchedulingPolicy::Default(),
+  out.process_put(/*dst=*/1, 3, 7, total, SchedulingPolicy::Default(),
                   [](const p4::Packet&, std::byte*, ChargeMeter& m) {
                     m.charge(Phase::kProcessing, sim::ns(300));
                   });
@@ -103,10 +103,10 @@ TEST_F(OutboundFixture, FastGatherSustainsLineRate) {
 }
 
 TEST_F(OutboundFixture, SlowGatherThrottlesTheStream) {
-  OutboundEngine out(eng, CostModel{}, 1, link, 0, 1);  // one sender HPU
+  OutboundEngine out(eng, CostModel{}, 1, link, 0);  // one sender HPU
   const std::uint64_t total = 64 * 2048;
   const sim::Time per_pkt = sim::us(2);
-  out.process_put(4, 7, total, SchedulingPolicy::Default(),
+  out.process_put(/*dst=*/1, 4, 7, total, SchedulingPolicy::Default(),
                   [per_pkt](const p4::Packet&, std::byte*, ChargeMeter& m) {
                     m.charge(Phase::kProcessing, per_pkt);
                   });

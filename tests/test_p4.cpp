@@ -381,86 +381,6 @@ TEST(Packetize, EmptyPutStillSendsHeader) {
 TEST(Packetize, ZeroPayloadIsRejected) {
   std::vector<std::byte> data(100);
   EXPECT_THROW(packetize(1, 0, data, 0), sim::check::Violation);
-  EXPECT_THROW(StreamingPut(1, 0, 100, 0), sim::check::Violation);
-}
-
-TEST(StreamingPut, MisuseIsRejected) {
-  std::vector<std::byte> chunk(600);
-  {
-    // A chunk past the declared size would be copied beyond the buffer.
-    StreamingPut sp(1, 0, 1000);
-    sp.stream(chunk, false);
-    EXPECT_THROW(sp.stream(chunk, false), sim::check::Violation);
-  }
-  {
-    // End of message with bytes still missing.
-    StreamingPut sp(1, 0, 1000);
-    EXPECT_THROW(sp.stream(chunk, true), sim::check::Violation);
-  }
-  {
-    // Streaming into a completed put.
-    StreamingPut sp(1, 0, 600);
-    sp.stream(chunk, true);
-    ASSERT_TRUE(sp.complete());
-    EXPECT_THROW(sp.stream({}, true), sim::check::Violation);
-  }
-}
-
-TEST(StreamingPut, EmitsPacketsAsChunksAccumulate) {
-  // 3000 B message, chunks of 1000 B, 2048 B packets: the first packet
-  // can only be cut after the third chunk... no — after 2048 B staged,
-  // i.e. during the third chunk's append.
-  StreamingPut sp(1, 0, 3000);
-  std::vector<std::byte> chunk(1000);
-  EXPECT_TRUE(sp.stream(chunk, false).empty());
-  EXPECT_TRUE(sp.stream(chunk, false).empty());
-  auto pkts = sp.stream(chunk, true);
-  ASSERT_EQ(pkts.size(), 2u);
-  EXPECT_TRUE(pkts[0].first);
-  EXPECT_EQ(pkts[0].payload_bytes, 2048u);
-  EXPECT_TRUE(pkts[1].last);
-  EXPECT_EQ(pkts[1].payload_bytes, 952u);
-  EXPECT_TRUE(sp.complete());
-}
-
-TEST(StreamingPut, DataIsConcatenatedAcrossCalls) {
-  StreamingPut sp(1, 0, 4096);
-  std::vector<std::byte> a(3000), b(1096);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::byte{0xAA};
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = std::byte{0xBB};
-  auto p1 = sp.stream(a, false);
-  ASSERT_EQ(p1.size(), 1u);
-  auto p2 = sp.stream(b, true);
-  ASSERT_EQ(p2.size(), 1u);
-  // Second packet spans the chunk boundary: 952 B of a then 1096 B of b.
-  EXPECT_EQ(p2[0].data[0], std::byte{0xAA});
-  EXPECT_EQ(p2[0].data[952], std::byte{0xBB});
-  EXPECT_EQ(p2[0].payload_bytes, 2048u);
-}
-
-TEST(StreamingPut, SinglePacketMessage) {
-  StreamingPut sp(7, 3, 512);
-  std::vector<std::byte> chunk(512);
-  auto pkts = sp.stream(chunk, true);
-  ASSERT_EQ(pkts.size(), 1u);
-  EXPECT_TRUE(pkts[0].first && pkts[0].last);
-}
-
-TEST(StreamingPut, TargetSeesOneMessage) {
-  // All packets carry the same msg_id: transparent to the target.
-  StreamingPut sp(42, 9, 8192);
-  std::vector<std::byte> chunk(8192);
-  auto pkts = sp.stream(chunk, true);
-  ASSERT_EQ(pkts.size(), 4u);
-  for (const auto& p : pkts) {
-    EXPECT_EQ(p.msg_id, 42u);
-    EXPECT_EQ(p.match_bits, 9u);
-  }
-  EXPECT_TRUE(pkts.front().first);
-  EXPECT_TRUE(pkts.back().last);
-  for (std::size_t i = 1; i + 1 < pkts.size(); ++i) {
-    EXPECT_FALSE(pkts[i].first || pkts[i].last);
-  }
 }
 
 TEST(Events, CountingEventsAccumulate) {

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "dataloop/packer.hpp"
 #include "ddt/pack.hpp"
+#include "sim/check.hpp"
 #include "sim/rng.hpp"
 
 namespace netddt::dataloop {
@@ -126,6 +128,53 @@ TEST(PackerUnpacker, RoundTripRandomChunkings) {
                 0);
     }
   }
+}
+
+// Caller errors are Violations in every build type, naming the bad
+// region or chunk: a buffer too small for the layout, and a chunk past
+// the end of the stream (both byte engines).
+void expect_violation(const auto& call, const std::string& needle) {
+  try {
+    call();
+    ADD_FAILURE() << "no Violation; expected \"" << needle << "\"";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find(needle), std::string::npos)
+        << v.what();
+  }
+}
+
+TEST(Packer, SourceTooSmallForTheLayoutIsAViolation) {
+  auto t = sample_type();
+  CompiledDataloop loops(t);
+  const auto src = patterned(600);  // the second block starts at 512
+  Packer packer(loops, src);
+  std::vector<std::byte> out(loops.total_bytes());
+  expect_violation([&] { packer.pack(out); },
+                   "Packer::pack: source region [");
+}
+
+TEST(Unpacker, DestinationTooSmallForTheLayoutIsAViolation) {
+  auto t = sample_type();
+  CompiledDataloop loops(t);
+  std::vector<std::byte> dst(600);
+  Unpacker unpacker(loops, dst);
+  const std::vector<std::byte> packed(loops.total_bytes());
+  expect_violation([&] { unpacker.unpack(packed); },
+                   "outside a 600-byte buffer");
+}
+
+TEST(Unpacker, ChunkPastTheStreamIsAViolation) {
+  auto t = sample_type();
+  CompiledDataloop loops(t);
+  std::vector<std::byte> dst(static_cast<std::size_t>(t->extent()) + 64);
+  const std::vector<std::byte> packed(loops.total_bytes() + 1);
+  const std::string overrun =
+      "chunk [0, " + std::to_string(packed.size()) + ") overruns a " +
+      std::to_string(loops.total_bytes()) + "-byte stream";
+  Unpacker interpreter(loops, dst);
+  expect_violation([&] { interpreter.unpack(packed); }, overrun);
+  Unpacker program(loops, dst, compile_program(loops));
+  expect_violation([&] { program.unpack(packed); }, overrun);
 }
 
 }  // namespace

@@ -842,6 +842,27 @@ TEST(Scheduler, BlockedRRSerializesSequences) {
   EXPECT_TRUE(overlap(0, 2));  // different vHPUs run concurrently
 }
 
+TEST(Scheduler, BlockedRRWithoutVhpusOrSequenceIsAViolation) {
+  sim::Engine eng;
+  CostModel cost;
+  Scheduler sched(eng, 4, cost);
+  const auto noop = [](sim::Time) { return sim::ns(1); };
+  for (const auto& [policy, needle] :
+       {std::pair{SchedulingPolicy::BlockedRR(0, 2), "0 vHPUs and delta_p 2"},
+        std::pair{SchedulingPolicy::BlockedRR(2, 0),
+                  "2 vHPUs and delta_p 0"}}) {
+    try {
+      sched.enqueue(9, policy, 0, noop);
+      ADD_FAILURE() << "accepted " << needle;
+    } catch (const sim::check::Violation& v) {
+      const std::string what = v.what();
+      EXPECT_NE(what.find("msg 9: scheduling policy with"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Scheduler, BlockedRRLimitedByPhysicalHpus) {
   sim::Engine eng;
   CostModel cost;
