@@ -8,7 +8,8 @@
 // engines on a self-rescheduling event chain whose capture size is
 // padded to 4 sizes spanning the inline buffer, and then audits the
 // real receive models: every strategy must schedule zero heap-allocated
-// callbacks (the acceptance bar for the InlineCallback change).
+// callbacks (the acceptance bar for the InlineCallback change), and the
+// audit prints each strategy's engine events per delivered packet.
 //
 // Outside the experiment registry on purpose: wall-clock throughput is
 // nondeterministic and must never enter the deterministic JSON reports.
@@ -153,8 +154,8 @@ int audit_models() {
   namespace ddt = netddt::ddt;
 
   std::printf("\nmodel audit  (one 1 MiB hvector receive per strategy)\n");
-  std::printf("  %-12s %12s %12s  %s\n", "strategy", "events",
-              "heap allocs", "callback sizes");
+  std::printf("  %-14s %12s %10s %12s  %s\n", "strategy", "events",
+              "per pkt", "heap allocs", "callback sizes");
   const StrategyKind kinds[] = {
       StrategyKind::kRwCp,        StrategyKind::kRoCp,
       StrategyKind::kSpecialized, StrategyKind::kHpuLocal,
@@ -182,9 +183,16 @@ int audit_models() {
     }
     const std::uint64_t heap_allocs =
         run.metrics.counter("sim.engine.callback_heap_allocs");
-    std::printf("  %-12s %12llu %12llu  %s\n",
+    // Engine events per packet the NIC took in (every event of the run,
+    // the sender's included, over the receiver's deliveries).
+    const std::uint64_t delivered = run.metrics.counter("nic.pkts.delivered");
+    const double per_pkt =
+        delivered > 0 ? static_cast<double>(events) /
+                            static_cast<double>(delivered)
+                      : 0.0;
+    std::printf("  %-14s %12llu %10.2f %12llu  %s\n",
                 std::string(netddt::offload::strategy_name(kind)).c_str(),
-                static_cast<unsigned long long>(events),
+                static_cast<unsigned long long>(events), per_pkt,
                 static_cast<unsigned long long>(heap_allocs), sizes.c_str());
     if (heap_allocs != 0) ++failures;
   }

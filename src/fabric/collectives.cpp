@@ -40,6 +40,10 @@ struct Collective {
   offload::MessageDriver driver;
   std::vector<const offload::Plan*> plans;  // per node; null = packed
 
+  // Per sender: its arrival process and the first of the tickets drawn
+  // for its rounds (round r fires under first_ticket[s] + r).
+  std::vector<sim::ArrivalProcess> sender_arrivals;
+  std::vector<std::uint64_t> first_ticket;
   std::vector<sim::Time> round_first_offer;  // per round
   std::vector<sim::Time> round_last_done;    // per round, -1 = none
   sim::Time first_offer = -1, last_done = -1;
@@ -174,20 +178,30 @@ struct Collective {
     }
   }
 
+  /// Draw every offer's ticket in sender order and place each sender's
+  /// first round; each offer places its sender's next round, so every
+  /// one keeps the (when, seq) of a schedule built up front while the
+  /// heap holds one offer per sender.
   void schedule_offers() {
     round_first_offer.assign(cfg.rounds, sim::Time{-1});
     round_last_done.assign(cfg.rounds, sim::Time{-1});
     for (std::uint32_t s = 0; s < P; ++s) {
-      sim::ArrivalProcess ap(cfg.arrivals, /*stream=*/s + 1);
-      for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
-        const sim::Time t = ap.next();
-        if (round_first_offer[r] < 0 || t < round_first_offer[r]) {
-          round_first_offer[r] = t;
-        }
-        if (first_offer < 0 || t < first_offer) first_offer = t;
-        driver.engine().schedule_at(t, [this, s, r] { offer_round(s, r); });
-      }
+      sender_arrivals.emplace_back(cfg.arrivals, /*stream=*/s + 1);
+      first_ticket.push_back(driver.engine().tickets(cfg.rounds));
     }
+    for (std::uint32_t s = 0; s < P; ++s) arm(s, 0);
+  }
+
+  void arm(std::uint32_t s, std::uint32_t r) {
+    const sim::Time t = sender_arrivals[s].next();
+    if (round_first_offer[r] < 0 || t < round_first_offer[r]) {
+      round_first_offer[r] = t;
+    }
+    if (first_offer < 0 || t < first_offer) first_offer = t;
+    driver.engine().schedule_ticketed(t, first_ticket[s] + r, [this, s, r] {
+      if (r + 1 < cfg.rounds) arm(s, r + 1);
+      offer_round(s, r);
+    });
   }
 
   void offer_round(std::uint32_t s, std::uint32_t r) {

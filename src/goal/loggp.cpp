@@ -1,6 +1,5 @@
 #include "goal/loggp.hpp"
 
-#include <cassert>
 #include <deque>
 #include <string>
 #include <unordered_map>
@@ -82,7 +81,10 @@ struct Sim {
     ++rank.completed;
     rank.finish = engine.now();
     for (std::uint32_t dep : rank.dependents[op_idx]) {
-      assert(rank.pending_deps[dep] > 0);
+      NETDDT_CHECK(rank.pending_deps[dep] > 0,
+                   "rank " + std::to_string(r) + " op " +
+                       std::to_string(op_idx) + " completed and released op " +
+                       std::to_string(dep) + ", which had no pending deps");
       if (--rank.pending_deps[dep] == 0) {
         rank.cpu_queue.push_back(dep);
       }
@@ -188,6 +190,11 @@ RunResult run_loggp(const std::vector<Schedule>& schedules,
     rank.pending_deps.assign(ops.size(), 0);
     rank.dependents.assign(ops.size(), {});
     for (std::uint32_t i = 0; i < ops.size(); ++i) {
+      NETDDT_CHECK(ops[i].kind == Op::Kind::kCalc ||
+                       ops[i].peer < schedules.size(),
+                   "rank " + std::to_string(r) + " op " + std::to_string(i) +
+                       " names peer " + std::to_string(ops[i].peer) + " of " +
+                       std::to_string(schedules.size()) + " ranks");
       for (std::uint32_t d : ops[i].deps) {
         NETDDT_CHECK(d < i, "rank " + std::to_string(r) + " op " +
                                 std::to_string(i) + " depends on op " +
@@ -211,8 +218,11 @@ RunResult run_loggp(const std::vector<Schedule>& schedules,
   result.rank_finish.reserve(sim.ranks.size());
   for (std::size_t r = 0; r < sim.ranks.size(); ++r) {
     const auto& rank = sim.ranks[r];
-    assert(rank.completed == rank.ops->size() &&
-           "deadlock: unmatched receives or cyclic dependencies");
+    NETDDT_CHECK(rank.completed == rank.ops->size(),
+                 "deadlock: rank " + std::to_string(r) + " completed " +
+                     std::to_string(rank.completed) + " of " +
+                     std::to_string(rank.ops->size()) +
+                     " ops (unmatched receives)");
     result.rank_finish.push_back(rank.finish);
     result.makespan = std::max(result.makespan, rank.finish);
   }

@@ -60,8 +60,9 @@ struct RunResult {
   std::uint64_t messages = 0;
 };
 
-/// Run the schedules to completion. Asserts on deadlock (unmatched
-/// receives or dependency cycles).
+/// Run the schedules to completion. Throws sim::check::Violation on a
+/// dependency that is not an earlier op, a peer that is not a rank, and
+/// on deadlock (a receive no send matches).
 RunResult run_loggp(const std::vector<Schedule>& ranks,
                     const LogGP& params);
 

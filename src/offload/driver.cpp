@@ -258,7 +258,7 @@ void MessageDriver::send_outbound(const Message& m, const Source& source) {
   auto& out = outbound_[m.src];
   if (out == nullptr) {
     out = std::make_unique<spin::OutboundEngine>(
-        engine_, world_.fabric.cost, world_.nic.hpus, fabric_, m.src);
+        engine_, world_.fabric.cost, nic(m.src).scheduler(), fabric_, m.src);
   }
   // One HER per packet; the handler locates the packet's regions and
   // DMA-reads them from the source window into the packet.

@@ -120,6 +120,10 @@ struct ServiceRun {
   std::uint64_t evictions = 0;       // facade plan evictions
   std::uint64_t host_fallbacks = 0;  // facade host-unpack fallbacks
   std::uint64_t put_failures = 0;    // messages that never completed
+  /// The engine's pending-event high-watermark (Engine::max_pending):
+  /// arrivals enter the heap one per tenant, so it follows the in-flight
+  /// work, not the message count.
+  std::size_t engine_peak_pending = 0;
   sim::MetricsSnapshot metrics;
   /// Critical-path decomposition of every completed message, completion
   /// order, when `config.trace.blame` (see sim/trace/blame.hpp); empty

@@ -5,6 +5,16 @@
 // callback) triples ordered by time with FIFO tie-breaking, so two events
 // scheduled for the same instant fire in scheduling order. All NIC, PCIe
 // and host models in this repository are built on this engine.
+//
+// Tickets: a sequence number can be drawn ahead of time with ticket() or
+// tickets(), and the work it stands for kept outside the heap. Three
+// models do so, and each keeps the exact (when, seq) order the engine
+// would have dispatched: the DMA engine's write runs (served at the next
+// touch point, never an event), a scheduler task's end work (run first
+// inside the HPU-release event, under the ticket its own event would
+// have drawn), and open-loop arrival schedules (each source keeps only
+// its next arrival in the heap, placed with schedule_ticketed() under a
+// ticket drawn at setup, and each arrival arms the next).
 
 #include <algorithm>
 #include <array>
@@ -12,9 +22,11 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/check.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 #include "sim/trace/trace.hpp"
@@ -45,13 +57,37 @@ class Engine {
   /// are clamped to zero (events cannot fire in the past).
   void schedule(Time delay, Callback fn) {
     if (delay < 0) delay = 0;
-    place(now_ + delay, std::move(fn));
+    place(now_ + delay, next_seq_++, std::move(fn));
   }
 
-  /// Schedule `fn` at absolute time `when` (>= now()).
+  /// Schedule `fn` at absolute time `when`. Precondition, checked
+  /// (NETDDT_CHECK): `when >= now()`.
   void schedule_at(Time when, Callback fn) {
-    assert(when >= now_ && "cannot schedule an event in the past");
-    place(when, std::move(fn));
+    NETDDT_CHECK(when >= now_, "event scheduled for t=" +
+                                   std::to_string(when) +
+                                   " ps, before now=" +
+                                   std::to_string(now_) + " ps");
+    place(when, next_seq_++, std::move(fn));
+  }
+
+  /// Schedule `fn` at absolute time `when` under `seq`, a ticket drawn
+  /// earlier with ticket()/tickets() and not yet used: it dispatches
+  /// exactly where an event scheduled at the draw would have. A source
+  /// of precomputed arrivals draws all its tickets up front and keeps
+  /// only its next arrival in the heap. Preconditions, checked
+  /// (NETDDT_CHECK): `seq` was drawn (it is below the next seq to draw)
+  /// and `when >= now()`. Reusing a ticket is the caller's error.
+  void schedule_ticketed(Time when, std::uint64_t seq, Callback fn) {
+    NETDDT_CHECK(seq < next_seq_, "ticketed event under seq " +
+                                      std::to_string(seq) +
+                                      ", never drawn (next seq " +
+                                      std::to_string(next_seq_) + ")");
+    NETDDT_CHECK(when >= now_, "ticketed event (seq " + std::to_string(seq) +
+                                   ") scheduled for t=" +
+                                   std::to_string(when) +
+                                   " ps, before now=" +
+                                   std::to_string(now_) + " ps");
+    place(when, seq, std::move(fn));
   }
 
   /// Draw the next sequence number without scheduling anything. A model
@@ -183,7 +219,7 @@ class Engine {
     return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
 
-  void place(Time when, Callback&& fn) {
+  void place(Time when, std::uint64_t seq, Callback&& fn) {
     if (fn.heap_allocated()) ++callback_heap_allocs_;
     ++size_hist_[size_bucket(fn)];
     std::uint32_t slot;
@@ -197,7 +233,7 @@ class Engine {
       free_slots_.pop_back();
     }
     slot_ref(slot) = std::move(fn);
-    heap_.push_back(Event{when, next_seq_++, slot});
+    heap_.push_back(Event{when, seq, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     max_pending_ = std::max(max_pending_, heap_.size());
   }

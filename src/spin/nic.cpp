@@ -220,7 +220,7 @@ void NicModel::deliver_spin(MsgState& st, const p4::Packet& pkt) {
           pkt_copy.msg_id, st.ctx->policy, pkt_index,
           st.ctx->label, static_cast<std::int64_t>(pkt_index),
           [this, &st, pkt_copy, run_header, run_payload](sim::Time start)
-              -> sim::Time {
+              -> Scheduler::TaskResult {
             // Handlers run functionally on the scheduler's stack, after
             // deliver() returned: re-install the packet identity so
             // segment/dataloop checks can name it.
@@ -247,9 +247,10 @@ void NicModel::deliver_spin(MsgState& st, const p4::Packet& pkt) {
                 static_cast<std::uint64_t>(meter.phase(Phase::kSetup)));
             handler_processing_->add(
                 static_cast<std::uint64_t>(meter.phase(Phase::kProcessing)));
-            // Handler-completion bookkeeping happens at simulated end.
+            // Handler-completion bookkeeping happens at simulated end,
+            // inside the scheduler's HPU-release event.
             const std::uint32_t staged = pkt_copy.payload_bytes;
-            engine_->schedule(runtime, [this, &st, staged, run_header] {
+            return {runtime, [this, &st, staged, run_header] {
               NETDDT_CHECK(st.outstanding > 0,
                            "handler completed for msg " +
                                std::to_string(st.msg_id) +
@@ -272,8 +273,7 @@ void NicModel::deliver_spin(MsgState& st, const p4::Packet& pkt) {
                 }
               }
               maybe_dispatch_completion(st);
-            });
-            return runtime;
+            }};
           });
     });
   } else {

@@ -18,21 +18,18 @@ void OutboundEngine::process_put(std::uint32_t dst, std::uint64_t msg_id,
                               cost_.pkt_payload);
   put.ready.assign(put.packets.size(), false);
 
-  // The outbound engine emits one HER per packet; the scheduler fans
-  // them out over the sender's HPUs under the put's policy.
+  // The outbound engine emits one HER per packet; the sender NIC's
+  // scheduler fans them out over its HPUs under the put's policy.
   for (std::size_t i = 0; i < put.packets.size(); ++i) {
-    scheduler_.enqueue(
-        msg_id, policy, i,
-        [this, &put, i](sim::Time /*start*/) -> sim::Time {
+    scheduler_->enqueue(
+        msg_id, policy, i, "outbound", static_cast<std::int64_t>(i),
+        [this, &put, i](sim::Time /*start*/) -> Scheduler::TaskResult {
           const p4::Packet& pkt = put.packets[i];
           ChargeMeter meter;
           // Gather runs functionally now; its simulated cost gates the
-          // packet's readiness.
+          // packet's readiness, marked at the handler's end.
           put.gather(pkt, put.staging.data() + pkt.offset, meter);
-          const sim::Time runtime = meter.total();
-          engine_->schedule(runtime,
-                            [this, &put, i] { mark_ready(put, i); });
-          return runtime;
+          return {meter.total(), [this, &put, i] { mark_ready(put, i); }};
         });
   }
 }

@@ -38,13 +38,14 @@ class OutboundEngine {
                                       std::byte* staging,
                                       ChargeMeter& meter)>;
 
-  /// `hpus` are the sender NIC's handler units; its messages leave from
-  /// node `src` of `fabric`.
-  OutboundEngine(sim::Engine& engine, CostModel cost, std::uint32_t hpus,
+  /// Handlers run on `scheduler`, the sender NIC's HER scheduler (its
+  /// HPUs are shared with the NIC's inbound handlers); its messages
+  /// leave from node `src` of `fabric`.
+  OutboundEngine(sim::Engine& engine, CostModel cost, Scheduler& scheduler,
                  fabric::Fabric& fabric, std::uint32_t src)
       : engine_(&engine),
         cost_(cost),
-        scheduler_(engine, hpus, cost_),
+        scheduler_(&scheduler),
         fabric_(&fabric),
         src_(src) {}
 
@@ -70,7 +71,7 @@ class OutboundEngine {
 
   sim::Engine* engine_;
   CostModel cost_;
-  Scheduler scheduler_;
+  Scheduler* scheduler_;
   fabric::Fabric* fabric_;
   std::uint32_t src_;
   std::vector<std::unique_ptr<Put>> puts_;

@@ -89,7 +89,14 @@ void Scheduler::dispatch() {
 
 void Scheduler::run_task(Pending item, Vhpu* owner, std::uint32_t hpu) {
   const sim::Time start = engine_->now();
-  const sim::Time runtime = item.task(start);
+  TaskResult result = item.task(start);
+  const sim::Time runtime = result.runtime;
+  if (result.end) {
+    // The seq an end event of its own would take here: every later seq
+    // and tie-break stays that of the two-event order.
+    engine_->ticket();
+    end_work_[hpu] = std::move(result.end);
+  }
   handlers_run_->add(1);
   handler_time_->add(static_cast<std::uint64_t>(runtime));
   if (tracer_ != nullptr) {
@@ -107,6 +114,11 @@ void Scheduler::run_task(Pending item, Vhpu* owner, std::uint32_t hpu) {
     }
   }
   engine_->schedule(runtime, [this, owner, hpu] {
+    if (end_work_[hpu]) {
+      // Before the HPU is released: work it enqueues finds it busy.
+      EndWork end = std::move(end_work_[hpu]);
+      end();
+    }
     if (owner != nullptr && !owner->queue.empty()) {
       // The vHPU keeps its HPU while it has pending packets.
       Pending next = std::move(owner->queue.front());

@@ -14,6 +14,16 @@
 // by msg/pkt ids), the enqueue->start delay feeds the hpu_wait latency
 // histogram and the runtime feeds the handler histogram. HPU ids are
 // assigned lowest-free-first; assignment never influences timing.
+//
+// Task end: a handler's end is one engine event, as in the paper's NIC
+// (an HPU finishing a handler is released and the NIC does its
+// bookkeeping in one step). A task returns its runtime together with
+// its end work (the NIC's packet-buffer / outstanding / completion
+// bookkeeping, an outbound packet's readiness); the end work runs first
+// inside the HPU-release event, while the HPU still counts as busy.
+// Right after the task body the scheduler draws the engine ticket a
+// separate end event would take, so every later seq and every tie-break
+// is that of an end event dispatched just before the release.
 
 #include <cstdint>
 #include <deque>
@@ -33,11 +43,24 @@ namespace netddt::spin {
 
 class Scheduler {
  public:
-  /// A handler task: runs (functionally) at `start` and returns the
-  /// simulated runtime it charged. Move-only with 64 B of inline
-  /// storage — the NIC's header/payload/completion task lambdas all fit
-  /// without a heap allocation (see sim/inline_function.hpp).
-  using Task = sim::InlineFunction<sim::Time(sim::Time), 64>;
+  /// Work a task leaves for the instant it ends. Runs first inside the
+  /// HPU-release event; 32 B of inline storage holds the NIC's and the
+  /// outbound engine's end lambdas.
+  using EndWork = sim::InlineFunction<void(), 32>;
+  /// What a task returns: the simulated runtime it charged and its end
+  /// work (empty for none). Converts from a bare runtime.
+  struct TaskResult {
+    TaskResult(sim::Time runtime,  // NOLINT(google-explicit-constructor)
+               EndWork end = {})
+        : runtime(runtime), end(std::move(end)) {}
+    sim::Time runtime;
+    EndWork end;
+  };
+  /// A handler task: runs (functionally) at `start` and returns its
+  /// TaskResult. Move-only with 64 B of inline storage — the NIC's
+  /// header/payload/completion task lambdas all fit without a heap
+  /// allocation (see sim/inline_function.hpp).
+  using Task = sim::InlineFunction<TaskResult(sim::Time), 64>;
 
   /// Publishes under "nic.sched"; nullptr gets a private registry.
   Scheduler(sim::Engine& engine, std::uint32_t hpus, const CostModel& cost,
@@ -52,6 +75,7 @@ class Scheduler {
     vhpu_switches_ = &metrics->counter("nic.sched.vhpu_switches");
     busy_hpus_ = &metrics->gauge("nic.sched.busy_hpus");
     free_hpus_.reserve(hpus_);
+    end_work_.resize(hpus_);
     for (std::uint32_t i = hpus_; i > 0; --i) free_hpus_.push_back(i - 1);
   }
 
@@ -130,6 +154,9 @@ class Scheduler {
   // Stack of idle physical HPU ids (initially 0 on top). Deterministic
   // LIFO reuse; the assignment only labels trace tracks, never timing.
   std::vector<std::uint32_t> free_hpus_;
+  // The end work of the task running on each physical HPU, kept here
+  // so the release event's capture stays {this, vhpu, hpu}.
+  std::vector<EndWork> end_work_;
 
   std::unique_ptr<sim::MetricsRegistry> local_metrics_;
   sim::Counter* handlers_run_;   // nic.sched.handlers_run

@@ -59,6 +59,36 @@ TEST(LogGp, DependencyOnALaterOpIsAViolation) {
   }
 }
 
+TEST(LogGp, UnmatchedReceiveIsADeadlockViolation) {
+  std::vector<Schedule> ranks(2);
+  ranks[0].send(100, 1, 7);
+  ranks[1].recv(100, 0, 7);
+  ranks[1].recv(100, 0, 8);  // no send carries tag 8
+  ranks[1].calc(sim::us(1), {1});
+  try {
+    run_loggp(ranks, fast_params());
+    FAIL() << "a deadlocked schedule returned";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find(
+                  "deadlock: rank 1 completed 1 of 3 ops"),
+              std::string::npos)
+        << v.what();
+  }
+}
+
+TEST(LogGp, PeerOutsideTheRanksIsAViolation) {
+  std::vector<Schedule> ranks(2);
+  ranks[0].send(100, 2, 7);  // ranks are 0 and 1
+  try {
+    run_loggp(ranks, fast_params());
+    FAIL() << "a send to a missing rank was accepted";
+  } catch (const sim::check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find("rank 0 op 0 names peer 2 of 2"),
+              std::string::npos)
+        << v.what();
+  }
+}
+
 TEST(LogGp, IndependentCalcsSerializeOnCpu) {
   std::vector<Schedule> ranks(1);
   ranks[0].calc(sim::us(10));

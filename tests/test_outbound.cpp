@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -30,14 +31,21 @@ class OutboundFixture : public ::testing::Test {
     nic.match_list().append(p4::ListKind::kPriority, me);
   }
 
+  /// The sender NIC's HER scheduler, with `hpus` handler units.
+  Scheduler& sender(std::uint32_t hpus) {
+    return sender_hpus.emplace(eng, hpus, cost);
+  }
+
   sim::Engine eng;
   Host host;
   NicModel nic;
   fabric::Fabric link;
+  CostModel cost;
+  std::optional<Scheduler> sender_hpus;
 };
 
 TEST_F(OutboundFixture, GatheredMessageArrivesIntact) {
-  OutboundEngine out(eng, CostModel{}, 8, link, 0);
+  OutboundEngine out(eng, CostModel{}, sender(8), link, 0);
   const std::uint64_t total = 10000;
   std::vector<std::byte> source(total);
   for (std::uint64_t i = 0; i < total; ++i) {
@@ -60,7 +68,7 @@ TEST_F(OutboundFixture, GatheredMessageArrivesIntact) {
 TEST_F(OutboundFixture, PacketsDepartInMessageOrder) {
   // Make even packets slow to gather: departures must still be in
   // order (streaming-put semantics: one message, header first).
-  OutboundEngine out(eng, CostModel{}, 8, link, 0);
+  OutboundEngine out(eng, CostModel{}, sender(8), link, 0);
   std::vector<std::uint64_t> arrival_order;
   // Observe order via a processing context on the receiver.
   ExecutionContext ctx;
@@ -88,7 +96,7 @@ TEST_F(OutboundFixture, PacketsDepartInMessageOrder) {
 }
 
 TEST_F(OutboundFixture, FastGatherSustainsLineRate) {
-  OutboundEngine out(eng, CostModel{}, 16, link, 0);
+  OutboundEngine out(eng, CostModel{}, sender(16), link, 0);
   const std::uint64_t total = 1 << 20;
   out.process_put(/*dst=*/1, 3, 7, total, SchedulingPolicy::Default(),
                   [](const p4::Packet&, std::byte*, ChargeMeter& m) {
@@ -103,7 +111,7 @@ TEST_F(OutboundFixture, FastGatherSustainsLineRate) {
 }
 
 TEST_F(OutboundFixture, SlowGatherThrottlesTheStream) {
-  OutboundEngine out(eng, CostModel{}, 1, link, 0);  // one sender HPU
+  OutboundEngine out(eng, CostModel{}, sender(1), link, 0);  // one sender HPU
   const std::uint64_t total = 64 * 2048;
   const sim::Time per_pkt = sim::us(2);
   out.process_put(/*dst=*/1, 4, 7, total, SchedulingPolicy::Default(),

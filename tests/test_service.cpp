@@ -201,6 +201,19 @@ TEST(Service, LosslessRunRecyclesSlots) {
   }
 }
 
+TEST(Service, ArrivalsEnterTheHeapOneAtATime) {
+  // Each tenant keeps only its next arrival in the engine's heap, so
+  // 2 x 2000 arrivals behind an 8-message admission window never park
+  // more than a few dozen events (the whole schedule up front would
+  // hold 4000).
+  ServiceConfig cfg = small_config(/*messages=*/2000);
+  cfg.max_inflight = 8;
+  const ServiceRun run = run_service(cfg);
+  for (const auto& ts : run.tenants) EXPECT_EQ(ts.completed, 2000u);
+  EXPECT_GT(run.engine_peak_pending, 0u);
+  EXPECT_LT(run.engine_peak_pending, 100u);
+}
+
 TEST(Service, LossyRunKeepsEverySlot) {
   // A lossy message releases only at the drain (a late duplicate may
   // still write its slot), so no slot is ever reused.

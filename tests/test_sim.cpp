@@ -7,10 +7,12 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/arrivals.hpp"
+#include "sim/check.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
@@ -328,6 +330,72 @@ TEST(Metrics, SnapshotIsDetachedCopy) {
   EXPECT_TRUE(snap.has_counter("c"));
   EXPECT_FALSE(snap.has_counter("missing"));
   EXPECT_EQ(snap.counter("missing"), 0u);
+}
+
+TEST(Engine, TicketedEventsFireInTicketOrder) {
+  // A ticket drawn before a later schedule() keeps its place: the
+  // ticketed event ties at t=10 ns with one scheduled after the draw,
+  // and fires first, even though it enters the heap last.
+  Engine eng;
+  std::vector<int> order;
+  const std::uint64_t first = eng.tickets(2);
+  eng.schedule_at(ns(10), [&] { order.push_back(3); });
+  eng.schedule_at(ns(5), [&] {
+    order.push_back(1);
+    eng.schedule_ticketed(ns(10), first + 1, [&] { order.push_back(2); });
+  });
+  eng.schedule_ticketed(ns(5), first, [&] { order.push_back(0); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(eng.executed(), 4u);
+}
+
+TEST(Engine, SchedulingInThePastIsAViolation) {
+  Engine eng;
+  eng.schedule(ns(10), [&] {
+    try {
+      eng.schedule_at(ns(4), [] {});
+      ADD_FAILURE() << "an event in the past was accepted";
+    } catch (const check::Violation& v) {
+      EXPECT_NE(std::string(v.what()).find(
+                    "scheduled for t=4000 ps, before now=10000 ps"),
+                std::string::npos)
+          << v.what();
+    }
+  });
+  eng.run();
+}
+
+TEST(Engine, TicketNeverDrawnIsAViolation) {
+  Engine eng;
+  const std::uint64_t seq = eng.ticket();
+  try {
+    eng.schedule_ticketed(ns(1), seq + 1, [] {});
+    FAIL() << "an undrawn ticket was accepted";
+  } catch (const check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find(
+                  "seq " + std::to_string(seq + 1) + ", never drawn (next seq " +
+                  std::to_string(seq + 1) + ")"),
+              std::string::npos)
+        << v.what();
+  }
+  EXPECT_TRUE(eng.empty());
+}
+
+TEST(Engine, TicketedEventInThePastIsAViolation) {
+  Engine eng;
+  const std::uint64_t seq = eng.ticket();
+  eng.run_until(ns(20));
+  try {
+    eng.schedule_ticketed(ns(7), seq, [] {});
+    FAIL() << "a ticketed event in the past was accepted";
+  } catch (const check::Violation& v) {
+    EXPECT_NE(std::string(v.what()).find(
+                  "(seq " + std::to_string(seq) +
+                  ") scheduled for t=7000 ps, before now=20000 ps"),
+              std::string::npos)
+        << v.what();
+  }
 }
 
 TEST(Engine, NegativeDelayClampsToNow) {

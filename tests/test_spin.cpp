@@ -883,6 +883,41 @@ TEST(Scheduler, BlockedRRLimitedByPhysicalHpus) {
   }
 }
 
+TEST(Scheduler, EndWorkRunsWhileItsHpuIsStillBusy) {
+  // One HPU: task A's end work enqueues task B at A's end. It runs
+  // first in A's release event, so it finds the HPU busy and B queues
+  // behind C (enqueued at t=0) — the order of a separate end event
+  // dispatched just before the release.
+  sim::Engine eng;
+  CostModel cost;
+  Scheduler sched(eng, 1, cost);
+  std::vector<std::pair<char, sim::Time>> starts;
+  std::uint32_t busy_at_end = 0;
+  const auto record = [&starts](char name) {
+    return [&starts, name](sim::Time t) -> sim::Time {
+      starts.emplace_back(name, t);
+      return sim::ns(100);
+    };
+  };
+  sched.enqueue(1, SchedulingPolicy::Default(), 0,
+                [&](sim::Time t) -> Scheduler::TaskResult {
+                  starts.emplace_back('A', t);
+                  return {sim::ns(100), [&] {
+                            sched.enqueue(1, SchedulingPolicy::Default(), 2,
+                                          record('B'));
+                            busy_at_end = sched.busy();
+                          }};
+                });
+  sched.enqueue(1, SchedulingPolicy::Default(), 1, record('C'));
+  eng.run();
+  EXPECT_EQ(busy_at_end, 1u);
+  EXPECT_EQ(starts, (std::vector<std::pair<char, sim::Time>>{
+                        {'A', 0}, {'C', sim::ns(100)}, {'B', sim::ns(200)}}));
+  // One release event per task: the end work has no event of its own.
+  EXPECT_EQ(eng.executed(), 3u);
+  EXPECT_EQ(sched.handlers_run(), 3u);
+}
+
 class NicFixture : public ::testing::Test {
  protected:
   NicFixture()
@@ -985,6 +1020,36 @@ TEST_F(NicFixture, HandlerPathScattersViaDma) {
   EXPECT_TRUE(info->done);
   EXPECT_EQ(info->handlers, 2u);
   EXPECT_GT(info->processing_time, 0);
+}
+
+TEST_F(NicFixture, HandlerEndIsOneEventPerPacket) {
+  // A point-to-point receive of 8 packets through a payload handler
+  // (one DMA write each) and a completion handler. A handler's end is
+  // one event: the NIC's bookkeeping runs inside the HPU release, 8
+  // events fewer than with a bookkeeping event of its own per payload
+  // handler (38). The count is pinned: any new per-packet event shows.
+  ExecutionContext ctx;
+  ctx.payload = [](HandlerArgs& args) {
+    args.meter.charge(Phase::kProcessing, sim::ns(200));
+    args.dma.write(args.meter.total(),
+                   args.buffer_offset + static_cast<std::int64_t>(args.pkt.offset),
+                   {args.pkt.data, args.pkt.payload_bytes});
+  };
+  ctx.completion = [](HandlerArgs& args) { args.dma.write(0, 0, {}, true); };
+  p4::MatchEntry me;
+  me.match_bits = 5;
+  me.context = nic.register_context(std::move(ctx));
+  nic.match_list().append(p4::ListKind::kPriority, me);
+
+  const auto data = pattern(8 * 2048);
+  link.send(0, 1, p4::packetize(6, 5, data), 0);
+  eng.run();
+
+  const auto* info = nic.info(6);
+  ASSERT_TRUE(info != nullptr && info->done);
+  ASSERT_EQ(info->packets, 8u);
+  EXPECT_EQ(std::memcmp(host.memory().data(), data.data(), data.size()), 0);
+  EXPECT_EQ(eng.executed(), 30u);
 }
 
 TEST_F(NicFixture, CompletionHandlerRunsAfterAllPayloads) {
