@@ -40,10 +40,7 @@ struct Collective {
   offload::MessageDriver driver;
   std::vector<const offload::Plan*> plans;  // per node; null = packed
 
-  // Per sender: its arrival process and the first of the tickets drawn
-  // for its rounds (round r fires under first_ticket[s] + r).
-  std::vector<sim::ArrivalProcess> sender_arrivals;
-  std::vector<std::uint64_t> first_ticket;
+  std::vector<sim::ArrivalFeed> sender_feeds;  // per sender, one per round
   std::vector<sim::Time> round_first_offer;  // per round
   std::vector<sim::Time> round_last_done;    // per round, -1 = none
   sim::Time first_offer = -1, last_done = -1;
@@ -178,33 +175,28 @@ struct Collective {
     }
   }
 
-  /// Draw every offer's ticket in sender order and place each sender's
-  /// first round; each offer places its sender's next round, so every
-  /// one keeps the (when, seq) of a schedule built up front while the
-  /// heap holds one offer per sender.
+  /// Every sender's round schedule, its tickets drawn in sender order;
+  /// offers enter the engine one per sender (sim::ArrivalFeed).
   void schedule_offers() {
     round_first_offer.assign(cfg.rounds, sim::Time{-1});
     round_last_done.assign(cfg.rounds, sim::Time{-1});
+    sender_feeds.reserve(P);
     for (std::uint32_t s = 0; s < P; ++s) {
-      sender_arrivals.emplace_back(cfg.arrivals, /*stream=*/s + 1);
-      first_ticket.push_back(driver.engine().tickets(cfg.rounds));
+      sender_feeds.emplace_back(cfg.arrivals, /*stream=*/s + 1,
+                                driver.engine(), cfg.rounds);
     }
-    for (std::uint32_t s = 0; s < P; ++s) arm(s, 0);
+    for (std::uint32_t s = 0; s < P; ++s) {
+      sender_feeds[s].start([this, s](std::uint64_t r, sim::Time t) {
+        offer_round(s, static_cast<std::uint32_t>(r), t);
+      });
+    }
   }
 
-  void arm(std::uint32_t s, std::uint32_t r) {
-    const sim::Time t = sender_arrivals[s].next();
+  void offer_round(std::uint32_t s, std::uint32_t r, sim::Time t) {
     if (round_first_offer[r] < 0 || t < round_first_offer[r]) {
       round_first_offer[r] = t;
     }
     if (first_offer < 0 || t < first_offer) first_offer = t;
-    driver.engine().schedule_ticketed(t, first_ticket[s] + r, [this, s, r] {
-      if (r + 1 < cfg.rounds) arm(s, r + 1);
-      offer_round(s, r);
-    });
-  }
-
-  void offer_round(std::uint32_t s, std::uint32_t r) {
     for (std::uint32_t step = 0; step + 1 < P; ++step) {
       const std::uint32_t d = (s + 1 + step) % P;
       const auto payload = driver.offer(

@@ -28,14 +28,6 @@ struct Arrival {
   sim::Time at = 0;
 };
 
-/// One tenant's open-loop source: its arrival process and the first of
-/// the engine tickets drawn for its messages (message k fires under
-/// first_ticket + k).
-struct TenantFeed {
-  sim::ArrivalProcess process;
-  std::uint64_t first_ticket = 0;
-};
-
 struct ServiceState {
   const ServiceConfig* config = nullptr;
   MessageDriver* driver = nullptr;
@@ -43,34 +35,20 @@ struct ServiceState {
   std::vector<SlotPool> slots;
   std::vector<DdtEngine::TypeHandle> handles;
   std::vector<TenantStats> stats;
-  std::vector<TenantFeed> feeds;
+  std::vector<sim::ArrivalFeed> feeds;  // per tenant
   sim::TelemetrySampler* sampler = nullptr;
 
   std::deque<Arrival> pending;  // awaiting admission, arrival order
   std::uint64_t messages = 0;   // the schedule's total
   std::uint64_t peak_inflight = 0;
 
-  /// Place tenant `t`'s message `seq` in the engine under its ticket.
-  void arm(std::uint32_t t, std::uint64_t seq);
   void on_arrival(const Arrival& a);
   void admit(const Arrival& a);
   void finish(const Message& m, sim::Time when);
   void release(const Message& m);
 };
 
-void ServiceState::arm(std::uint32_t t, std::uint64_t seq) {
-  TenantFeed& feed = feeds[t];
-  const Arrival a{t, seq, feed.process.next()};
-  driver->engine().schedule_ticketed(a.at, feed.first_ticket + seq,
-                                     [state = this, a] {
-                                       state->on_arrival(a);
-                                     });
-}
-
 void ServiceState::on_arrival(const Arrival& a) {
-  // Each arrival arms its tenant's next, so the heap holds one arrival
-  // per tenant.
-  if (a.seq + 1 < config->tenants[a.tenant].messages) arm(a.tenant, a.seq + 1);
   TenantStats& ts = stats[a.tenant];
   if (ts.offered == 0 || a.at < ts.first_arrival) ts.first_arrival = a.at;
   ts.offered += 1;
@@ -241,18 +219,22 @@ ServiceRun run_service(const ServiceConfig& config) {
   driver.on_finish = std::bind_front(&ServiceState::finish, &st);
   driver.on_release = std::bind_front(&ServiceState::release, &st);
 
-  // Draw every arrival's ticket in tenant order and place each tenant's
-  // first arrival; each arrival places the next (TenantFeed), so every
-  // one keeps the (when, seq) of a schedule built up front. The rest of
-  // the run is driven by the DES and the NIC's completion callback.
+  // Every tenant's arrival schedule, its tickets drawn in tenant order;
+  // arrivals enter the engine one per tenant (sim::ArrivalFeed). The
+  // rest of the run is driven by the DES and the NIC's completion
+  // callback.
+  st.feeds.reserve(config.tenants.size());
   for (std::uint32_t t = 0; t < config.tenants.size(); ++t) {
     sim::ArrivalConfig ac = config.tenants[t].arrivals;
     ac.seed ^= config.seed;
-    st.feeds.push_back(
-        {sim::ArrivalProcess(ac, /*stream=*/t),
-         driver.engine().tickets(config.tenants[t].messages)});
+    st.feeds.emplace_back(ac, /*stream=*/t, driver.engine(),
+                          config.tenants[t].messages);
   }
-  for (std::uint32_t t = 0; t < config.tenants.size(); ++t) st.arm(t, 0);
+  for (std::uint32_t t = 0; t < config.tenants.size(); ++t) {
+    st.feeds[t].start([state = &st, t](std::uint64_t seq, sim::Time at) {
+      state->on_arrival({t, seq, at});
+    });
+  }
   driver.drain(st.messages);
 
   ServiceRun run;

@@ -19,9 +19,14 @@
 // mixing config.seed with the stream id, and no global state is touched
 // — so schedules are independent of --jobs scheduling and of other
 // tenants' draws.
+//
+// ArrivalFeed feeds one process's arrivals to the DES engine one at a
+// time, each under an engine ticket drawn up front (see
+// sim/engine.hpp).
 
 #include <cstdint>
 
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -71,6 +76,44 @@ class ArrivalProcess {
   double gap_mean_ps_ = 0.0; // mean inter-arrival gap while emitting
   double on_mean_ps_ = 0.0;  // kOnOff: mean ON window length
   double off_mean_ps_ = 0.0; // kOnOff: mean OFF gap length
+};
+
+/// `count` arrivals of one ArrivalProcess, entering an Engine one at a
+/// time. The constructor draws all their tickets, so feeds built in a
+/// loop keep the seq order of schedules posted up front in that loop.
+/// start(fn) places arrival 0; each arrival k places arrival k + 1 and
+/// then calls fn(k, at). The heap holds one arrival per feed, and since
+/// times are drawn in the same order, every arrival keeps the (when,
+/// seq) it would have had up front. A started feed must not move.
+class ArrivalFeed {
+ public:
+  ArrivalFeed(const ArrivalConfig& config, std::uint64_t stream,
+              Engine& engine, std::uint64_t count)
+      : process_(config, stream),
+        engine_(&engine),
+        first_ticket_(engine.tickets(count)),
+        count_(count) {}
+
+  /// `fn`: void(std::uint64_t k, Time at), copied into every arrival.
+  template <typename Fn>
+  void start(Fn fn) {
+    if (count_ > 0) arm(0, fn);
+  }
+
+ private:
+  template <typename Fn>
+  void arm(std::uint64_t k, const Fn& fn) {
+    const Time at = process_.next();
+    engine_->schedule_ticketed(at, first_ticket_ + k, [this, k, at, fn] {
+      if (k + 1 < count_) arm(k + 1, fn);
+      fn(k, at);
+    });
+  }
+
+  ArrivalProcess process_;
+  Engine* engine_;
+  std::uint64_t first_ticket_;
+  std::uint64_t count_;
 };
 
 }  // namespace netddt::sim

@@ -14,7 +14,8 @@
 // inside the HPU-release event, under the ticket its own event would
 // have drawn), and open-loop arrival schedules (each source keeps only
 // its next arrival in the heap, placed with schedule_ticketed() under a
-// ticket drawn at setup, and each arrival arms the next).
+// ticket drawn at setup, and each arrival arms the next; see
+// sim::ArrivalFeed).
 
 #include <algorithm>
 #include <array>

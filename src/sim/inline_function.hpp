@@ -35,6 +35,12 @@ template <typename R, typename... Args, std::size_t InlineBytes>
 class InlineFunction<R(Args...), InlineBytes> {
  public:
   static constexpr std::size_t kInlineBytes = InlineBytes;
+  /// True when a callable of type Fn is stored in place, without a heap
+  /// allocation.
+  template <typename Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= InlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
 
   InlineFunction() noexcept = default;
 
@@ -43,9 +49,7 @@ class InlineFunction<R(Args...), InlineBytes> {
              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= InlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kFitsInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       invoke_ = &invoke_inline<Fn>;
       if constexpr (!(std::is_trivially_copyable_v<Fn> &&

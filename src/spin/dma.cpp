@@ -203,9 +203,6 @@ void DmaEngine::drain() {
   if (heads_.empty()) return;
   const sim::Time now = engine_->now();
   const std::uint64_t cur = engine_->current_seq();
-  if (now == drained_when_ && cur == drained_seq_) return;
-  drained_when_ = now;
-  drained_seq_ = cur;
   while (!heads_.empty() &&
          before(heads_.front().when, heads_.front().seq, now, cur)) {
     std::pop_heap(heads_.begin(), heads_.end(), later_head);
@@ -278,7 +275,7 @@ void DmaEngine::arrive(const Request& req, sim::Time now) {
   sample(now);
 
   const sim::Time service = req.rmw ? cost_->dma_rmw_service(req.src.size())
-                                    : plain_service(req.src.size());
+                                    : cost_->dma_service(req.src.size());
   const sim::Time begin = std::max(now, free_at_);
   free_at_ = begin + service;
   // Posted writes pipeline: the write lands one PCIe write latency after

@@ -32,10 +32,7 @@
 // event, so the landing event it schedules draws its seq in dispatch
 // order), a landing event, the sweep, and queue_depth()/drained().
 // Landings retire lazily, stamped with their own landing times, at the
-// same touch points. drain() does its work once per dispatching event:
-// a second touch in the same event returns at once, since a write
-// issued during an event is never due before it. The sweep is one
-// self-re-arming event parked on
+// same touch points. The sweep is one self-re-arming event parked on
 // max(latest landing, latest pending arrival): it serves the
 // stragglers, drains the depth back to 0, closes the Fig 15 series, and
 // keeps Engine::run() ending at the last landing. Tie rule: landings at
@@ -69,6 +66,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -179,31 +177,6 @@ class DmaEngine {
     sim::Time at;
     std::uint64_t msg_id;
   };
-  /// In-flight landings in landing order: a vector consumed from
-  /// `head`. It resets once it empties and drops its consumed prefix
-  /// once that is the larger half, so a steady stream neither allocates
-  /// nor grows.
-  struct LandingFifo {
-    std::vector<Landing> items;
-    std::size_t head = 0;
-    bool empty() const { return head == items.size(); }
-    const Landing& front() const { return items[head]; }
-    void push_back(const Landing& landing) {
-      if (head >= kCompactAt && 2 * head >= items.size()) {
-        items.erase(items.begin(),
-                    items.begin() + static_cast<std::ptrdiff_t>(head));
-        head = 0;
-      }
-      items.push_back(landing);
-    }
-    void pop_front() {
-      if (++head == items.size()) {
-        items.clear();
-        head = 0;
-      }
-    }
-    static constexpr std::size_t kCompactAt = 256;
-  };
 
   /// A non-signalled write waiting for its arrival; (when, seq) is the
   /// position its arrival event would have had in the engine queue.
@@ -256,15 +229,6 @@ class DmaEngine {
   bool serve_train(std::uint32_t train, sim::Time until_when,
                    std::uint64_t until_seq);
   void arrive(const Request& req, sim::Time now);
-  /// cost_->dma_service(bytes), memoized for the last block size (a
-  /// handler's writes mostly share one).
-  sim::Time plain_service(std::uint64_t bytes) {
-    if (bytes != service_bytes_) {
-      service_bytes_ = bytes;
-      service_time_ = cost_->dma_service(bytes);
-    }
-    return service_time_;
-  }
   /// Retire every in-flight landing due by `now`, in landing order.
   void retire(sim::Time now);
   void arm_sweep();
@@ -277,15 +241,9 @@ class DmaEngine {
 
   sim::Time free_at_ = 0;       // when the server finishes its backlog
   sim::Time last_landing_ = 0;  // latest landing ever scheduled
-  LandingFifo plain_landings_;  // sorted: landing = free_at + c
-  LandingFifo rmw_landings_;    // sorted likewise (larger c)
+  std::deque<Landing> plain_landings_;  // sorted: landing = free_at + c
+  std::deque<Landing> rmw_landings_;    // sorted likewise (larger c)
   bool sweep_armed_ = false;
-  std::uint64_t service_bytes_ = ~std::uint64_t{0};  // plain_service memo
-  sim::Time service_time_ = 0;
-  // The dispatching event drain() last ran for: writes issued since are
-  // never due before it (their when >= now, their seq > its seq).
-  sim::Time drained_when_ = -1;
-  std::uint64_t drained_seq_ = 0;
 
   std::vector<Run> runs_;                // live and recycled write runs
   std::vector<std::uint32_t> free_runs_;

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,11 +49,19 @@ class Scheduler {
   /// outbound engine's end lambdas.
   using EndWork = sim::InlineFunction<void(), 32>;
   /// What a task returns: the simulated runtime it charged and its end
-  /// work (empty for none). Converts from a bare runtime.
+  /// work (empty for none). Converts from a bare runtime. An end
+  /// callable must fit EndWork's inline buffer (checked at compile
+  /// time): it runs once per handler, and the engine's heap-callback
+  /// count never sees it.
   struct TaskResult {
+    template <typename F = EndWork>
     TaskResult(sim::Time runtime,  // NOLINT(google-explicit-constructor)
-               EndWork end = {})
-        : runtime(runtime), end(std::move(end)) {}
+               F end = {})
+        : runtime(runtime), end(std::move(end)) {
+      static_assert(std::is_same_v<F, EndWork> ||
+                        EndWork::kFitsInline<F>,
+                    "end work must fit EndWork's inline buffer");
+    }
     sim::Time runtime;
     EndWork end;
   };

@@ -538,6 +538,65 @@ TEST(Arrivals, KindsAgreeOnLongRunRate) {
   EXPECT_NEAR(onoff, poisson, poisson * 0.02);
 }
 
+TEST(Arrivals, FeedDispatchesAsAnUpFrontSchedule) {
+  // Two sources on the same stream tie at every arrival, each arrival
+  // schedules a zero-delay event, and a marker posted after the
+  // schedules ties with their second arrivals (so it must fire after
+  // them). Feeds must dispatch exactly as the two schedules posted up
+  // front, holding one arrival per source in the heap.
+  constexpr std::uint64_t kCount = 50;
+  ArrivalConfig cfg;
+  cfg.kind = ArrivalKind::kOnOff;
+  struct Step {
+    Time at;
+    int id;
+    std::uint64_t k;
+    bool operator==(const Step&) const = default;
+  };
+  using Log = std::vector<Step>;
+  const auto on_arrival = [](Engine& eng, Log& log, int id,
+                             std::uint64_t k) {
+    log.push_back({eng.now(), id, k});
+    eng.schedule(0, [&eng, &log, id, k] {
+      log.push_back({eng.now(), 100 + id, k});
+    });
+  };
+  ArrivalProcess peek(cfg, /*stream=*/7);
+  peek.next();
+  const Time second = peek.next();
+
+  Engine ref;
+  Log want;
+  for (int s = 0; s < 2; ++s) {
+    ArrivalProcess process(cfg, /*stream=*/7);
+    for (std::uint64_t k = 0; k < kCount; ++k) {
+      ref.schedule_at(process.next(),
+                      [&, s, k] { on_arrival(ref, want, s, k); });
+    }
+  }
+  ref.schedule_at(second, [&] { want.push_back({ref.now(), -1, 0}); });
+  ref.run();
+
+  Engine eng;
+  Log got;
+  std::vector<ArrivalFeed> feeds;
+  feeds.reserve(2);
+  for (int s = 0; s < 2; ++s) feeds.emplace_back(cfg, 7, eng, kCount);
+  for (int s = 0; s < 2; ++s) {
+    feeds[s].start([&, s](std::uint64_t k, Time at) {
+      EXPECT_EQ(at, eng.now());
+      on_arrival(eng, got, s, k);
+    });
+  }
+  eng.schedule_at(second, [&] { got.push_back({eng.now(), -1, 0}); });
+  eng.run();
+
+  ASSERT_EQ(got.size(), 4 * kCount + 1);
+  EXPECT_TRUE(got == want);
+  EXPECT_EQ(ref.max_pending(), 2 * kCount + 1);
+  EXPECT_LE(eng.max_pending(), 5u);
+}
+
 TEST(Time, SerializationClockCarriesFractionalPicoseconds) {
   // 1000-byte packets at 7 Gbit/s: 1142857.142... ps each. Summing the
   // floor per packet would drift ~143 ps per thousand packets; the
